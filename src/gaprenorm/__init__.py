@@ -36,23 +36,18 @@ from .exact import ExactReal, Surd, exact_log, exact_str, fraction_bounds, make_
 from .substitution import (
     GrowthCheck,
     LevelIdentity,
+    Levels,
     ReturnMatrix,
     SpreadBoundError,
     SubstitutionRule,
     WordBudgetError,
     WordStats,
-    build_matrix,
     build_rule,
     check_length_growth,
-    compose_stats,
     expand_word,
-    letter_stats,
-    level_report,
+    levels,
     lyapunov_estimate,
-    matrix_product,
-    matrix_product_lengths,
     renorm_identity,
-    top_eigenvalue,
 )
 from .orbit import (
     DiscrepancyProfile,
@@ -77,7 +72,6 @@ from .measure import (
     UlamOperator,
     build_ulam,
     correlation_decay,
-    gap_quotient_stream,
     integral_log_norm,
     inverse_branch,
     inverse_branches,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import ExactReal, exact_floor, make_surd, squarefree_split
 
@@ -44,22 +44,16 @@ class CFExpansion:
     `preperiod` holds the leading quotients, `period` the repeating block
     (empty for rationals).  Quotients are 1-indexed in the accessors to
     match the usual a1, a2, ... convention.
+
+    Direct construction takes canonical quotients as given: integers >= 1,
+    not empty, and a finite expansion neither [1] nor ending in 1.  Raw input
+    is validated once, by `cf_normalize` (which `parse_theta_spec`,
+    `rational_to_cf` and `sample_theta` go through); `shift` and `gap_map`
+    derive valid expansions from valid ones without checking again.
     """
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        for a in self.preperiod + self.period:
-            if not isinstance(a, int) or a < 1:
-                raise ValueError(f"quotients must be integers >= 1, got {a!r}")
-        if not self.preperiod and not self.period:
-            raise ValueError("empty expansion")
-        if self.is_finite:
-            if self.preperiod == (1,):
-                raise ValueError("[1] denotes 1, which is outside (0, 1)")
-            if self.preperiod[-1] == 1:
-                raise ValueError("canonical finite expansions do not end in 1")
 
     @property
     def is_finite(self) -> bool:
@@ -213,21 +207,44 @@ def _replace_head(cf: CFExpansion, new_head: int) -> CFExpansion:
     return CFExpansion((new_head,), rotated)
 
 
+def _gap_step(q: Sequence[int], head: int, i: int) -> tuple[int, int]:
+    """The gap map on the expansion [head, q[i], q[i + 1], ...].
+
+    Returns the image as a new (head, i) over the same sequence: a head of 1
+    merges into the next quotient, an odd head becomes 1, and an even head
+    drops itself and the next quotient.
+    """
+    if head == 1:
+        return q[i] + 1, i + 1
+    if head % 2:
+        return 1, i
+    return q[i + 1], i + 2
+
+
 def gap_map(cf: CFExpansion) -> CFExpansion:
     """One renormalization step of the first-return (gap) dynamics."""
     a1 = cf.head
-    if a1 == 1:
-        if not cf.available(2):
-            raise ExpansionExhaustedError("gap map exhausted the expansion (a1 = 1)")
-        tail = cf.shift(1)
-        return _replace_head(tail, tail.head + 1)
-    if a1 % 2 == 1:
-        if not cf.available(2):
-            raise ExpansionExhaustedError("gap map exhausted the expansion (odd a1)")
-        return _replace_head(cf, 1)
-    if not cf.available(3):
-        raise ExpansionExhaustedError("gap map exhausted the expansion (even a1)")
-    return cf.shift(2)
+    need = 2 if a1 % 2 else 3
+    if not cf.available(need):
+        branch = "a1 = 1" if a1 == 1 else ("odd a1" if a1 % 2 else "even a1")
+        raise ExpansionExhaustedError(f"gap map exhausted the expansion ({branch})")
+    head, i = _gap_step(cf.quotients(need), a1, 1)
+    tail = cf.shift(i - 1)
+    return tail if tail.head == head else _replace_head(tail, head)
+
+
+def leading_quotients(quotients: Sequence[int]) -> Iterator[int]:
+    """Leading quotient a1 at each level of the gap orbit of a finite expansion.
+
+    Walks the quotient sequence by index with the same step as `gap_map`,
+    without copying it or building an expansion per level.  Stops once fewer than three
+    quotients remain, since the even branch consumes two and the remainder
+    must stay a meaningful expansion.
+    """
+    head, i = quotients[0], 1
+    while len(quotients) - i >= 2:
+        yield head
+        head, i = _gap_step(quotients, head, i)
 
 
 def gap_map_value(value: ExactReal, cf: CFExpansion) -> ExactReal:

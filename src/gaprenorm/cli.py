@@ -39,15 +39,7 @@ from .measure import (
     khinchin_experiment,
     stationary_density,
 )
-from .substitution import (
-    A,
-    ReturnMatrix,
-    build_rule,
-    expand_word,
-    lengths_by_level,
-    matrices_along,
-    stats_by_level,
-)
+from .substitution import A, ReturnMatrix, expand_word, levels, return_matrix
 from . import verify as verify_mod
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -180,31 +172,24 @@ def cmd_traj(args) -> int:
 
 def cmd_word(args) -> int:
     theta = _parse_theta(args)
-    traj = gap_trajectory(theta, args.level)
-    rules = [build_rule(s.cf) for s in traj.steps[: args.level]]
-    word = expand_word(rules, args.letter, max_len=args.max_len)
+    word = expand_word(levels(theta, args.level).rules, args.letter,
+                       max_len=args.max_len)
     print(word)
     return 0
 
 
 def cmd_rho(args) -> int:
-    theta = _parse_theta(args)
-    traj = gap_trajectory(theta, args.level)
-    rules = [build_rule(s.cf) for s in traj.steps[: args.level]]
-    levels = stats_by_level(rules)
-    lens = lengths_by_level(rules)
+    lv = levels(_parse_theta(args), args.level)
     rows = []
-    half = 0
     for n in range(1, args.level + 1):
-        half += traj.steps[n - 1].e // 2
-        stats = levels[n][A]
+        rho, half = lv.stats[n][A].rho, lv.halfsums[n]
         rows.append(
             {
                 "n": n,
-                "rho": stats.rho,
+                "rho": rho,
                 "halfsum": half,
-                "xi": stats.rho - half,
-                "length": lens[n][0],
+                "xi": rho - half,
+                "length": lv.lengths[n][0],
             }
         )
     if args.json:
@@ -220,11 +205,11 @@ def cmd_rho(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    theta = _parse_theta(args)
-    mats = matrices_along(theta, args.level)
+    rules = levels(_parse_theta(args), args.level).rules
     prod = ReturnMatrix.identity()
     rows = []
-    for n, m in enumerate(mats, start=1):
+    for n, rule in enumerate(rules, start=1):
+        m = return_matrix(rule)
         prod = m @ prod
         (a, b), (c, d) = prod.rows()
         rows.append(

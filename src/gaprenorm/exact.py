@@ -42,8 +42,11 @@ def make_surd(a, b, d: int) -> ExactReal:
     return Surd(a, b * s, d0)
 
 
-def _sign_triplet(a: Fraction, b: Fraction, d: int) -> int:
-    """Sign of a + b*sqrt(d) for squarefree d > 1 (so the value is 0 only if a = b = 0)."""
+def _sign_triplet(a: Fraction | int, b: Fraction | int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for squarefree d > 1 (so the value is 0 only if a = b = 0).
+
+    Takes Fractions or ints; the exact orbit walkers pass integer coordinates.
+    """
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0:

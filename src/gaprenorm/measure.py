@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import digamma, polygamma, spence, zeta
 
-from .cf import PartitionCell, rational_to_cf
+from .cf import PartitionCell, leading_quotients, rational_to_cf
 from .exact import ExactReal
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "series_bound",
     "correlation_decay",
     "THRESHOLD_FAMILIES",
-    "gap_quotient_stream",
     "ExceedanceRecord",
     "KhinchinResult",
     "khinchin_experiment",
@@ -507,28 +505,6 @@ THRESHOLD_FAMILIES: dict[str, Callable[[int], float]] = {
 }
 
 
-def gap_quotient_stream(quotients: Sequence[int]) -> Iterator[int]:
-    """Yield the leading quotient along the orbit, mutating a quotient deque.
-
-    A head of 1 merges into the next quotient, an odd head >= 3 becomes 1,
-    an even head drops two quotients.  Stops once fewer than three quotients
-    remain, since the even branch consumes two and the remainder must stay a
-    meaningful expansion.
-    """
-    dq = deque(quotients)
-    while len(dq) >= 3:
-        a1 = dq[0]
-        yield a1
-        if a1 == 1:
-            dq.popleft()
-            dq[0] += 1
-        elif a1 % 2:
-            dq[0] = 1
-        else:
-            dq.popleft()
-            dq.popleft()
-
-
 @dataclass(frozen=True)
 class ExceedanceRecord:
     sample_id: int
@@ -619,7 +595,7 @@ def khinchin_experiment(
             count_half = 0
             last = -1
             reached = -1
-            for n, a1 in enumerate(gap_quotient_stream(quotients)):
+            for n, a1 in enumerate(leading_quotients(quotients)):
                 reached = n
                 if n > w1:
                     break

@@ -19,10 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import ExactReal, Surd, exact_floor
-from .cf import CFExpansion, cf_value, gap_trajectory
-from .substitution import A, B, C, build_rule, expand_word, \
-    lengths_by_level, rules_along, stats_by_level
+from .exact import ExactReal, Surd, _sign_triplet, exact_floor
+from .cf import CFExpansion
+from .substitution import A, B, C, expand_word, levels as level_walk
 
 
 class EncodingSearchError(RuntimeError):
@@ -72,24 +71,6 @@ def _encode_rational(x0: Fraction, theta: Fraction, length: int):
     return "".join(out), hits, length > period
 
 
-def _sign2(p: int, r: int, d: int) -> int:
-    """Sign of p + r*sqrt(d) for integers p, r and non-square d."""
-    if r == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return (r > 0) - (r < 0)
-    if p > 0 and r > 0:
-        return 1
-    if p < 0 and r < 0:
-        return -1
-    lhs, rhs = p * p, r * r * d
-    if lhs == rhs:
-        raise ArithmeticError("square radicand leaked into the surd path")
-    if p > 0:
-        return 1 if lhs > rhs else -1
-    return 1 if rhs > lhs else -1
-
-
 def _surd_parts(x, d: int) -> tuple[Fraction, Fraction]:
     if isinstance(x, Surd):
         if x.d != d:
@@ -116,10 +97,10 @@ def _encode_surd(x0: ExactReal, theta: ExactReal, length: int):
     for j in range(length):
         if pa == 0 and pb == 0:
             hits.append((j, "0"))
-        half = _sign2(2 * pa - den, 2 * pb, d)
+        half = _sign_triplet(2 * pa - den, 2 * pb, d)
         if half == 0:
             hits.append((j, "1/2"))
-        at_c = _sign2(pa - ca, pb - cb, d)
+        at_c = _sign_triplet(pa - ca, pb - cb, d)
         if at_c == 0:
             hits.append((j, "1-theta"))
         if half < 0:
@@ -130,7 +111,7 @@ def _encode_surd(x0: ExactReal, theta: ExactReal, length: int):
             out.append(C)
         pa += sa
         pb += sb
-        if _sign2(pa - den, pb, d) >= 0:
+        if _sign_triplet(pa - den, pb, d) >= 0:
             pa -= den
     return "".join(out), hits, False
 
@@ -261,9 +242,9 @@ def _mismatches_surd(y: Fraction, theta: Surd, word: str, budget: int) -> int:
     ca, cb = den - sa, -sb
     bad = 0
     for ch in word:
-        if _sign2(2 * pa - den, 2 * pb, d) < 0:
+        if _sign_triplet(2 * pa - den, 2 * pb, d) < 0:
             sym = A
-        elif _sign2(pa - ca, pb - cb, d) < 0:
+        elif _sign_triplet(pa - ca, pb - cb, d) < 0:
             sym = B
         else:
             sym = C
@@ -273,7 +254,7 @@ def _mismatches_surd(y: Fraction, theta: Surd, word: str, budget: int) -> int:
                 return bad
         pa += sa
         pb += sb
-        if _sign2(pa - den, pb, d) >= 0:
+        if _sign_triplet(pa - den, pb, d) >= 0:
             pa -= den
     return bad
 
@@ -298,13 +279,12 @@ def verify_encoding(theta: CFExpansion, n: int, grid_refinement: int = 1,
     """
     if grid_refinement < 1:
         raise ValueError("grid refinement must be >= 1")
-    traj = gap_trajectory(theta, n)
-    theta_val = traj.steps[0].value
+    lv = level_walk(theta, n)
+    theta_val = lv.traj.steps[0].value
     if not theta_val < Fraction(1, 2):
         raise ValueError("rotation number must lie below 1/2 for direct encoding")
-    rules = [build_rule(s.cf) for s in traj.steps[:n]]
-    word = expand_word(rules, A, max_len=max_word)
-    span = traj.delta_product(n)
+    word = expand_word(lv.rules, A, max_len=max_word)
+    span = lv.traj.delta_product(n)
     grid = (exact_floor(2 / span) + 1) * grid_refinement
     surd = isinstance(theta_val, Surd)
     best_bad = budget + 1
@@ -382,20 +362,17 @@ def sandwich_sweep(y: ExactReal, theta: CFExpansion, n_max: int,
     levels = sorted(set(levels))
     if not levels or levels[0] < 1 or levels[-1] > n_max:
         raise ValueError("levels must lie in 1..n_max")
-    rules = rules_along(theta, n_max)
-    lengths = lengths_by_level(rules)
-    stats = stats_by_level(rules)
-    theta_val = cf_value(theta)
-    need = 2 * max(lengths[n_max])
-    profile = discrepancy_profile(encode_orbit(y, theta_val, need))
+    lv = level_walk(theta, n_max)
+    need = 2 * max(lv.lengths[n_max])
+    profile = discrepancy_profile(encode_orbit(y, lv.traj.steps[0].value, need))
     out = []
     for n in levels:
         out.append(_sandwich_from_profile(
             profile, n,
-            rho_prev=stats[n - 1][A].rho,
-            rho_level=stats[n][A].rho,
-            len_min=min(lengths[n]),
-            len_max=max(lengths[n]),
+            rho_prev=lv.stats[n - 1][A].rho,
+            rho_level=lv.stats[n][A].rho,
+            len_min=min(lv.lengths[n]),
+            len_max=max(lv.lengths[n]),
             slack=slack,
         ))
     return out

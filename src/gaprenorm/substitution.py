@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Sequence
 
-from .cf import CFExpansion, ExpansionExhaustedError, gap_trajectory
+from .cf import CFExpansion, ExpansionExhaustedError, GapTrajectory, gap_trajectory
 
 A, B, C = "A", "B", "C"
 LETTERS = (A, B, C)
@@ -222,12 +223,7 @@ def build_rule(cf: CFExpansion) -> SubstitutionRule:
 
 def rules_along(theta: CFExpansion, n: int) -> list[SubstitutionRule]:
     """Rules at levels 0 .. n-1 of the gap trajectory of theta."""
-    traj = gap_trajectory(theta, n)
-    return [build_rule(step.cf) for step in traj.steps[:n]]
-
-
-def letter_stats(letter: str) -> WordStats:
-    return WordStats.of_letter(letter)
+    return levels(theta, n).rules
 
 
 def stats_by_level(rules: Sequence[SubstitutionRule]) -> list[dict[str, WordStats]]:
@@ -240,15 +236,10 @@ def stats_by_level(rules: Sequence[SubstitutionRule]) -> list[dict[str, WordStat
     return levels
 
 
-def compose_stats(rules: Sequence[SubstitutionRule], letter: str = A) -> WordStats:
-    """Stats of the full composed image of `letter` without expanding it."""
-    return stats_by_level(rules)[-1][letter]
-
-
 def expand_word(rules: Sequence[SubstitutionRule], letter: str = A,
                 max_len: int = 100_000) -> str:
     """Materialize the composed image of `letter`, refusing budget overruns."""
-    predicted = compose_stats(rules, letter).length
+    predicted = stats_by_level(rules)[-1][letter].length
     if predicted > max_len:
         raise WordBudgetError(
             f"expansion would have {predicted} letters (budget {max_len})"
@@ -316,14 +307,6 @@ def return_matrix(rule: SubstitutionRule) -> ReturnMatrix:
     return ReturnMatrix(base + 2 * k, a2 + 1, base + 1, a2)
 
 
-def build_matrix(cf: CFExpansion) -> ReturnMatrix:
-    return return_matrix(build_rule(cf))
-
-
-def matrices_along(theta: CFExpansion, n: int) -> list[ReturnMatrix]:
-    return [return_matrix(rule) for rule in rules_along(theta, n)]
-
-
 def lengths_by_level(rules: Sequence[SubstitutionRule]) -> list[tuple[int, int]]:
     """(|A-word|, |C-word|) after 0, 1, ..., len(rules) levels."""
     u = (1, 1)
@@ -334,29 +317,43 @@ def lengths_by_level(rules: Sequence[SubstitutionRule]) -> list[tuple[int, int]]
     return out
 
 
-def matrix_product_lengths(theta: CFExpansion, n: int) -> tuple[int, int]:
-    """Return lengths at level n driven purely by the matrix cocycle."""
-    return lengths_by_level(rules_along(theta, n))[-1]
+@dataclass(frozen=True)
+class Levels:
+    """Levels 0 .. n of one theta, each computed once.
+
+    `traj` holds the trajectory levels 0 .. n and `rules[v]` the substitution
+    at level v < n.  Indexed by v = 0 .. n: `halfsums[v]` adds E(a1)/2 over
+    levels 0 .. v-1, `stats[v]` maps each letter to the stats of its level-v
+    word, and `lengths[v]` is (|A-word|, |C-word|) from the matrix cocycle.
+    The last two are folded on first use and kept.
+    """
+
+    traj: GapTrajectory
+    rules: list[SubstitutionRule]
+    halfsums: list[int]
+
+    @cached_property
+    def stats(self) -> list[dict[str, WordStats]]:
+        return stats_by_level(self.rules)
+
+    @cached_property
+    def lengths(self) -> list[tuple[int, int]]:
+        return lengths_by_level(self.rules)
 
 
-def matrix_product(theta: CFExpansion, n: int) -> ReturnMatrix:
-    """The level-n cocycle matrix M_{n-1} ... M_1 M_0."""
-    prod = ReturnMatrix.identity()
-    for m in matrices_along(theta, n):
-        prod = m @ prod
-    return prod
-
-
-def top_eigenvalue(m: ReturnMatrix) -> float:
-    return m.top_eigenvalue()
+def levels(theta: CFExpansion, n: int) -> Levels:
+    """Walk the gap trajectory of theta once, to level n."""
+    traj = gap_trajectory(theta, n)
+    rules = [build_rule(step.cf) for step in traj.steps[:n]]
+    halfsums = list(accumulate((step.e // 2 for step in traj.steps[:n]), initial=0))
+    return Levels(traj, rules, halfsums)
 
 
 def lyapunov_estimate(theta: CFExpansion, n: int) -> float:
     """log of the largest return length at level n, divided by n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    len_a, len_c = matrix_product_lengths(theta, n)
-    return math.log(max(len_a, len_c)) / n
+    return math.log(max(levels(theta, n).lengths[n])) / n
 
 
 @dataclass(frozen=True)
@@ -378,7 +375,7 @@ class GrowthCheck:
 
 def check_length_growth(theta: CFExpansion, n: int, band: float = 0.2) -> GrowthCheck:
     """Verify min length at level v dominates max length at level v - 3."""
-    lens = lengths_by_level(rules_along(theta, n))
+    lens = levels(theta, n).lengths
     mins = tuple(min(u) for u in lens)
     maxs = tuple(max(u) for u in lens)
     step_ok = tuple(mins[v] >= maxs[v - 3] for v in range(3, n + 1))
@@ -412,34 +409,12 @@ def renorm_identity(theta: CFExpansion, n: int, check: bool = True) -> LevelIden
     The half-sum runs over levels 0 .. n-1; the residual xi stays in
     [-5, 5], which `check` enforces.
     """
-    traj = gap_trajectory(theta, n)
-    rules = [build_rule(step.cf) for step in traj.steps[:n]]
-    rho = compose_stats(rules, A).rho
-    total = sum(step.e for step in traj.steps[:n])
-    if total % 2:
-        raise ArithmeticError("even-part sum came out odd")
-    halfsum = total // 2
+    lv = levels(theta, n)
+    rho = lv.stats[n][A].rho
+    halfsum = lv.halfsums[n]
     xi = rho - halfsum
     if check and abs(xi) > 5:
         raise SpreadBoundError(
             f"xi = {xi} outside [-5, 5] at level {n} for theta {theta}"
         )
     return LevelIdentity(rho=rho, halfsum=halfsum, xi=xi)
-
-
-def level_report(theta: CFExpansion, n: int) -> dict:
-    """Flat summary record for one (theta, n): lengths, spread, identity, Lyapunov."""
-    from .cf import format_theta_spec
-
-    ident = renorm_identity(theta, n, check=False)
-    len_a, len_c = matrix_product_lengths(theta, n)
-    return {
-        "theta_spec": format_theta_spec(theta),
-        "n": n,
-        "lenA": len_a,
-        "lenC": len_c,
-        "rho": ident.rho,
-        "halfsum": ident.halfsum,
-        "xi": ident.xi,
-        "lyap_estimate": lyapunov_estimate(theta, n) if n >= 1 else 0.0,
-    }

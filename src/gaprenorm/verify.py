@@ -30,12 +30,10 @@ from .substitution import (
     B,
     C,
     WordStats,
-    build_rule,
     check_length_growth,
     expand_word,
-    lengths_by_level,
+    levels,
     lyapunov_estimate,
-    stats_by_level,
 )
 
 __all__ = ["Verdict", "CHECKS", "run_all", "all_passed"]
@@ -65,13 +63,9 @@ def check_spread_identity() -> tuple[bool, str]:
     thetas = _sample_thetas(101, 100, bits=128, min_quotients=48)
     worst = 0
     for theta in thetas:
-        traj = gap_trajectory(theta, 20)
-        rules = [build_rule(s.cf) for s in traj.steps[:20]]
-        levels = stats_by_level(rules)
-        half = 0
+        lv = levels(theta, 20)
         for n in range(1, 21):
-            half += traj.steps[n - 1].e // 2
-            xi = levels[n][A].rho - half
+            xi = lv.stats[n][A].rho - lv.halfsums[n]
             worst = max(worst, abs(xi))
             if abs(xi) > 5:
                 return False, f"|xi| = {abs(xi)} at level {n}"
@@ -82,16 +76,14 @@ def check_length_cocycle() -> tuple[bool, str]:
     """2: composed-stats lengths match the matrix cocycle exactly, n <= 30."""
     thetas = _sample_thetas(202, 50, bits=256, min_quotients=65)
     for theta in thetas:
-        traj = gap_trajectory(theta, 30)
-        rules = [build_rule(s.cf) for s in traj.steps[:30]]
-        levels = stats_by_level(rules)
-        lens = lengths_by_level(rules)
+        lv = levels(theta, 30)
         for n in range(31):
-            if levels[n][A].length != lens[n][0]:
+            stats = lv.stats[n]
+            if stats[A].length != lv.lengths[n][0]:
                 return False, f"A-length mismatch at level {n}"
-            if levels[n][C].length != lens[n][1]:
+            if stats[C].length != lv.lengths[n][1]:
                 return False, f"C-length mismatch at level {n}"
-            if levels[n][A].length != levels[n][B].length:
+            if stats[A].length != stats[B].length:
                 return False, f"|A-word| != |B-word| at level {n}"
     return True, "50 thetas, n <= 30, lengths exact; |A-word| = |B-word|"
 
@@ -102,14 +94,12 @@ def check_stats_oracle() -> tuple[bool, str]:
     checked = 0
     largest = 0
     for theta in thetas:
-        traj = gap_trajectory(theta, 30)
-        rules = [build_rule(s.cf) for s in traj.steps[:30]]
-        lens = lengths_by_level(rules)
-        n = max((v for v in range(31) if lens[v][0] <= 100_000), default=0)
+        lv = levels(theta, 30)
+        n = max((v for v in range(31) if lv.lengths[v][0] <= 100_000), default=0)
         if n == 0:
             continue
-        word = expand_word(rules[:n], A, max_len=100_000)
-        if WordStats.of_word(word) != stats_by_level(rules[:n])[-1][A]:
+        word = expand_word(lv.rules[:n], A, max_len=100_000)
+        if WordStats.of_word(word) != lv.stats[n][A]:
             return False, f"stats mismatch at level {n} (length {len(word)})"
         checked += 1
         largest = max(largest, len(word))
@@ -121,9 +111,7 @@ def check_encoding() -> tuple[bool, str]:
     thetas = _sample_thetas(404, 20, bits=256, min_quotients=65, lower_half=True)
     worst = 0
     for theta in thetas:
-        traj = gap_trajectory(theta, 30)
-        rules = [build_rule(s.cf) for s in traj.steps[:30]]
-        lens = lengths_by_level(rules)
+        lens = levels(theta, 30).lengths
         n = max(v for v in range(1, 31) if lens[v][0] <= 10_000)
         try:
             match = verify_encoding(theta, n)
@@ -139,9 +127,7 @@ def check_sandwich() -> tuple[bool, str]:
     rng = random.Random(515)
     total = 0
     for theta in thetas:
-        traj = gap_trajectory(theta, 30)
-        rules = [build_rule(s.cf) for s in traj.steps[:30]]
-        lens = lengths_by_level(rules)
+        lens = levels(theta, 30).lengths
         n_max = max(v for v in range(1, 31) if 2 * max(lens[v]) <= 6000)
         for _ in range(50):
             y = Fraction(rng.getrandbits(48), 1 << 48)

@@ -57,6 +57,20 @@ def test_normalize_folds_trailing_one():
         cf_normalize([2, 0, 3])
 
 
+def test_outside_input_is_validated_once():
+    # CFExpansion trusts its quotients, so every entry point has to reject
+    # what cf_normalize rejects
+    for bad in ("cfper:[0][2]", "cfper:[][2,0]"):
+        with pytest.raises(ValueError):
+            parse_theta_spec(bad)
+    with pytest.raises(ValueError):
+        cf_normalize([], [0])
+    with pytest.raises(ValueError):
+        cf_normalize([2, 0, 3])
+    with pytest.raises(ValueError):
+        rational_to_cf(Fraction(1))
+
+
 def test_rational_round_trip():
     rng = random.Random(1)
     for _ in range(500):
@@ -111,6 +125,24 @@ def test_branch_consistency_surd():
         value = gap_map_value(value, cf)
         assert cf_value(nxt) == value
         cf = nxt
+
+
+def test_gap_map_on_periodic_expansions():
+    # purely periodic expansions through each branch, and an even head that
+    # shifts into the period; the exact (preperiod, period) pair is pinned
+    cases = {
+        "cfper:[][1,4]": ((5,), (1, 4)),  # a1 = 1: [a2 + 1, a3, ...]
+        "cfper:[][1]": ((2,), (1,)),
+        "cfper:[][3,2]": ((1,), (2, 3)),  # odd: [1, a2, a3, ...]
+        "cfper:[][2]": ((), (2,)),  # even: [a3, a4, ...]
+        "cfper:[][2,5]": ((), (2, 5)),
+        "cfper:[4][6,1]": ((), (1, 6)),
+    }
+    for spec, (pre, per) in cases.items():
+        cf = parse_theta_spec(spec)
+        image = gap_map(cf)
+        assert (image.preperiod, image.period) == (pre, per), spec
+        assert cf_value(image) == gap_map_value(cf_value(cf), cf)
 
 
 def test_no_consecutive_half_steps():

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +163,22 @@ def test_bad_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _readme_lines(verbs):
+    """The README's command-line examples for the given verbs, as argv lists."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = []
+    for line in readme.read_text().splitlines():
+        words = line.split()
+        if words[:1] == ["gaprenorm"] and words[1] in verbs:
+            lines.append(shlex.split(line, comments=True)[1:])
+    return lines
+
+
+def test_readme_level_examples_run(capsys):
+    examples = _readme_lines({"traj", "word", "rho", "matrix"})
+    assert sorted(argv[0] for argv in examples) == ["matrix", "rho", "traj", "word"]
+    for argv in examples:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

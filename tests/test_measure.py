@@ -5,14 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaprenorm.cf import PartitionCell, gap_trajectory, sample_theta
+from gaprenorm.cf import PartitionCell, gap_trajectory, leading_quotients, sample_theta
 from gaprenorm.measure import (
     THRESHOLD_FAMILIES,
     DensityEstimate,
     branch_forward,
     build_ulam,
     correlation_decay,
-    gap_quotient_stream,
     integral_log_norm,
     inverse_branch,
     inverse_branches,
@@ -161,12 +160,12 @@ def test_correlation_decay():
 # quotient statistics
 
 
-def test_quotient_stream_matches_trajectory():
+def test_leading_quotients_match_trajectory():
+    # the walk khinchin_experiment consumes agrees with the exact trajectory
     rng = random.Random(41)
     for _ in range(30):
         theta = sample_theta(rng, bits=128, min_quotients=40)
-        quotients = theta.preperiod
-        stream = list(gap_quotient_stream(quotients))
+        stream = list(leading_quotients(theta.preperiod))
         traj = gap_trajectory(theta, min(len(stream) - 1, 12))
         heads = [s.a1 for s in traj.steps]
         assert stream[: len(heads)] == heads

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gaprenorm.cf import cf_value, parse_theta_spec, rational_to_cf, sample_theta
+from gaprenorm.exact import Surd
 from gaprenorm.orbit import (
     DiscrepancyProfile,
     EncodingSearchError,
@@ -45,6 +46,13 @@ def test_encode_validation():
         encode_orbit(Fraction(3, 2), Fraction(1, 3), 5)
     with pytest.raises(ValueError):
         encode_orbit(Fraction(0), Fraction(1, 3), -1)
+
+
+def test_surd_walk_rejects_square_radicand():
+    # 1/8 * sqrt(4) is the rational 1/4; the exact sign test must notice
+    # instead of ordering it as an irrational
+    with pytest.raises(ArithmeticError):
+        encode_orbit(Fraction(0), Surd(Fraction(0), Fraction(1, 8), 4), 10)
 
 
 def test_surd_agrees_with_close_rational():

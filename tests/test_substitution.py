@@ -16,14 +16,10 @@ from gaprenorm.substitution import (
     WordStats,
     build_rule,
     check_length_growth,
-    compose_stats,
     expand_word,
     lengths_by_level,
-    level_report,
+    levels,
     lyapunov_estimate,
-    matrices_along,
-    matrix_product,
-    matrix_product_lengths,
     renorm_identity,
     return_matrix,
     rules_along,
@@ -147,7 +143,7 @@ def test_compose_matches_expansion():
             word = expand_word(rules, A, max_len=1_000_000)
         except WordBudgetError:  # a level with huge quotients; skip it
             continue
-        assert compose_stats(rules, A) == WordStats.of_word(word)
+        assert stats_by_level(rules)[-1][A] == WordStats.of_word(word)
         checked += 1
 
 
@@ -171,7 +167,7 @@ def test_matrices_track_lengths():
         for n in range(13):
             assert stats[n][A].length == lens[n][0]
             assert stats[n][C].length == lens[n][1]
-        assert matrix_product_lengths(theta, 12) == lens[12]
+        assert levels(theta, 12).lengths[12] == lens[12]
 
 
 def test_matrix_algebra():
@@ -182,15 +178,12 @@ def test_matrix_algebra():
     assert e.rows() == ((3, 2), (4, 3)) and e.det == 1
     assert (m @ ReturnMatrix.identity()).rows() == m.rows()
     assert m.apply((1, 1)) == (3, 1)
-    theta = parse_theta_spec("cfper:[][2]")
-    prod = matrix_product(theta, 5)
-    assert prod.apply((1, 1)) == matrix_product_lengths(theta, 5)
+    lv = levels(parse_theta_spec("cfper:[][2]"), 5)
+    prod = ReturnMatrix.identity()
+    for rule in lv.rules:
+        prod = return_matrix(rule) @ prod
+    assert prod.apply((1, 1)) == lv.lengths[5]
     assert abs(prod.det) == 1
-    steps = matrices_along(theta, 5)
-    acc = ReturnMatrix.identity()
-    for step in steps:
-        acc = step @ acc
-    assert acc.rows() == prod.rows()
 
 
 def test_growth_and_lyapunov_silver():
@@ -219,12 +212,18 @@ def test_renorm_identity_random():
         assert abs(ident.xi) <= 5
 
 
-def test_level_report_keys():
-    rep = level_report(parse_theta_spec("cfper:[][2]"), 8)
-    for key in ("theta_spec", "n", "lenA", "lenC", "rho", "halfsum", "xi",
-                "lyap_estimate"):
-        assert key in rep
-    assert rep["n"] == 8 and rep["rho"] == rep["halfsum"] + rep["xi"]
+def test_levels_fields():
+    theta = parse_theta_spec("cfper:[][2]")
+    lv = levels(theta, 8)
+    assert len(lv.traj.steps) == 9 and len(lv.rules) == 8
+    assert len(lv.stats) == len(lv.lengths) == len(lv.halfsums) == 9
+    assert lv.rules == rules_along(theta, 8)
+    assert lv.stats == stats_by_level(lv.rules)
+    assert lv.lengths == lengths_by_level(lv.rules)
+    assert lv.halfsums == list(range(9))  # every silver level has E/2 = 1
+    ident = renorm_identity(theta, 8, check=False)
+    assert (lv.stats[8][A].rho, lv.halfsums[8]) == (ident.rho, ident.halfsum)
+    assert lyapunov_estimate(theta, 8) == math.log(max(lv.lengths[8])) / 8
 
 
 def test_spread_bound_error_is_reachable_only_by_flag():
