@@ -221,13 +221,22 @@ def _gap_step(q: Sequence[int], head: int, i: int) -> tuple[int, int]:
     return q[i + 1], i + 2
 
 
+def _gap_need(head: int) -> int:
+    """Quotients the gap step reads, the head included."""
+    return 2 if head % 2 else 3
+
+
+def _gap_exhausted(head: int) -> ExpansionExhaustedError:
+    branch = "a1 = 1" if head == 1 else ("odd a1" if head % 2 else "even a1")
+    return ExpansionExhaustedError(f"gap map exhausted the expansion ({branch})")
+
+
 def gap_map(cf: CFExpansion) -> CFExpansion:
     """One renormalization step of the first-return (gap) dynamics."""
     a1 = cf.head
-    need = 2 if a1 % 2 else 3
+    need = _gap_need(a1)
     if not cf.available(need):
-        branch = "a1 = 1" if a1 == 1 else ("odd a1" if a1 % 2 else "even a1")
-        raise ExpansionExhaustedError(f"gap map exhausted the expansion ({branch})")
+        raise _gap_exhausted(a1)
     head, i = _gap_step(cf.quotients(need), a1, 1)
     tail = cf.shift(i - 1)
     return tail if tail.head == head else _replace_head(tail, head)
@@ -247,8 +256,11 @@ def leading_quotients(quotients: Sequence[int]) -> Iterator[int]:
         head, i = _gap_step(quotients, head, i)
 
 
-def gap_map_value(value: ExactReal, cf: CFExpansion) -> ExactReal:
-    """Image of `value` under the gap map, using the branch named by its expansion."""
+def gap_map_value(value: ExactReal, cf: CFExpansion | TrajectoryStep) -> ExactReal:
+    """Image of `value` under the gap map, using the branch named by its expansion.
+
+    `cf` may also be a trajectory step, which reads its quotients in place.
+    """
     a1 = cf.head
     if a1 == 1:
         return 1 - value
@@ -369,15 +381,90 @@ def gap_derivative(theta: ExactReal, cell: PartitionCell) -> ExactReal:
     return 1 / (prod * prod)
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
-    """One renormalization level: the expansion, its value, a1, E(a1), delta."""
+class _Walk:
+    """What the steps of one trajectory share: theta_0, the (a1, offset) of
+    each level, and the exact values and deltas once they have been read."""
 
-    cf: CFExpansion
-    value: ExactReal
-    a1: int
-    e: int
-    delta: ExactReal
+    __slots__ = ("theta0", "heads", "offsets", "exact")
+
+    def __init__(self, theta0: CFExpansion):
+        self.theta0 = theta0
+        self.heads: list[int] = []
+        self.offsets: list[int] = []
+        self.exact: Optional[tuple[list[ExactReal], list[ExactReal]]] = None
+
+    def values_and_deltas(self) -> tuple[list[ExactReal], list[ExactReal]]:
+        """Exact value and delta of every level, by the gap_map_value chain."""
+        if self.exact is None:
+            values, deltas = [], []
+            value = cf_value(self.theta0)
+            last = len(self.heads) - 1
+            for level, a1 in enumerate(self.heads):
+                values.append(value)
+                deltas.append(1 - (a1 - a1 % 2) * value)
+                if level < last:
+                    value = gap_map_value(value, TrajectoryStep(self, level))
+            self.exact = values, deltas
+        return self.exact
+
+
+class TrajectoryStep:
+    """One renormalization level: a1, E(a1), and a view of its expansion.
+
+    The level's expansion is [a1, q[offset], q[offset + 1], ...], where q is
+    the 0-based quotient sequence of theta_0; past the preperiod of a periodic
+    theta_0 the offset wraps modulo the period.  `head`, `available` and
+    `quotient` read the expansion as a CFExpansion does, without building
+    one; `cf` builds it on read.  `value` and `delta` are exact and are
+    computed for the whole trajectory on the first read of either.
+    """
+
+    __slots__ = ("_walk", "level", "a1", "e", "offset")
+
+    def __init__(self, walk: _Walk, level: int):
+        self._walk = walk
+        self.level = level
+        self.a1 = walk.heads[level]
+        self.e = self.a1 - self.a1 % 2
+        self.offset = walk.offsets[level]
+
+    @property
+    def head(self) -> int:
+        return self.a1
+
+    def available(self, count: int) -> bool:
+        """Whether the level's expansion has at least `count` quotients."""
+        return self._walk.theta0.available(self.offset + count - 1)
+
+    def quotient(self, i: int) -> int:
+        """The i-th quotient of the level's expansion (1-indexed)."""
+        if i < 1:
+            raise ValueError("quotient index is 1-based")
+        if i == 1:
+            return self.a1
+        return self._walk.theta0.quotient(self.offset + i - 1)
+
+    @property
+    def cf(self) -> CFExpansion:
+        """The level's expansion, in the form the gap_map chain gives it."""
+        pre, per = self._walk.theta0.preperiod, self._walk.theta0.period
+        if self.offset <= len(pre):
+            return CFExpansion((self.a1,) + pre[self.offset:], per)
+        # the head sits on period entry s: gap_map keeps that entry when the
+        # head equals it and otherwise puts the head before the next one
+        s = (self.offset - 1 - len(pre)) % len(per)
+        if self.a1 == per[s]:
+            return CFExpansion((), per[s:] + per[:s])
+        s += 1
+        return CFExpansion((self.a1,), per[s:] + per[:s])
+
+    @property
+    def value(self) -> ExactReal:
+        return self._walk.values_and_deltas()[0][self.level]
+
+    @property
+    def delta(self) -> ExactReal:
+        return self._walk.values_and_deltas()[1][self.level]
 
 
 @dataclass(frozen=True)
@@ -396,36 +483,46 @@ class GapTrajectory:
 
 
 def gap_trajectory(theta: CFExpansion, n: int) -> GapTrajectory:
-    """Levels theta_0 .. theta_n of the gap dynamics with exact bookkeeping.
+    """Levels theta_0 .. theta_n of the gap dynamics, in time linear in n.
 
-    Raises ExpansionExhaustedError (carrying the step reached) when a
-    rational theta runs out of expansion before level n.
+    Each level is a (head, offset) view into the quotients of theta, walked
+    once with the gap step; exact values and deltas wait until a caller
+    reads them.  Raises CellBoundaryError when a level's expansion is a
+    single even quotient [2k] (value 1/(2k), delta 0), and
+    ExpansionExhaustedError (carrying the step reached) when a rational
+    theta runs out of expansion before level n.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    cf = theta
-    value = cf_value(cf)
-    steps = []
-    for i in range(n + 1):
-        a1 = cf.head
-        e = parity_floor(a1)
-        delta = 1 - e * value
-        if delta <= 0:
+    pre, per = theta.preperiod, theta.period
+    # a periodic offset stays in (len(pre), len(pre) + len(per)], so an offset
+    # of len(pre) always means a head on the last preperiod entry
+    q = pre + per * 3
+    wrap = len(pre) + len(per)
+    walk = _Walk(theta)
+    head, i = q[0], 1
+    for level in range(n + 1):
+        if head % 2 == 0 and not theta.available(i + 1):
+            value = Fraction(1, head)
             raise CellBoundaryError(
-                f"level {i} value {value} hits a cell endpoint (delta = {delta})"
+                f"level {level} value {value} hits a cell endpoint "
+                f"(delta = {1 - head * value})"
             )
-        steps.append(TrajectoryStep(cf=cf, value=value, a1=a1, e=e, delta=delta))
-        if i < n:
-            try:
-                nxt = gap_map(cf)
-            except ExpansionExhaustedError as exc:
-                raise ExpansionExhaustedError(
-                    f"trajectory exhausted after {i} steps: {exc}",
-                    steps_completed=i,
-                ) from exc
-            value = gap_map_value(value, cf)
-            cf = nxt
-    return GapTrajectory(theta0=theta, steps=tuple(steps))
+        walk.heads.append(head)
+        walk.offsets.append(i)
+        if level == n:
+            break
+        if not theta.available(i + _gap_need(head) - 1):
+            exc = _gap_exhausted(head)
+            raise ExpansionExhaustedError(
+                f"trajectory exhausted after {level} steps: {exc}",
+                steps_completed=level,
+            ) from exc
+        head, i = _gap_step(q, head, i)
+        if per and i > wrap:
+            i = len(pre) + 1 + (i - len(pre) - 1) % len(per)
+    steps = tuple(TrajectoryStep(walk, level) for level in range(n + 1))
+    return GapTrajectory(theta0=theta, steps=steps)
 
 
 # --- the theta-spec grammar ------------------------------------------------

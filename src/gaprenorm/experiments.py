@@ -14,7 +14,8 @@ import json
 import math
 import random
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -61,8 +62,12 @@ class EmitError(RuntimeError):
     """Refusing to write an output file (empty table, bad format, I/O)."""
 
 
+@cache
 def tool_version() -> str:
-    """Package version, with the git revision appended when available."""
+    """Package version, with the git revision appended when available.
+
+    Asks git once per process.
+    """
     root = Path(__file__).resolve().parents[2]
     try:
         described = subprocess.run(
@@ -119,6 +124,7 @@ class IteratedLogFamily:
 
     k: int
     epsilon: float = 0.0
+    cutoff: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -127,13 +133,10 @@ class IteratedLogFamily:
             raise ValueError("epsilon must be nonnegative")
         if self.k == 1 and self.epsilon:
             raise ValueError("k = 1 has no log factor to raise; use k >= 2")
-
-    @property
-    def cutoff(self) -> float:
         c = 1.0
         for _ in range(self.k - 1):
             c = math.exp(c)
-        return c
+        object.__setattr__(self, "cutoff", c)
 
     def f(self, x: float) -> float:
         if x <= self.cutoff:
@@ -179,7 +182,7 @@ def run_growth_experiment(
     rng = random.Random(cfg.seed)
     theta = _theta_for(cfg, rng, min_quotients=2 * cfg.depth + 8)
     traj = gap_trajectory(theta, cfg.depth)
-    rules = [build_rule(step.cf) for step in traj.steps[: cfg.depth]]
+    rules = [build_rule(step) for step in traj.steps[: cfg.depth]]
     levels = stats_by_level(rules)
     lens = lengths_by_level(rules)
     half = 0
@@ -333,7 +336,7 @@ def run_limsup_probe(cfg: ExperimentConfig) -> tuple[list[LimsupRecord], dict]:
         rng = random.Random(cfg.seed ^ sid)
         theta = _theta_for(cfg, rng, min_quotients=2 * cfg.depth + 8)
         traj = gap_trajectory(theta, cfg.depth)
-        rules = [build_rule(step.cf) for step in traj.steps[: cfg.depth]]
+        rules = [build_rule(step) for step in traj.steps[: cfg.depth]]
         levels = stats_by_level(rules)
         best = -math.inf
         best_n = 0
@@ -396,7 +399,8 @@ def emit(
     path = Path(path)
     names = [f.name for f in dataclasses.fields(records[0])]
     meta = dict(meta or {})
-    meta.setdefault("version", tool_version())
+    if "version" not in meta:
+        meta["version"] = tool_version()
     try:
         if fmt == "csv":
             lines = [f"# {k}: {_cell(meta[k])}" for k in sorted(meta)]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .exact import ExactReal, Surd, _sign_triplet, exact_floor
 from .cf import CFExpansion
-from .substitution import A, B, C, expand_word, levels as level_walk
+from .substitution import A, B, C, Levels, expand_word, levels as level_walk
 
 
 class EncodingSearchError(RuntimeError):
@@ -277,13 +277,20 @@ def verify_encoding(theta: CFExpansion, n: int, grid_refinement: int = 1,
     true base point cannot be skipped; failure to find any candidate raises
     rather than passing silently.
     """
+    return verify_levels_encoding(level_walk(theta, n), n, grid_refinement,
+                                  max_word, budget)
+
+
+def verify_levels_encoding(lv: Levels, n: int, grid_refinement: int = 1,
+                           max_word: int = 100_000,
+                           budget: int = 2) -> EncodingMatch:
+    """`verify_encoding` at level n of levels already walked to n or beyond."""
     if grid_refinement < 1:
         raise ValueError("grid refinement must be >= 1")
-    lv = level_walk(theta, n)
     theta_val = lv.traj.steps[0].value
     if not theta_val < Fraction(1, 2):
         raise ValueError("rotation number must lie below 1/2 for direct encoding")
-    word = expand_word(lv.rules, A, max_len=max_word)
+    word = expand_word(lv.rules[:n], A, max_len=max_word)
     span = lv.traj.delta_product(n)
     grid = (exact_floor(2 / span) + 1) * grid_refinement
     surd = isinstance(theta_val, Surd)

@@ -20,13 +20,20 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .cf import CFExpansion, ExpansionExhaustedError, GapTrajectory, gap_trajectory
+from .cf import (
+    CFExpansion,
+    ExpansionExhaustedError,
+    GapTrajectory,
+    TrajectoryStep,
+    gap_trajectory,
+)
 
 A, B, C = "A", "B", "C"
 LETTERS = (A, B, C)
 WEIGHT = {A: 1, B: -1, C: -1}
 
 Runs = tuple[tuple[str, int], ...]
+Stats = tuple[int, int, int, int]  # WordStats fields, as a plain tuple
 Segments = tuple[tuple[Runs, int], ...]
 
 
@@ -85,33 +92,21 @@ class WordStats:
         return cls(len(word), s, hi, lo)
 
     def concat(self, other: "WordStats") -> "WordStats":
-        if self.length == 0:
-            return other
-        if other.length == 0:
-            return self
-        return WordStats(
-            self.length + other.length,
-            self.total + other.total,
-            max(self.max_prefix, self.total + other.max_prefix),
-            min(self.min_prefix, self.total + other.min_prefix),
-        )
+        return WordStats(*_concat(self.astuple(), other.astuple()))
 
     def __add__(self, other: "WordStats") -> "WordStats":
         return self.concat(other)
 
     def repeat(self, count: int) -> "WordStats":
-        """Stats of this word repeated `count` times (binary folding)."""
+        """Stats of this word repeated `count` times, in closed form."""
         if count < 0:
             raise ValueError("negative repeat count")
-        result = WordStats.empty()
-        base = self
-        while count:
-            if count & 1:
-                result = result.concat(base)
-            count >>= 1
-            if count:
-                base = base.concat(base)
-        return result
+        if count == 0:
+            return WordStats.empty()
+        return WordStats(*_repeat(self.astuple(), count))
+
+    def astuple(self) -> Stats:
+        return (self.length, self.total, self.max_prefix, self.min_prefix)
 
     @property
     def rho(self) -> int:
@@ -119,6 +114,30 @@ class WordStats:
         if self.length == 0:
             raise ValueError("rho of the empty word is undefined")
         return 1 + self.max_prefix - self.min_prefix
+
+
+def _concat(s: Stats, t: Stats) -> Stats:
+    """Stats of the concatenation, on (length, total, max, min) tuples."""
+    if not s[0]:
+        return t
+    if not t[0]:
+        return s
+    total = s[1]
+    return (s[0] + t[0], total + t[1], max(s[2], total + t[2]),
+            min(s[3], total + t[3]))
+
+
+def _repeat(s: Stats, count: int) -> Stats:
+    """Stats of the word repeated count >= 1 times.
+
+    Copy j shifts every prefix sum by j * total, so the maximum sits in the
+    last copy when total > 0 and in the first otherwise; the minimum too,
+    the other way round.
+    """
+    length, total, hi, lo = s
+    more = count - 1
+    return (count * length, count * total, hi + more * max(total, 0),
+            lo + more * min(total, 0))
 
 
 def _runs(*pairs: tuple[str, int]) -> Runs:
@@ -180,8 +199,7 @@ class SubstitutionRule:
         )
 
     def image_stats(self, letter: str) -> WordStats:
-        return _fold_segments(self.image_segments(letter),
-                              {ch: WordStats.of_letter(ch) for ch in LETTERS})
+        return WordStats(*_fold_segments(self.image_segments(letter), _LETTER_STATS))
 
     def image_word(self, letter: str) -> str:
         return _image_word(self, letter)
@@ -195,18 +213,24 @@ def _image_word(rule: SubstitutionRule, letter: str) -> str:
     )
 
 
-def _fold_segments(segments: Segments, stats: dict[str, WordStats]) -> WordStats:
-    acc = WordStats.empty()
+_LETTER_STATS = {ch: WordStats.of_letter(ch).astuple() for ch in LETTERS}
+
+
+def _fold_segments(segments: Segments, stats: dict[str, Stats]) -> Stats:
+    acc = (0, 0, 0, 0)
     for runs, rep in segments:
-        seg = WordStats.empty()
+        seg = (0, 0, 0, 0)
         for ch, cnt in runs:
-            seg = seg.concat(stats[ch].repeat(cnt))
-        acc = acc.concat(seg.repeat(rep))
+            seg = _concat(seg, _repeat(stats[ch], cnt))
+        acc = _concat(acc, _repeat(seg, rep))
     return acc
 
 
-def build_rule(cf: CFExpansion) -> SubstitutionRule:
-    """Substitution induced at the level whose expansion is `cf`."""
+def build_rule(cf: CFExpansion | TrajectoryStep) -> SubstitutionRule:
+    """Substitution induced at the level whose expansion is `cf`.
+
+    A trajectory step serves as well: a1, a2 and a3 are read from its view.
+    """
     a1 = cf.head
     if a1 == 1:
         return SubstitutionRule("identity")
@@ -228,18 +252,25 @@ def rules_along(theta: CFExpansion, n: int) -> list[SubstitutionRule]:
 
 def stats_by_level(rules: Sequence[SubstitutionRule]) -> list[dict[str, WordStats]]:
     """Per-letter stats of the composed substitution after 0, 1, ..., len(rules) levels."""
-    cur = {ch: WordStats.of_letter(ch) for ch in LETTERS}
-    levels = [cur]
+    cur = _LETTER_STATS
+    out = [cur]
     for rule in rules:
-        cur = {ch: _fold_segments(rule.image_segments(ch), cur) for ch in LETTERS}
-        levels.append(cur)
-    return levels
+        if rule.kind != "identity":
+            cur = {ch: _fold_segments(rule.image_segments(ch), cur) for ch in LETTERS}
+        out.append(cur)
+    return [{ch: WordStats(*st[ch]) for ch in LETTERS} for st in out]
 
 
 def expand_word(rules: Sequence[SubstitutionRule], letter: str = A,
                 max_len: int = 100_000) -> str:
-    """Materialize the composed image of `letter`, refusing budget overruns."""
-    predicted = stats_by_level(rules)[-1][letter].length
+    """Materialize the composed image of `letter`, refusing budget overruns.
+
+    The length comes from the matrix cocycle beforehand: the A- and B-words
+    share the first return length and the C-word has the second.
+    """
+    if letter not in LETTERS:
+        raise ValueError(f"unknown letter {letter!r}")
+    predicted = lengths_by_level(rules)[-1][1 if letter == C else 0]
     if predicted > max_len:
         raise WordBudgetError(
             f"expansion would have {predicted} letters (budget {max_len})"
@@ -344,7 +375,7 @@ class Levels:
 def levels(theta: CFExpansion, n: int) -> Levels:
     """Walk the gap trajectory of theta once, to level n."""
     traj = gap_trajectory(theta, n)
-    rules = [build_rule(step.cf) for step in traj.steps[:n]]
+    rules = [build_rule(step) for step in traj.steps[:n]]
     halfsums = list(accumulate((step.e // 2 for step in traj.steps[:n]), initial=0))
     return Levels(traj, rules, halfsums)
 

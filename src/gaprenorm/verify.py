@@ -24,7 +24,7 @@ from .measure import (
     series_bound,
     stationary_density,
 )
-from .orbit import EncodingSearchError, sandwich_sweep, verify_encoding
+from .orbit import EncodingSearchError, sandwich_sweep, verify_levels_encoding
 from .substitution import (
     A,
     B,
@@ -111,10 +111,10 @@ def check_encoding() -> tuple[bool, str]:
     thetas = _sample_thetas(404, 20, bits=256, min_quotients=65, lower_half=True)
     worst = 0
     for theta in thetas:
-        lens = levels(theta, 30).lengths
-        n = max(v for v in range(1, 31) if lens[v][0] <= 10_000)
+        lv = levels(theta, 30)
+        n = max(v for v in range(1, 31) if lv.lengths[v][0] <= 10_000)
         try:
-            match = verify_encoding(theta, n)
+            match = verify_levels_encoding(lv, n)
         except EncodingSearchError as exc:
             return False, f"no grid match at level {n}: {exc}"
         worst = max(worst, match.mismatches)

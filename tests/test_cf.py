@@ -174,6 +174,67 @@ def test_trajectory_bookkeeping():
     assert prod == want
 
 
+def _random_expansion(rng):
+    if rng.random() < 0.5:
+        return sample_theta(rng, bits=rng.randint(8, 160))
+    pre = [rng.randint(1, 9) for _ in range(rng.randint(0, 4))]
+    return cf_normalize(pre, [rng.randint(1, 9) for _ in range(rng.randint(1, 4))])
+
+
+def test_trajectory_values_match_cf_value():
+    # lazy exact values against the exact value of each level's expansion
+    rng = random.Random(11)
+    thetas = [sample_theta(rng, bits=128, min_quotients=48) for _ in range(200)]
+    for _ in range(20):
+        pre = [rng.randint(1, 7) for _ in range(rng.randint(0, 3))]
+        thetas.append(cf_normalize(pre, [rng.randint(1, 7) for _ in range(rng.randint(1, 4))]))
+    for theta in thetas:
+        traj = gap_trajectory(theta, 20)
+        for step in traj.steps:
+            assert step.value == cf_value(step.cf)
+            assert step.delta == 1 - step.e * step.value
+
+
+def test_trajectory_views_match_gap_map_chain():
+    # each level's expansion, built from its (head, offset) view, is tuple
+    # for tuple what repeated gap_map gives
+    rng = random.Random(12)
+    for _ in range(3000):
+        theta = _random_expansion(rng)
+        chain = [theta]
+        while len(chain) <= 60:
+            try:
+                chain.append(gap_map(chain[-1]))
+            except ExpansionExhaustedError:
+                break
+        last = chain[-1]
+        if last.is_finite and len(last) == 1 and last.head % 2 == 0:
+            chain.pop()  # [2k] is a cell endpoint: the trajectory stops before it
+        if not chain:
+            continue
+        traj = gap_trajectory(theta, len(chain) - 1)
+        for step, cf in zip(traj.steps, chain):
+            assert (step.cf.preperiod, step.cf.period) == (cf.preperiod, cf.period)
+            assert (step.a1, step.e) == (cf.head, parity_floor(cf.head))
+            for i in (1, 2, 3):
+                assert step.available(i) == cf.available(i)
+                if cf.available(i):
+                    assert step.quotient(i) == cf.quotient(i)
+
+
+def test_trajectory_cell_endpoint_message():
+    # a level expanding to a single even quotient [2k] has value 1/(2k) and delta 0
+    cases = {
+        ("rat:1/2", 0): "level 0 value 1/2 hits a cell endpoint (delta = 0)",
+        ("cf:[2,5,4]", 1): "level 1 value 1/4 hits a cell endpoint (delta = 0)",
+        ("cf:[2,5,4]", 5): "level 1 value 1/4 hits a cell endpoint (delta = 0)",
+    }
+    for (spec, n), message in cases.items():
+        with pytest.raises(CellBoundaryError) as err:
+            gap_trajectory(parse_theta_spec(spec), n)
+        assert str(err.value) == message
+
+
 def test_trajectory_exhaustion_reports_progress():
     cf = parse_theta_spec("rat:5/7")
     with pytest.raises(ExpansionExhaustedError) as err:

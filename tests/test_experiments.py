@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import subprocess
 
 import pytest
 
@@ -37,6 +38,27 @@ def test_tool_version():
     assert v.startswith("0.1.0")
 
 
+def test_emit_asks_git_only_when_needed(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(*args, **kwargs):
+        calls.append(args)
+        return subprocess.CompletedProcess(args, 0, stdout="abc1234\n", stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    records, _ = _records()
+    tool_version.cache_clear()
+    try:
+        emit(records, "csv", tmp_path / "a.csv", meta={"version": "pinned"})
+        assert calls == []
+        emit(records, "csv", tmp_path / "b.csv")
+        emit(records, "csv", tmp_path / "c.csv")
+        assert len(calls) == 1
+        assert read_csv(tmp_path / "c.csv")[0]["version"] == "0.1.0+gabc1234"
+    finally:
+        tool_version.cache_clear()
+
+
 def test_config_meta():
     cfg = ExperimentConfig(seed=3, depth=40)
     meta = cfg.to_meta()
@@ -71,6 +93,15 @@ def test_family_values():
         k2.f(2.0)  # below the cutoff
     assert k2.F(2.0) == 0.0
     assert k2.F(50.0) > k2.F(40.0) > 0
+
+
+def test_family_integral_pinned():
+    # F integrates f from the cutoff by quadrature; pinned to the last bit
+    assert repr(IteratedLogFamily(2).F(50.0)) == "4263.1814927604455"
+    assert repr(IteratedLogFamily(3).F(50.0)) == "5076.402535554847"
+    assert IteratedLogFamily(3).cutoff == math.exp(math.e)
+    assert IteratedLogFamily(2) == IteratedLogFamily(2)
+    assert repr(IteratedLogFamily(2)) == "IteratedLogFamily(k=2, epsilon=0.0)"
 
 
 def test_family_epsilon_raises_last_factor():

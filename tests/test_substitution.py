@@ -2,8 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gaprenorm.cf import parse_theta_spec, sample_theta
+from gaprenorm.cf import (
+    CellBoundaryError,
+    ExpansionExhaustedError,
+    cf_normalize,
+    parse_theta_spec,
+    sample_theta,
+)
 from gaprenorm.substitution import (
     A,
     B,
@@ -54,12 +61,23 @@ def test_concat_is_the_word_homomorphism():
         assert WordStats.of_word(u + v) == WordStats.of_word(u) + WordStats.of_word(v)
 
 
-def test_repeat_matches_brute_force():
-    rng = random.Random(21)
-    for _ in range(200):
-        w = random_word(rng, 12)
-        k = rng.randint(0, 9)
-        assert WordStats.of_word(w).repeat(k) == WordStats.of_word(w * k)
+def _binary_repeat(stats: WordStats, count: int) -> WordStats:
+    """Reference: repeat by binary folding of concatenations."""
+    result = WordStats.empty()
+    while count:
+        if count & 1:
+            result = result + stats
+        count >>= 1
+        stats = stats + stats
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=LETTERS, max_size=12), st.integers(0, 40))
+def test_repeat_matches_brute_force(w, k):
+    closed = WordStats.of_word(w).repeat(k)
+    assert closed == _binary_repeat(WordStats.of_word(w), k)
+    assert closed == WordStats.of_word(w * k)
 
 
 def test_rho_subadditive_and_factor_monotone():
@@ -145,6 +163,21 @@ def test_compose_matches_expansion():
             continue
         assert stats_by_level(rules)[-1][A] == WordStats.of_word(word)
         checked += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=14, max_size=20), st.integers(0, 6))
+def test_stats_by_level_match_expanded_words(quotients, n):
+    try:
+        rules = rules_along(cf_normalize(quotients), n)
+    except (ExpansionExhaustedError, CellBoundaryError):
+        assume(False)
+    stats = stats_by_level(rules)
+    for v, lens in enumerate(lengths_by_level(rules)):
+        if max(lens) > 20_000:
+            break
+        for L in LETTERS:
+            assert stats[v][L] == WordStats.of_word(expand_word(rules[:v], L))
 
 
 def test_expand_word_budget():
