@@ -399,11 +399,12 @@ class _Walk:
             values, deltas = [], []
             value = cf_value(self.theta0)
             last = len(self.heads) - 1
-            for level, a1 in enumerate(self.heads):
+            for level in range(last + 1):
+                step = TrajectoryStep(self, level)
                 values.append(value)
-                deltas.append(1 - (a1 - a1 % 2) * value)
+                deltas.append(1 - step.e * value)
                 if level < last:
-                    value = gap_map_value(value, TrajectoryStep(self, level))
+                    value = gap_map_value(value, step)
             self.exact = values, deltas
         return self.exact
 
