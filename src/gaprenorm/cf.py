@@ -322,8 +322,12 @@ class PartitionCell:
         return f"Even({self.n},{self.m})"
 
 
-def classify_cell(cf: CFExpansion) -> PartitionCell:
-    """Partition cell of the expansion's value; endpoint hits are an error."""
+def classify_cell(cf: CFExpansion, value: Optional[ExactReal] = None) -> PartitionCell:
+    """Partition cell of the expansion's value; endpoint hits are an error.
+
+    `cf` may also be a TrajectoryStep, read through the same head/available/
+    quotient accessors; `value`, when the caller holds it, saves recomputing it.
+    """
     a1 = cf.head
     if a1 == 1:
         cell = PartitionCell("half")
@@ -335,7 +339,8 @@ def classify_cell(cf: CFExpansion) -> PartitionCell:
                 "even leading quotient needs a second quotient to pick a cell"
             )
         cell = PartitionCell("even", n=a1 // 2, m=cf.quotient(2))
-    value = cf_value(cf)
+    if value is None:
+        value = cf_value(cf)
     if not cell.contains(value):
         raise CellBoundaryError(f"{value} sits on the boundary of {cell}")
     return cell

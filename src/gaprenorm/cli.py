@@ -152,7 +152,7 @@ def cmd_traj(args) -> int:
             {
                 "n": n,
                 "theta_n": float(step.value),
-                "cell": str(classify_cell(step.cf)),
+                "cell": str(classify_cell(step, step.value)),
                 "a1": step.a1,
                 "e": step.e,
                 "delta": exact_str(step.delta),

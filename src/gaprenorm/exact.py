@@ -45,7 +45,7 @@ def make_surd(a, b, d: int) -> ExactReal:
 def _sign_triplet(a: Fraction | int, b: Fraction | int, d: int) -> int:
     """Sign of a + b*sqrt(d) for squarefree d > 1 (so the value is 0 only if a = b = 0).
 
-    Takes Fractions or ints; the exact orbit walkers pass integer coordinates.
+    Takes Fractions or ints; the orbit kernel's exact fallback passes Fractions.
     """
     if b == 0:
         return (a > 0) - (a < 0)
@@ -197,15 +197,14 @@ def fraction_bounds(x: ExactReal, prec_bits: int = 96) -> tuple[Fraction, Fracti
 
 
 def exact_floor(x: ExactReal) -> int:
-    """Largest integer <= x, decided exactly."""
+    """Largest integer <= x, decided exactly, however large |x| is."""
     if isinstance(x, (int, Fraction)):
         return math.floor(x)
-    n = math.floor(float(x))
-    while x < n:
-        n -= 1
-    while x >= n + 1:
-        n += 1
-    return n
+    # an enclosure narrower than 2^-64 holds at most one integer; one exact
+    # comparison places x against it
+    lo, hi = fraction_bounds(x, 64 + abs(x.b.numerator).bit_length())
+    n = math.floor(hi)
+    return n if math.floor(lo) == n or x >= n else n - 1
 
 
 def exact_ceil(x: ExactReal) -> int:

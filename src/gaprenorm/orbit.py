@@ -2,10 +2,18 @@
 
 A rotation by theta < 1/2 partitions the circle into A = [0, 1/2),
 B = [1/2, 1 - theta) and C = [1 - theta, 1); the encoding of an orbit is the
-letter sequence of x0 + j*theta mod 1.  Everything here is exact: rational
-orbits run on a common-denominator integer lattice, quadratic-irrational
-ones on integer coefficient pairs, and the half-open convention is applied
-literally, with every endpoint hit recorded rather than guessed around.
+letter sequence of x0 + j*theta mod 1.  One vectorized kernel decides the
+letters of a block of start points x steps, exactly:
+
+* a rational orbit whose common-denominator lattice fits int64 runs on that
+  lattice, so every endpoint hit is an integer equality;
+* every other orbit runs in 64-bit fixed point.  With T = floor(theta*2^64)
+  and X = floor(x0*2^64), the position times 2^64 lies in [P_j, P_j + j + 1)
+  for P_j = X + j*T mod 2^64.  A step whose enclosure holds a boundary
+  (0, 1/2 or 1 - theta, a boundary equal to P_j included) or wraps past 0 is
+  ambiguous; only those steps are decided from the exact coordinates with
+  the exact sign test.  An endpoint hit lies on a boundary, so every hit is
+  recorded, in step order, rather than guessed around.
 
 This module is the ground truth the symbolic machinery is checked against.
 """
@@ -37,38 +45,11 @@ class OrbitEncoding:
     period_wrapped: bool = False
 
 
-def _as_fraction(x) -> Optional[Fraction]:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return None
-
-
-def _encode_rational(x0: Fraction, theta: Fraction, length: int):
-    lat = math.lcm(x0.denominator, theta.denominator)
-    pos = x0.numerator * (lat // x0.denominator)
-    step = theta.numerator * (lat // theta.denominator)
-    ct = lat - step  # the point 1 - theta on the lattice
-    out = []
-    hits = []
-    for j in range(length):
-        if pos == 0:
-            hits.append((j, "0"))
-        two = 2 * pos
-        if two == lat:
-            hits.append((j, "1/2"))
-        if pos == ct:
-            hits.append((j, "1-theta"))
-        if two < lat:
-            out.append(A)
-        elif pos < ct:
-            out.append(B)
-        else:
-            out.append(C)
-        pos += step
-        if pos >= lat:
-            pos -= lat
-    period = lat // math.gcd(step, lat)
-    return "".join(out), hits, length > period
+_BLOCK = 1 << 16  # positions (start points x steps) decided per numpy block
+_ONE = 1 << 64  # the circle in 64-bit fixed point
+_HALF = np.uint64(1 << 63)
+_ABC = np.frombuffer((A + B + C).encode("ascii"), dtype=np.uint8)
+_HIT_NAMES = ("0", "1/2", "1-theta")
 
 
 def _surd_parts(x, d: int) -> tuple[Fraction, Fraction]:
@@ -79,41 +60,80 @@ def _surd_parts(x, d: int) -> tuple[Fraction, Fraction]:
     return Fraction(x), Fraction(0)
 
 
-def _encode_surd(x0: ExactReal, theta: ExactReal, length: int):
-    d = theta.d if isinstance(theta, Surd) else x0.d
-    xa, xb = _surd_parts(x0, d)
-    ta, tb = _surd_parts(theta, d)
-    den = math.lcm(
-        xa.denominator, xb.denominator, ta.denominator, tb.denominator
-    )
-    # position = (pa + pb*sqrt(d)) / den throughout
-    pa = int(xa * den)
-    pb = int(xb * den)
-    sa = int(ta * den)
-    sb = int(tb * den)
-    ca, cb = den - sa, -sb  # the point 1 - theta
-    out = []
-    hits = []
-    for j in range(length):
-        if pa == 0 and pb == 0:
-            hits.append((j, "0"))
-        half = _sign_triplet(2 * pa - den, 2 * pb, d)
-        if half == 0:
-            hits.append((j, "1/2"))
-        at_c = _sign_triplet(pa - ca, pb - cb, d)
-        if at_c == 0:
-            hits.append((j, "1-theta"))
-        if half < 0:
-            out.append(A)
-        elif at_c < 0:
-            out.append(B)
-        else:
-            out.append(C)
-        pa += sa
-        pb += sb
-        if _sign_triplet(pa - den, pb, d) >= 0:
-            pa -= den
-    return "".join(out), hits, False
+class _Orbits:
+    """Exact letters of the orbits of x_r = (x0 + r)/grid, r < grid.
+
+    `steps` bounds the steps that will be asked for; it decides whether a
+    rational orbit fits the int64 lattice.
+    """
+
+    def __init__(self, x0: ExactReal, theta: ExactReal, grid: int, steps: int):
+        d = next((v.d for v in (theta, x0) if isinstance(v, Surd)), 0)
+        if d and math.isqrt(d) ** 2 == d:
+            raise ArithmeticError(f"sqrt({d}) behaved rationally; radicand not squarefree?")
+        self.d, self.grid = d, grid
+        self.xa, self.xb = _surd_parts(x0, d)
+        self.ta, self.tb = _surd_parts(theta, d)
+        self.period = None if d else self.ta.denominator
+        xden = grid * self.xa.denominator
+        lat = math.lcm(xden, self.ta.denominator)
+        self.lattice = not d and lat * min(steps + 1, self.period) < 1 << 63
+        if self.lattice:
+            self.lat, self.step = lat, self.ta.numerator * (lat // self.ta.denominator)
+            r = np.arange(grid, dtype=np.int64)
+            self.pos0 = (self.xa.numerator + r * self.xa.denominator) * (lat // xden)
+            return
+        self.T = exact_floor(theta * _ONE)
+        # X_r = floor((x0 + r) * 2^64 / grid), exact in uint64 for grid < 2^32
+        q, rem = divmod(_ONE, grid)
+        q0, rem0 = divmod(exact_floor(x0 * _ONE), grid)
+        r = np.arange(grid, dtype=np.uint64)
+        self.X = (r * np.uint64(q % _ONE) + np.uint64(q0)
+                  + (r * np.uint64(rem) + np.uint64(rem0)) // np.uint64(grid))
+
+    def letters(self, rows: np.ndarray, j0: int, j1: int,
+                hits: Optional[list] = None) -> np.ndarray:
+        """ASCII letters of the given rows at steps j0 .. j1-1, one row each.
+
+        A one-row call appends its endpoint hits to `hits` as (step, name).
+        """
+        if self.lattice:
+            lat, ct = self.lat, self.lat - self.step  # ct: the point 1 - theta
+            j = np.arange(j0, j1, dtype=np.int64)
+            pos = (self.pos0[rows, None] + j % self.period * self.step) % lat
+            out = _ABC[(pos >= lat - pos) + (pos >= ct).astype(np.intp)]
+            if hits is not None:
+                kind = (pos == 0) + 2 * (pos == lat - pos) + 3 * (pos == ct)
+                k = np.flatnonzero(kind[0])
+                names = [_HIT_NAMES[i - 1] for i in kind[0, k].tolist()]
+                hits.extend(zip((j0 + k).tolist(), names))
+            return out
+        c = np.uint64(_ONE - self.T - 1)  # (1 - theta) * 2^64 lies in (c, c + 1]
+        j = np.arange(j0, j1, dtype=np.uint64)
+        p = self.X[rows, None] + j * np.uint64(self.T)
+        out = _ABC[(p >= _HALF) + (p > c).astype(np.intp)]
+        # a boundary in [p, p + j] (p + j + 1 for 1 - theta), or a wrap past 0
+        ambiguous = (-p <= j) | (_HALF - p <= j) | (c - p + 1 <= j + 1)
+        for r, k in zip(*np.nonzero(ambiguous)):
+            out[r, k] = ord(self._exact(int(rows[r]), j0 + int(k), hits))
+        return out
+
+    def _exact(self, r: int, j: int, hits: Optional[list]) -> str:
+        """Letter of row r at step j from the exact coordinates a + b*sqrt(d)."""
+        d = self.d
+        a = (self.xa + r) / self.grid + j * self.ta
+        b = self.xb / self.grid + j * self.tb
+        n = ((int(self.X[r]) + j * self.T) >> 64) + 1  # the floor is n or n - 1
+        if _sign_triplet(a - n, b, d) < 0:
+            n -= 1
+        a -= n
+        half = _sign_triplet(2 * a - 1, 2 * b, d)
+        at_c = _sign_triplet(a - 1 + self.ta, b + self.tb, d)
+        if hits is not None:
+            for name, hit in zip(_HIT_NAMES, (a == 0 and b == 0, half == 0, at_c == 0)):
+                if hit:
+                    hits.append((j, name))
+        return A if half < 0 else B if at_c < 0 else C
 
 
 def encode_orbit(x0: ExactReal, theta: ExactReal, length: int) -> OrbitEncoding:
@@ -128,15 +148,15 @@ def encode_orbit(x0: ExactReal, theta: ExactReal, length: int) -> OrbitEncoding:
         raise ValueError("rotation number must lie in (0, 1/2)")
     if not (0 <= x0 and x0 < 1):
         raise ValueError("starting point must lie in [0, 1)")
-    tf = _as_fraction(theta)
-    xf = _as_fraction(x0)
-    if tf is not None and xf is not None:
-        symbols, hits, wrapped = _encode_rational(xf, tf, length)
-    else:
-        symbols, hits, wrapped = _encode_surd(x0, theta, length)
+    orbits = _Orbits(x0, theta, 1, length)
+    row, hits = np.zeros(1, dtype=np.intp), []
+    symbols = "".join(
+        orbits.letters(row, j, min(j + _BLOCK, length), hits).tobytes().decode("ascii")
+        for j in range(0, length, _BLOCK)
+    )
     return OrbitEncoding(
-        x0=x0, theta=theta, symbols=symbols,
-        endpoint_hits=hits, period_wrapped=wrapped,
+        x0=x0, theta=theta, symbols=symbols, endpoint_hits=hits,
+        period_wrapped=orbits.period is not None and length > orbits.period,
     )
 
 
@@ -208,57 +228,6 @@ def decode_run_length(text: str) -> str:
     return "".join(out)
 
 
-def _mismatches_rational(y: Fraction, theta: Fraction, word: str, budget: int) -> int:
-    lat = math.lcm(y.denominator, theta.denominator)
-    pos = y.numerator * (lat // y.denominator)
-    step = theta.numerator * (lat // theta.denominator)
-    ct = lat - step
-    bad = 0
-    for ch in word:
-        two = 2 * pos
-        if two < lat:
-            sym = A
-        elif pos < ct:
-            sym = B
-        else:
-            sym = C
-        if sym != ch:
-            bad += 1
-            if bad > budget:
-                return bad
-        pos += step
-        if pos >= lat:
-            pos -= lat
-    return bad
-
-
-def _mismatches_surd(y: Fraction, theta: Surd, word: str, budget: int) -> int:
-    d = theta.d
-    den = math.lcm(y.denominator, theta.a.denominator, theta.b.denominator)
-    pa = int(y * den)
-    pb = 0
-    sa = int(theta.a * den)
-    sb = int(theta.b * den)
-    ca, cb = den - sa, -sb
-    bad = 0
-    for ch in word:
-        if _sign_triplet(2 * pa - den, 2 * pb, d) < 0:
-            sym = A
-        elif _sign_triplet(pa - ca, pb - cb, d) < 0:
-            sym = B
-        else:
-            sym = C
-        if sym != ch:
-            bad += 1
-            if bad > budget:
-                return bad
-        pa += sa
-        pb += sb
-        if _sign_triplet(pa - den, pb, d) >= 0:
-            pa -= den
-    return bad
-
-
 @dataclass
 class EncodingMatch:
     y: Fraction
@@ -293,26 +262,29 @@ def verify_levels_encoding(lv: Levels, n: int, grid_refinement: int = 1,
     word = expand_word(lv.rules[:n], A, max_len=max_word)
     span = lv.traj.delta_product(n)
     grid = (exact_floor(2 / span) + 1) * grid_refinement
-    surd = isinstance(theta_val, Surd)
-    best_bad = budget + 1
-    best_y = None
-    for t in range(grid):
-        y = Fraction(t, grid)
-        if surd:
-            bad = _mismatches_surd(y, theta_val, word, budget)
-        else:
-            bad = _mismatches_rational(y, theta_val, word, budget)
-        if bad < best_bad:
-            best_bad, best_y = bad, y
-            if best_bad == 0:
-                break
-    if best_bad > budget:
+    orbits = _Orbits(Fraction(0), theta_val, grid, len(word))
+    target = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
+    bad = np.zeros(grid, dtype=np.int64)
+    alive = np.arange(grid)
+    j0, width = 0, 8
+    # chunks of doubling length; a grid point over budget drops out
+    while j0 < len(word) and alive.size:
+        j1 = min(len(word), j0 + width)
+        per = max(1, _BLOCK // (j1 - j0))
+        for i in range(0, alive.size, per):
+            rows = alive[i:i + per]
+            bad[rows] += (orbits.letters(rows, j0, j1) != target[j0:j1]).sum(axis=1)
+        alive = alive[bad[alive] <= budget]
+        j0, width = j1, min(2 * width, _BLOCK)
+    scores = np.minimum(bad, budget + 1)
+    t = int(np.argmin(scores))  # the first grid point with the fewest mismatches
+    if scores[t] > budget:
         raise EncodingSearchError(
             f"no grid point within {budget} mismatches at level {n} "
             f"(grid {grid}, word length {len(word)})"
         )
     return EncodingMatch(
-        y=best_y, mismatches=best_bad, grid_points=grid,
+        y=Fraction(t, grid), mismatches=int(scores[t]), grid_points=grid,
         word_length=len(word), level=n,
     )
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -193,6 +194,34 @@ def test_trajectory_values_match_cf_value():
         for step in traj.steps:
             assert step.value == cf_value(step.cf)
             assert step.delta == 1 - step.e * step.value
+
+
+def _cell_or_error(cf, *value):
+    try:
+        return classify_cell(cf, *value)
+    except (CellBoundaryError, ExpansionExhaustedError) as exc:
+        return type(exc), str(exc)
+
+
+def test_classify_cell_reads_trajectory_steps():
+    # a step and its held value classify as the step's rebuilt expansion does,
+    # endpoint errors included
+    rng = random.Random(13)
+    thetas = [rational_to_cf(Fraction(p, q)) for q in range(2, 60) for p in range(1, q)
+              if math.gcd(p, q) == 1]
+    thetas += [cf_normalize([rng.randint(1, 7)], [rng.randint(1, 7) for _ in range(3)])
+               for _ in range(30)]
+    outcomes = set()
+    for theta in thetas:
+        try:
+            steps = gap_trajectory(theta, 6).steps
+        except (CellBoundaryError, ExpansionExhaustedError):
+            continue
+        for step in steps:
+            got = _cell_or_error(step, step.value)
+            assert got == _cell_or_error(step.cf)
+            outcomes.add(type(got) is tuple and got[0])
+    assert {False, CellBoundaryError} <= outcomes
 
 
 def test_trajectory_views_match_gap_map_chain():

@@ -82,6 +82,24 @@ def test_exact_floor_and_ceil():
     assert exact_floor(r2 * 470832 - 665856) == 0
 
 
+def _isqrt_floor(x: Surd) -> int:
+    # x = (p + q*sqrt(d)) / m with integers, m > 0; sqrt(q^2 d) is irrational
+    m = math.lcm(x.a.denominator, x.b.denominator)
+    p, q = int(x.a * m), int(x.b * m)
+    root = math.isqrt(q * q * x.d)
+    return (p + root if q > 0 else p - root - 1) // m
+
+
+def test_exact_floor_of_large_surds():
+    from gaprenorm.cf import cf_value, parse_theta_spec
+
+    x = cf_value(parse_theta_spec("cfper:[3][2,5,7]"))
+    for k in range(0, 513, 8):
+        for v in (x * (1 << k), -x * (1 << k), x * (1 << k) + Fraction(1, 3)):
+            assert exact_floor(v) == _isqrt_floor(v)
+    assert exact_ceil(x * (1 << 512)) == _isqrt_floor(x * (1 << 512)) + 1
+
+
 def test_exact_log_accuracy():
     assert exact_log(Fraction(1)) == 0.0
     big = Fraction(10**100, 3**200)
