@@ -55,11 +55,8 @@ from .orbit import (
     EncodingSearchError,
     OrbitEncoding,
     SandwichCheck,
-    decode_run_length,
     discrepancy_profile,
     encode_orbit,
-    encode_run_length,
-    sandwich_check,
     sandwich_sweep,
     verify_encoding,
 )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import ExactReal, exact_floor, make_surd, squarefree_split
+from .exact import ExactReal, Surd, exact_floor, squarefree_split
 
 
 class ExpansionExhaustedError(ValueError):
@@ -187,7 +187,7 @@ def cf_value(cf: CFExpansion, depth: Optional[int] = None) -> ExactReal:
     s, d0 = squarefree_split(disc)
     if d0 == 1:
         raise ArithmeticError("periodic expansion produced a rational value")
-    t = make_surd(Fraction(A - D, 2 * C), Fraction(s, 2 * C), d0)
+    t = Surd(Fraction(A - D, 2 * C), Fraction(s, 2 * C), d0)
     if not (0 < t < 1):
         raise ArithmeticError("periodic value fell outside (0, 1)")
     return _fold_quotients(list(cf.preperiod), t)

@@ -1,7 +1,12 @@
 """Exact arithmetic over rationals and real quadratic irrationals.
 
 Every number the core manipulates is either a `fractions.Fraction` or a
-`Surd` representing a + b*sqrt(d) with rational a, b and squarefree d > 1.
+`Surd` representing a + b*sqrt(d) with rational a, b and a non-square
+integer d > 1.  `squarefree_split` strips square factors by trial division
+over the primes below 2^10 plus an exact square test of what is left, so d
+is squarefree except possibly for repeated primes above 2^10; no integer is
+ever factored.  Two radicands name one field exactly when their product is a
+perfect square, and `Surd` decides equality by field, not by the form of d.
 All order comparisons are exact integer comparisons; floating point only
 appears when a caller explicitly asks for an approximation.
 """
@@ -12,21 +17,37 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from sympy import factorint
-
 ExactReal = Union[Fraction, "Surd"]
+
+_SMALL_PRIMES = tuple(  # the primes below 2^10
+    p for p in range(2, 1 << 10) if all(p % q for q in range(2, math.isqrt(p) + 1))
+)
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Write n > 0 as s*s*d with d squarefree; return (s, d)."""
+    """Write n > 0 as s*s*d; return (s, d).
+
+    d = 1 exactly when n is a perfect square; otherwise d is a non-square.
+    The square factors of the primes below 2^10 are stripped, and so is the
+    cofactor left over when it is a perfect square, so d is squarefree
+    whenever that cofactor has at most one repeated prime (every n < 2^30).
+    """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     s, d = 1, 1
-    for p, e in factorint(n).items():
-        s *= p ** (e // 2)
-        if e % 2:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break  # what is left is 1 or a prime
+        while n % (p * p) == 0:
+            n //= p * p
+            s *= p
+        if n % p == 0:
+            n //= p
             d *= p
-    return s, d
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, d
+    return s, d * n
 
 
 def make_surd(a, b, d: int) -> ExactReal:
@@ -43,9 +64,10 @@ def make_surd(a, b, d: int) -> ExactReal:
 
 
 def _sign_triplet(a: Fraction | int, b: Fraction | int, d: int) -> int:
-    """Sign of a + b*sqrt(d) for squarefree d > 1 (so the value is 0 only if a = b = 0).
+    """Sign of a + b*sqrt(d) for a non-square d > 1 (so the value is 0 only if a = b = 0).
 
-    Takes Fractions or ints; the orbit kernel's exact fallback passes Fractions.
+    d need not be squarefree: only sqrt(d) being irrational matters.  Takes
+    Fractions or ints; the orbit kernel's exact fallback passes Fractions.
     """
     if b == 0:
         return (a > 0) - (a < 0)
@@ -59,18 +81,22 @@ def _sign_triplet(a: Fraction | int, b: Fraction | int, d: int) -> int:
     lhs = a * a
     rhs = b * b * d
     if lhs == rhs:  # would mean sqrt(d) rational
-        raise ArithmeticError(f"sqrt({d}) behaved rationally; radicand not squarefree?")
+        raise ArithmeticError(f"sqrt({d}) behaved rationally; radicand a square?")
     if a > 0:
         return 1 if lhs > rhs else -1
     return 1 if rhs > lhs else -1
 
 
 class Surd:
-    """a + b*sqrt(d) with Fraction coefficients, b != 0 and d squarefree > 1.
+    """a + b*sqrt(d) with Fraction coefficients, b != 0 and a non-square d > 1.
 
-    Arithmetic stays inside the field Q(sqrt(d)) and collapses to Fraction
-    whenever the radical part cancels.  Mixing two different radicands is an
-    error rather than a silent approximation.
+    d is squarefree except possibly for repeated primes above 2^10 (see
+    `squarefree_split`), so one field Q(sqrt(d)) can carry several radicands.
+    Arithmetic stays inside the field and collapses to Fraction whenever the
+    radical part cancels.  Equality, hashing and mixed operands are decided
+    by field: sqrt(d1) and sqrt(d2) mix exactly when d1*d2 is a perfect
+    square.  Mixing two different fields is an error rather than a silent
+    approximation, and two Surds of different fields compare unequal.
     """
 
     __slots__ = ("a", "b", "d")
@@ -86,9 +112,13 @@ class Surd:
     def _coerce(self, other) -> tuple[Fraction, Fraction]:
         """Return (a, b) of the other operand inside this Surd's field."""
         if isinstance(other, Surd):
-            if other.d != self.d:
+            if other.d == self.d:
+                return other.a, other.b
+            # b2 sqrt(d2) = (b2 r / d1) sqrt(d1) when r^2 = d1 d2
+            r = math.isqrt(self.d * other.d)
+            if r * r != self.d * other.d:
                 raise ValueError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-            return other.a, other.b
+            return other.a, other.b * r / self.d
         if isinstance(other, (int, Fraction)):
             return Fraction(other), Fraction(0)
         raise TypeError(f"unsupported operand {type(other).__name__}")
@@ -150,13 +180,18 @@ class Surd:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Surd):
-            return self.d == other.d and self.a == other.a and self.b == other.b
+            try:
+                oa, ob = self._coerce(other)
+            except ValueError:
+                return False  # different fields
+            return self.a == oa and self.b == ob
         if isinstance(other, (int, Fraction)):
             return False  # a surd is irrational
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # b*b*d and the sign of b fix b*sqrt(d) whatever form d takes
+        return hash((self.a, self.b * self.b * self.d, self.b > 0))
 
     def __lt__(self, other):
         return self._cmp_sign(other) < 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -52,12 +52,11 @@ _ABC = np.frombuffer((A + B + C).encode("ascii"), dtype=np.uint8)
 _HIT_NAMES = ("0", "1/2", "1-theta")
 
 
-def _surd_parts(x, d: int) -> tuple[Fraction, Fraction]:
-    if isinstance(x, Surd):
-        if x.d != d:
-            raise ValueError("mixed radicands in one orbit")
-        return x.a, x.b
-    return Fraction(x), Fraction(0)
+def _surd_parts(x, field: Optional[Surd]) -> tuple[Fraction, Fraction]:
+    """(a, b) of x = a + b*sqrt(d) in the field of `field` (rational if None)."""
+    if field is None:
+        return Fraction(x), Fraction(0)
+    return field._coerce(x)
 
 
 class _Orbits:
@@ -68,12 +67,13 @@ class _Orbits:
     """
 
     def __init__(self, x0: ExactReal, theta: ExactReal, grid: int, steps: int):
-        d = next((v.d for v in (theta, x0) if isinstance(v, Surd)), 0)
+        field = next((v for v in (theta, x0) if isinstance(v, Surd)), None)
+        d = field.d if field else 0
         if d and math.isqrt(d) ** 2 == d:
-            raise ArithmeticError(f"sqrt({d}) behaved rationally; radicand not squarefree?")
+            raise ArithmeticError(f"sqrt({d}) behaved rationally; radicand a square?")
         self.d, self.grid = d, grid
-        self.xa, self.xb = _surd_parts(x0, d)
-        self.ta, self.tb = _surd_parts(theta, d)
+        self.xa, self.xb = _surd_parts(x0, field)
+        self.ta, self.tb = _surd_parts(theta, field)
         self.period = None if d else self.ta.denominator
         xden = grid * self.xa.denominator
         lat = math.lcm(xden, self.ta.denominator)
@@ -201,33 +201,6 @@ def discrepancy_profile(enc: OrbitEncoding) -> DiscrepancyProfile:
     return DiscrepancyProfile.from_symbols(enc.symbols)
 
 
-def encode_run_length(word: str) -> str:
-    """Compact run-length text: 'AACAC' -> 'A2 C A C'."""
-    if not word:
-        return ""
-    out = []
-    run_ch, run_len = word[0], 1
-    for ch in word[1:]:
-        if ch == run_ch:
-            run_len += 1
-        else:
-            out.append(run_ch + (str(run_len) if run_len > 1 else ""))
-            run_ch, run_len = ch, 1
-    out.append(run_ch + (str(run_len) if run_len > 1 else ""))
-    return " ".join(out)
-
-
-def decode_run_length(text: str) -> str:
-    parts = text.split()
-    out = []
-    for tok in parts:
-        ch, cnt = tok[0], tok[1:]
-        if ch not in (A, B, C):
-            raise ValueError(f"bad run token {tok!r}")
-        out.append(ch * (int(cnt) if cnt else 1))
-    return "".join(out)
-
-
 @dataclass
 class EncodingMatch:
     y: Fraction
@@ -289,6 +262,9 @@ def verify_levels_encoding(lv: Levels, n: int, grid_refinement: int = 1,
     )
 
 
+SANDWICH_SLACK = 10  # spread slack of both sandwich bounds
+
+
 @dataclass
 class SandwichCheck:
     level: int
@@ -304,54 +280,37 @@ class SandwichCheck:
         return self.lower_ok and self.upper_ok
 
 
-def _sandwich_from_profile(profile: DiscrepancyProfile, level: int,
-                           rho_prev: int, rho_level: int,
-                           len_min: int, len_max: int, slack: int) -> SandwichCheck:
-    lower_window = profile.rho_at(2 * len_max)
-    upper_window = profile.rho_at(len_min)
-    return SandwichCheck(
-        level=level,
-        rho_prev=rho_prev,
-        rho_level=rho_level,
-        spread_lower_window=lower_window,
-        spread_upper_window=upper_window,
-        lower_ok=lower_window >= rho_prev - slack,
-        upper_ok=upper_window <= 2 * rho_level + slack,
-    )
-
-
-def sandwich_check(y: ExactReal, theta: CFExpansion, n: int,
-                   slack: int = 10) -> SandwichCheck:
+def sandwich_sweep(y: ExactReal, theta: CFExpansion,
+                   n_max: int) -> list[SandwichCheck]:
     """Squeeze the orbit spread of y between consecutive level spreads.
 
     Any orbit window of min-return-length symbols has spread at most twice
     the level-n word spread, and any window of 2*max-return-length symbols
-    has spread at least the level-(n-1) word spread, up to the slack.
+    has spread at least the level-(n-1) word spread, up to SANDWICH_SLACK.
+    One orbit encoding serves every level 1..n_max.
     """
-    checks = sandwich_sweep(y, theta, n, levels=[n], slack=slack)
-    return checks[0]
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return sandwich_levels_sweep(y, level_walk(theta, n_max), n_max)
 
 
-def sandwich_sweep(y: ExactReal, theta: CFExpansion, n_max: int,
-                   levels: Optional[Sequence[int]] = None,
-                   slack: int = 10) -> list[SandwichCheck]:
-    """sandwich_check for many levels off a single orbit encoding."""
-    if levels is None:
-        levels = range(1, n_max + 1)
-    levels = sorted(set(levels))
-    if not levels or levels[0] < 1 or levels[-1] > n_max:
-        raise ValueError("levels must lie in 1..n_max")
-    lv = level_walk(theta, n_max)
+def sandwich_levels_sweep(y: ExactReal, lv: Levels,
+                          n_max: int) -> list[SandwichCheck]:
+    """`sandwich_sweep` over levels already walked to n_max or beyond."""
+    if not 1 <= n_max <= len(lv.rules):
+        raise ValueError(f"n_max must lie in 1..{len(lv.rules)}")
     need = 2 * max(lv.lengths[n_max])
     profile = discrepancy_profile(encode_orbit(y, lv.traj.steps[0].value, need))
     out = []
-    for n in levels:
-        out.append(_sandwich_from_profile(
-            profile, n,
-            rho_prev=lv.stats[n - 1][A].rho,
-            rho_level=lv.stats[n][A].rho,
-            len_min=min(lv.lengths[n]),
-            len_max=max(lv.lengths[n]),
-            slack=slack,
+    for n in range(1, n_max + 1):
+        rho_prev, rho_level = lv.stats[n - 1][A].rho, lv.stats[n][A].rho
+        lower_window = profile.rho_at(2 * max(lv.lengths[n]))
+        upper_window = profile.rho_at(min(lv.lengths[n]))
+        out.append(SandwichCheck(
+            level=n, rho_prev=rho_prev, rho_level=rho_level,
+            spread_lower_window=lower_window,
+            spread_upper_window=upper_window,
+            lower_ok=lower_window >= rho_prev - SANDWICH_SLACK,
+            upper_ok=upper_window <= 2 * rho_level + SANDWICH_SLACK,
         ))
     return out

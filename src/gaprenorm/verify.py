@@ -24,7 +24,12 @@ from .measure import (
     series_bound,
     stationary_density,
 )
-from .orbit import EncodingSearchError, sandwich_sweep, verify_levels_encoding
+from .orbit import (
+    SANDWICH_SLACK,
+    EncodingSearchError,
+    sandwich_levels_sweep,
+    verify_levels_encoding,
+)
 from .substitution import (
     A,
     B,
@@ -127,17 +132,18 @@ def check_sandwich() -> tuple[bool, str]:
     rng = random.Random(515)
     total = 0
     for theta in thetas:
-        lens = levels(theta, 30).lengths
-        n_max = max(v for v in range(1, 31) if 2 * max(lens[v]) <= 6000)
+        lv = levels(theta, 30)
+        n_max = max(v for v in range(1, 31) if 2 * max(lv.lengths[v]) <= 6000)
         for _ in range(50):
             y = Fraction(rng.getrandbits(48), 1 << 48)
-            for chk in sandwich_sweep(y, theta, n_max, slack=10):
+            for chk in sandwich_levels_sweep(y, lv, n_max):
                 total += 1
                 if not chk.ok:
                     return False, (
                         f"level {chk.level}: spread {chk.spread_lower_window}"
                         f"/{chk.spread_upper_window} outside"
-                        f" [{chk.rho_prev} - 10, 2*{chk.rho_level} + 10]"
+                        f" [{chk.rho_prev} - {SANDWICH_SLACK},"
+                        f" 2*{chk.rho_level} + {SANDWICH_SLACK}]"
                     )
     return True, f"{total} (y, level) sandwich checks across 10 thetas"
 

@@ -1,8 +1,11 @@
+import io
 import json
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaprenorm.cli import main
 
@@ -182,3 +185,37 @@ def test_readme_level_examples_run(capsys):
     for argv in examples:
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+# --theta specs: well-formed rat:/cf:/cfper: specs with periods of up to 64
+# quotients <= 1000, the same with zero or negative entries, and arbitrary text
+QUOTIENTS = st.lists(st.integers(-2, 1000), max_size=64)
+
+
+def _spec(kind, pre, per):
+    return f"{kind}:[{','.join(map(str, pre))}]" + (
+        f"[{','.join(map(str, per))}]" if kind == "cfper" else "")
+
+
+THETA_SPECS = st.one_of(
+    st.builds("rat:{}/{}".format, st.integers(-9, 10**30), st.integers(-9, 10**30)),
+    st.builds(_spec, st.just("cf"), QUOTIENTS, st.just([])),
+    st.builds(_spec, st.just("cfper"), st.lists(st.integers(-2, 1000), max_size=4),
+              QUOTIENTS),
+    st.text(alphabet="cfperatd:[]/,;.0123456789- ", max_size=40),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(THETA_SPECS)
+def test_fuzzed_theta_specs_exit_cleanly(spec):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["traj", "--theta", spec, "--depth", "4"])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue() and "Traceback" not in err.getvalue()

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaprenorm.exact import (
     Surd,
@@ -23,6 +28,45 @@ def test_squarefree_split():
     assert squarefree_split(360) == (6, 10)
     with pytest.raises(ValueError):
         squarefree_split(0)
+
+
+def _has_square_factor(d: int) -> bool:
+    return any(d % (k * k) == 0 for k in range(2, math.isqrt(d) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, (1 << 24) - 1),
+                 st.integers(1, (1 << 12) - 1).map(lambda r: r * r),
+                 st.integers(1, 15).map(lambda k: 1031 * 1031 * k)))
+def test_squarefree_split_below_2_24(n):
+    s, d = squarefree_split(n)
+    assert s * s * d == n
+    assert (d == 1) == (math.isqrt(n) ** 2 == n)
+    assert not _has_square_factor(d)
+
+
+# sqrt(1031^2 * 1033) = 1031 sqrt(1033); 1031 lies above the trial-division
+# primes, so the split leaves the first radicand as it is
+BIG_P, BIG_Q = 1031, 1033
+
+
+def test_repeated_large_prime_stays_in_the_radicand():
+    assert squarefree_split(BIG_P * BIG_P * BIG_Q) == (1, BIG_P * BIG_P * BIG_Q)
+    assert squarefree_split(BIG_P * BIG_P) == (BIG_P, 1)
+
+
+def test_non_canonical_radicands_are_one_field():
+    wide = make_surd(0, 1, BIG_P * BIG_P * BIG_Q)
+    tight = make_surd(0, BIG_P, BIG_Q)
+    assert wide.d != tight.d
+    assert wide == tight and tight == wide
+    assert hash(wide) == hash(tight)
+    assert hash(-wide) == hash(-tight) and hash(-wide) != hash(wide)
+    assert wide - tight == Fraction(0) and isinstance(wide - tight, Fraction)
+    assert wide * tight == Fraction(BIG_P * BIG_P * BIG_Q)
+    assert wide / tight == Fraction(1)
+    assert (1 + wide) > tight and tight + Fraction(1, 10**9) > wide
+    assert len({wide, tight, 1 + wide}) == 2
 
 
 def test_make_surd_collapses_rationals():
@@ -48,6 +92,10 @@ def test_mixing_radicands_is_an_error():
     r3 = make_surd(0, 1, 3)
     with pytest.raises(ValueError):
         r2 + r3
+    with pytest.raises(ValueError):
+        r2 < r3
+    assert r2 != r3 and not (r2 == r3)
+    assert make_surd(0, 1, 8) == 2 * r2  # sqrt(8) = 2 sqrt(2): one field
 
 
 def test_order_against_convergents():
@@ -138,3 +186,54 @@ def test_comparison_randomized():
         q = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
         assert (x < q) == (float(x) < float(q)) or abs(float(x) - float(q)) < 1e-9
         assert (x < q) != (x > q)  # a surd never equals a rational
+
+
+# radicands in several forms: squarefree, and with a repeated prime above
+# the trial-division bound
+FIELDS = (2, 3, 5, BIG_Q)
+FORMS = {2: (2, 18 * BIG_P * BIG_P), 3: (3,), 5: (5, 5 * 1039 * 1039),
+         BIG_Q: (BIG_Q, BIG_P * BIG_P * BIG_Q)}
+COEFF = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@st.composite
+def surds_of(draw, d):
+    a = draw(COEFF)
+    b = draw(COEFF.filter(lambda f: f != 0))
+    # b sqrt(d) = (b / k) sqrt(k^2 d) for the form's k
+    form = draw(st.sampled_from(FORMS[d]))
+    k = math.isqrt(form // d)
+    return Surd(a, b / k, form)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.sampled_from(FIELDS))
+def test_field_laws(data, d):
+    x, y = data.draw(surds_of(d)), data.draw(surds_of(d))
+    assert (x * y) / y == x
+    assert x - x == 0 and isinstance(x - x, Fraction)
+    assert (x + y) - y == x
+    assert x * (1 / x) == 1
+    assert (x == y) == (hash(x) == hash(y) and x - y == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.sampled_from(FIELDS), prec=st.integers(1, 40))
+def test_order_agrees_with_enclosures(data, d, prec):
+    x = data.draw(surds_of(d))
+    y = data.draw(st.one_of(surds_of(d), COEFF))
+    lo_x, hi_x = fraction_bounds(x, prec)
+    lo_y, hi_y = fraction_bounds(y, prec)
+    assert lo_x <= x <= hi_x
+    if hi_x < lo_y:
+        assert x < y and y > x and not x >= y
+    if hi_y < lo_x:
+        assert x > y and y < x and not x <= y
+
+
+def test_import_leaves_sympy_out():
+    import gaprenorm
+
+    env = {**os.environ, "PYTHONPATH": str(Path(gaprenorm.__file__).parents[1])}
+    code = "import gaprenorm, sys; assert 'sympy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaprenorm.cf import cf_value, parse_theta_spec, rational_to_cf, sample_theta
-from gaprenorm.exact import Surd, _sign_triplet, exact_floor
+from gaprenorm.exact import Surd, _sign_triplet, exact_floor, make_surd
 from gaprenorm.orbit import (
     DiscrepancyProfile,
     EncodingSearchError,
-    decode_run_length,
     discrepancy_profile,
     encode_orbit,
-    encode_run_length,
-    sandwich_check,
+    sandwich_levels_sweep,
     sandwich_sweep,
     verify_encoding,
     word_weights,
@@ -89,16 +87,6 @@ def test_profile_of_encoding():
     assert 1 <= prof.rho_at(500) <= 9
 
 
-def test_run_length_round_trip():
-    rng = random.Random(31)
-    for _ in range(200):
-        word = "".join(rng.choice("ABC") for _ in range(rng.randint(0, 50)))
-        assert decode_run_length(encode_run_length(word)) == word
-    assert encode_run_length("AACAC") == "A2 C A C"
-    with pytest.raises(ValueError):
-        decode_run_length("A2 X")
-
-
 def test_verify_encoding_rational():
     rng = random.Random(32)
     theta = sample_theta(rng, bits=160, lower_half=True, min_quotients=40)
@@ -126,18 +114,47 @@ def test_word_matches_direct_orbit_at_base_point():
 
 def test_sandwich_silver():
     checks = sandwich_sweep(Fraction(1, 7), parse_theta_spec("cfper:[][2]"), 6)
-    assert len(checks) == 6
+    assert [c.level for c in checks] == [1, 2, 3, 4, 5, 6]
     assert all(c.ok for c in checks)
-    one = sandwich_check(Fraction(1, 7), parse_theta_spec("cfper:[][2]"), 5)
-    assert one.level == 5 and one.ok
+    assert checks[4].level == 5 and checks[4].ok
 
 
 def test_sandwich_sweep_level_validation():
     theta = parse_theta_spec("cfper:[][2]")
+    for n_max in (0, -1):
+        with pytest.raises(ValueError):
+            sandwich_sweep(Fraction(1, 7), theta, n_max)
     with pytest.raises(ValueError):
-        sandwich_sweep(Fraction(1, 7), theta, 5, levels=[0, 3])
-    with pytest.raises(ValueError):
-        sandwich_sweep(Fraction(1, 7), theta, 5, levels=[6])
+        sandwich_levels_sweep(Fraction(1, 7), levels(theta, 4), 5)
+
+
+def test_sandwich_levels_sweep_matches_sweep():
+    theta = parse_theta_spec("cfper:[3][2,5,7]")
+    lv = levels(theta, 10)
+    for y in (Fraction(0), Fraction(1, 7), Fraction(5, 9)):
+        for n_max in (1, 6, 10):
+            assert (sandwich_levels_sweep(y, lv, n_max)
+                    == sandwich_sweep(y, theta, n_max))
+
+
+def test_orbit_mixes_forms_of_one_field():
+    # theta = (sqrt(1033) - 31)/4 and x0 = frac(3 sqrt(1033))/5, with sqrt(1033)
+    # also written as sqrt(1031^2 * 1033)/1031
+    wide = make_surd(0, Fraction(1, 1031), 1031 * 1031 * 1033)
+    tight = make_surd(0, 1, 1033)
+    assert wide.d != tight.d and wide == tight
+
+    def point(r):
+        return (r - 31) / 4, (3 * r - 96) / 5
+
+    theta_w, x0_w = point(wide)
+    theta_t, x0_t = point(tight)
+    want = encode_orbit(x0_t, theta_t, 3000)
+    for x0, theta in ((x0_w, theta_t), (x0_t, theta_w), (x0_w, theta_w)):
+        got = encode_orbit(x0, theta, 3000)
+        assert (got.symbols, got.endpoint_hits) == (want.symbols, want.endpoint_hits)
+    with pytest.raises(ValueError, match="cannot mix"):
+        encode_orbit(make_surd(-1, 1, 3) / 2, make_surd(-1, 1, 2), 10)
 
 
 # --- the per-symbol exact walker, kept as a brute-force reference ----------
