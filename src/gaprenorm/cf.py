@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import ExactReal, Surd, exact_floor, squarefree_split
+from .exact import ExactReal, Surd, squarefree_split
 
 
 class ExpansionExhaustedError(ValueError):
@@ -193,13 +193,6 @@ def cf_value(cf: CFExpansion, depth: Optional[int] = None) -> ExactReal:
     return _fold_quotients(list(cf.preperiod), t)
 
 
-def gauss_map(cf: CFExpansion) -> CFExpansion:
-    """Shift off the leading quotient: the Gauss map 1/x - floor(1/x)."""
-    if not cf.available(2):
-        raise ExpansionExhaustedError("Gauss map needs at least two quotients")
-    return cf.shift(1)
-
-
 def _replace_head(cf: CFExpansion, new_head: int) -> CFExpansion:
     if cf.preperiod:
         return CFExpansion((new_head,) + cf.preperiod[1:], cf.period)
@@ -343,31 +336,6 @@ def classify_cell(cf: CFExpansion, value: Optional[ExactReal] = None) -> Partiti
         value = cf_value(cf)
     if not cell.contains(value):
         raise CellBoundaryError(f"{value} sits on the boundary of {cell}")
-    return cell
-
-
-def classify_value(x: ExactReal) -> PartitionCell:
-    """Partition cell containing x in (0, 1); endpoint hits are an error."""
-    if not (0 < x < 1):
-        raise ValueError("value must lie in (0, 1)")
-    half = Fraction(1, 2)
-    if x == half:
-        raise CellBoundaryError("1/2 is a cell boundary")
-    if x > half:
-        return PartitionCell("half")
-    r = 1 / x
-    a1 = exact_floor(r)
-    if r == a1:
-        raise CellBoundaryError(f"{x} is the endpoint 1/{a1}")
-    if a1 % 2 == 1:
-        return PartitionCell("odd", k=(a1 - 1) // 2)
-    y = r - a1
-    m = exact_floor(1 / y)
-    if 1 / y == m:
-        raise CellBoundaryError(f"{x} is an even-cell endpoint")
-    cell = PartitionCell("even", n=a1 // 2, m=m)
-    if not cell.contains(x):
-        raise CellBoundaryError(f"{x} sits on the boundary of {cell}")
     return cell
 
 

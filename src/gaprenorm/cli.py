@@ -35,10 +35,13 @@ from .experiments import (
 )
 from .measure import (
     THRESHOLD_FAMILIES,
+    ConvergenceError,
+    UlamAssemblyError,
     build_ulam,
     khinchin_experiment,
     stationary_density,
 )
+from .orbit import EncodingSearchError
 from .substitution import A, ReturnMatrix, expand_word, levels, return_matrix
 from . import verify as verify_mod
 
@@ -103,6 +106,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("--config wants a JSON object of config fields")
         bad = set(loaded) - _CONFIG_FIELDS
         if bad:
             raise ValueError(f"unknown config fields: {sorted(bad)}")
@@ -111,13 +116,11 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    theta = getattr(args, "theta", None)
-    if theta is not None:
-        merged["theta_spec"] = _resolve_theta_spec(theta, getattr(args, "den_bound", None))
-    elif "theta_spec" in merged and merged["theta_spec"]:
-        merged["theta_spec"] = _resolve_theta_spec(
-            merged["theta_spec"], getattr(args, "den_bound", None)
-        )
+    if getattr(args, "theta", None) is not None:
+        merged["theta_spec"] = args.theta
+    spec = merged.get("theta_spec")
+    if isinstance(spec, str):  # ExperimentConfig rejects any other type
+        merged["theta_spec"] = _resolve_theta_spec(spec, getattr(args, "den_bound", None))
     return ExperimentConfig(**merged)
 
 
@@ -481,7 +484,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError, EmitError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, EmitError, ConvergenceError,
+            UlamAssemblyError, EncodingSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

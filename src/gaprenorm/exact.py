@@ -106,9 +106,6 @@ class Surd:
         self.b = b
         self.d = d
 
-    def conjugate(self) -> "Surd":
-        return Surd(self.a, -self.b, self.d)
-
     def _coerce(self, other) -> tuple[Fraction, Fraction]:
         """Return (a, b) of the other operand inside this Surd's field."""
         if isinstance(other, Surd):

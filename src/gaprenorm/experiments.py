@@ -53,7 +53,6 @@ __all__ = [
     "run_bounded_pq_check",
     "run_limsup_probe",
     "emit",
-    "read_csv",
     "tool_version",
 ]
 
@@ -83,6 +82,9 @@ def tool_version() -> str:
     return __version__
 
 
+_FIELD_KINDS = {"theta_spec": (str, type(None)), "epsilon": (int, float)}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Shared knob set; drivers read the fields they need and echo them all."""
@@ -94,6 +96,14 @@ class ExperimentConfig:
     seed: int = 0
     k: int = 2
     epsilon: float = 0.0
+
+    def __post_init__(self):
+        # a --config file can hold any JSON type; refuse a wrong one here
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds = _FIELD_KINDS.get(f.name, int)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
 
     def to_meta(self) -> dict:
         meta = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -179,6 +189,8 @@ def run_growth_experiment(
     Levels below the family cutoff report nan for f and F.  The theta comes
     from cfg.theta_spec, or is sampled from cfg.seed when absent.
     """
+    if cfg.depth < 1:
+        raise ValueError("need depth >= 1")
     rng = random.Random(cfg.seed)
     theta = _theta_for(cfg, rng, min_quotients=2 * cfg.depth + 8)
     traj = gap_trajectory(theta, cfg.depth)
@@ -331,6 +343,8 @@ def run_limsup_probe(cfg: ExperimentConfig) -> tuple[list[LimsupRecord], dict]:
     comparable by the length cocycle), so the scaled spread is
     rho(level n) / (n log n).
     """
+    if cfg.samples < 1:
+        raise ValueError("need samples >= 1")
     records = []
     for sid in range(cfg.samples):
         rng = random.Random(cfg.seed ^ sid)
@@ -427,25 +441,3 @@ def emit(
     except OSError as exc:
         raise EmitError(f"cannot write {path}: {exc}") from exc
     return path
-
-
-def read_csv(path: str | Path) -> tuple[dict, list[dict]]:
-    """Read an emitted CSV back: ('# k: v' meta, rows as string dicts)."""
-    meta: dict[str, str] = {}
-    rows: list[dict] = []
-    header: list[str] | None = None
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, val = line[1:].partition(":")
-            meta[key.strip()] = val.strip()
-            continue
-        cells = line.split(",")
-        if header is None:
-            header = cells
-            continue
-        rows.append(dict(zip(header, cells)))
-    if header is None:
-        raise EmitError(f"{path} has no header row")
-    return meta, rows

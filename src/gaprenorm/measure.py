@@ -3,7 +3,7 @@
 The inverse branches of the map are Mobius transformations with integer
 coefficients, so every bin-overlap length in the Ulam matrix is an exact
 rational before the final float conversion.  Branch families are enumerated
-explicitly up to a horizon and the remainder is summed in closed form
+explicitly up to a cutoff and the remainder is summed in closed form
 (digamma and Hurwitz-zeta tails), which keeps each row's mass defect near
 machine epsilon instead of at the truncation scale.
 
@@ -32,9 +32,7 @@ __all__ = [
     "ConvergenceError",
     "UlamOperator",
     "DensityEstimate",
-    "branch_forward",
     "inverse_branch",
-    "inverse_branches",
     "build_ulam",
     "stationary_density",
     "integral_log_norm",
@@ -59,15 +57,6 @@ class ConvergenceError(RuntimeError):
 # inverse branches
 
 
-def branch_forward(x: ExactReal, cell: PartitionCell) -> ExactReal:
-    """Image of x under the branch of the map attached to cell, exactly."""
-    if cell.kind == "half":
-        return 1 - x
-    if cell.kind == "odd":
-        return x / (1 - 2 * cell.k * x)
-    return 1 / (1 / x - 2 * cell.n) - cell.m
-
-
 def inverse_branch(y: ExactReal, cell: PartitionCell) -> ExactReal:
     """The unique preimage of y inside cell (point query, exact)."""
     if cell.kind == "half":
@@ -75,57 +64,6 @@ def inverse_branch(y: ExactReal, cell: PartitionCell) -> ExactReal:
     if cell.kind == "odd":
         return y / (1 + 2 * cell.k * y)
     return 1 / (2 * cell.n + 1 / (cell.m + y))
-
-
-def _cell_width(cell: PartitionCell) -> Fraction:
-    lo, hi = cell.endpoints
-    return hi - lo
-
-
-def inverse_branches(
-    y: ExactReal, min_cell_width: float = 1e-9
-) -> list[tuple[ExactReal, PartitionCell]]:
-    """All preimages of y, one per branch, down to cells of the given width.
-
-    The half branch contributes only for y < 1/2 and the odd branches only
-    for y > 1/2; the even branches are onto, so every (n, m) contributes.
-    Branch families are infinite, hence the width cutoff; use inverse_branch
-    for an exact single-cell query.
-    """
-    if isinstance(y, float):
-        y = Fraction(y)
-    if not 0 < y < 1:
-        raise ValueError("y must lie in (0, 1)")
-    if y == Fraction(1, 2):
-        raise ValueError("y = 1/2 is a branch-image boundary")
-    if min_cell_width <= 0:
-        raise ValueError("min_cell_width must be positive")
-    out: list[tuple[ExactReal, PartitionCell]] = []
-    if y < Fraction(1, 2):
-        cell = PartitionCell("half")
-        out.append((inverse_branch(y, cell), cell))
-    else:
-        k = 1
-        while True:
-            cell = PartitionCell("odd", k=k)
-            if _cell_width(cell) < min_cell_width:
-                break
-            out.append((inverse_branch(y, cell), cell))
-            k += 1
-    n = 1
-    while True:
-        first = PartitionCell("even", n=n, m=1)
-        if _cell_width(first) < min_cell_width:
-            break
-        m = 1
-        while True:
-            cell = PartitionCell("even", n=n, m=m)
-            if _cell_width(cell) < min_cell_width:
-                break
-            out.append((inverse_branch(y, cell), cell))
-            m += 1
-        n += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +116,17 @@ class UlamOperator:
     row_defect: float
     branch_limit: int
 
-    def to_json(self) -> dict:
-        return {
-            "bins": self.bins,
-            "row_defect": self.row_defect,
-            "branch_limit": self.branch_limit,
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-        }
+
+ROW_DEFECT_LIMIT = 1e-6  # largest row mass defect accepted before renormalizing
 
 
-def build_ulam(bins: int, branch_cutoff_mass: float = 1e-6) -> UlamOperator:
+def build_ulam(bins: int) -> UlamOperator:
     """Assemble the bin-transition matrix from exact inverse branches.
 
     Odd branches k <= L and even branches up to a per-n fit are enumerated
     with integer endpoint arithmetic; everything beyond is added analytically
     (the tail cells all land in a single known source bin).  Rows are checked
-    against branch_cutoff_mass before the final renormalization.
+    against ROW_DEFECT_LIMIT before the final renormalization.
     """
     if bins < 2 or bins % 2:
         raise ValueError("bins must be even and at least 2")
@@ -242,9 +175,9 @@ def build_ulam(bins: int, branch_cutoff_mass: float = 1e-6) -> UlamOperator:
 
     rowsums = P.sum(axis=1)
     defect = float(np.abs(rowsums - 1.0).max())
-    if defect > branch_cutoff_mass:
+    if defect > ROW_DEFECT_LIMIT:
         raise UlamAssemblyError(
-            f"row mass defect {defect:.3e} exceeds {branch_cutoff_mass:.3e}"
+            f"row mass defect {defect:.3e} exceeds {ROW_DEFECT_LIMIT:.3e}"
         )
     P /= rowsums[:, None]
     return UlamOperator(bins=B, matrix=P, row_defect=defect, branch_limit=L)
@@ -309,33 +242,30 @@ class DensityEstimate:
             "values": [float(v) for v in self.values],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "DensityEstimate":
-        return DensityEstimate(
-            bins=int(data["bins"]),
-            values=np.asarray(data["values"], dtype=np.float64),
-            residual=float(data["residual"]),
-        )
+
+MAX_POWER_STEPS = 100_000  # power-iteration steps before ConvergenceError
 
 
-def stationary_density(
-    op: UlamOperator, tol: float = 1e-10, max_iter: int = 100_000
-) -> DensityEstimate:
+def stationary_density(op: UlamOperator, tol: float = 1e-10) -> DensityEstimate:
     """Left fixed vector of the operator by power iteration.
 
     The residual is the L1 distance between the returned density and its
     image, which equals the l1 gap of the underlying probability vectors.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     M = op.matrix
     p = np.full(op.bins, 1.0 / op.bins)
-    for _ in range(max_iter):
+    for _ in range(MAX_POWER_STEPS):
         q = p @ M
         gap = float(np.abs(q - p).sum())
         p = q
         if gap <= tol:
             break
     else:
-        raise ConvergenceError(f"no fixed point to {tol:.1e} in {max_iter} steps")
+        raise ConvergenceError(
+            f"no fixed point to {tol:.1e} in {MAX_POWER_STEPS} steps"
+        )
     p /= p.sum()
     residual = float(np.abs(p @ M - p).sum())
     return DensityEstimate(bins=op.bins, values=p * op.bins, residual=residual)
@@ -428,16 +358,17 @@ def series_bound(n_cut: int = 2000, m_cut: int = 4096, k_cut: int = 200_000) -> 
     return total
 
 
-def integral_log_norm(density: DensityEstimate, horizon: int | None = None) -> float:
+def integral_log_norm(density: DensityEstimate) -> float:
     """Estimate of the integral of the log top eigenvalue against the density.
 
     Cells are enumerated with closed-form eigenvalues (odd: k + sqrt(k^2+1),
     even: half of 2nm+2 plus sqrt of its square minus 4) and weighted by
     exact bin-overlap masses; the unenumerated remainder is bounded by the
     max density times the Lebesgue series tail, which keeps the estimate on
-    the conservative side.  Half cells contribute nothing.
+    the conservative side.  Cells are enumerated to K = 4 * bins.  Half cells
+    contribute nothing.
     """
-    K = horizon if horizon is not None else 4 * density.bins
+    K = 4 * density.bins
     total = 0.0
     for k in range(1, K + 1):
         lam = k + math.sqrt(k * k + 1.0)
@@ -536,10 +467,6 @@ class KhinchinResult:
         return int(sum(self.counts))
 
     @property
-    def median_half_count(self) -> float:
-        return float(np.median(self.half_counts))
-
-    @property
     def total_half_count(self) -> int:
         return int(sum(self.half_counts))
 
@@ -571,6 +498,8 @@ def khinchin_experiment(
             f"unknown family {threshold_family!r}; "
             f"choose from {sorted(THRESHOLD_FAMILIES)}"
         )
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     b = THRESHOLD_FAMILIES[threshold_family]
     w0, w1 = window if window is not None else (100, n_max)
     if not 0 <= w0 <= w1 <= n_max:

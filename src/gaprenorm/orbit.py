@@ -190,12 +190,6 @@ class DiscrepancyProfile:
             raise ValueError(f"prefix length {n} out of range")
         return int(self.rho[n - 1])
 
-    def rows(self) -> list[dict]:
-        return [
-            {"i": i + 1, "S_i": int(s), "rho_i": int(r)}
-            for i, (s, r) in enumerate(zip(self.sums, self.rho))
-        ]
-
 
 def discrepancy_profile(enc: OrbitEncoding) -> DiscrepancyProfile:
     return DiscrepancyProfile.from_symbols(enc.symbols)
@@ -210,8 +204,10 @@ class EncodingMatch:
     level: int
 
 
-def verify_encoding(theta: CFExpansion, n: int, grid_refinement: int = 1,
-                    max_word: int = 100_000, budget: int = 2) -> EncodingMatch:
+ENCODING_WORD_MAX = 100_000  # longest level word the grid search expands
+
+
+def verify_encoding(theta: CFExpansion, n: int, budget: int = 2) -> EncodingMatch:
     """Search a fine grid for a point whose direct orbit encoding matches
     the level-n substitution word up to `budget` mismatches.
 
@@ -219,22 +215,17 @@ def verify_encoding(theta: CFExpansion, n: int, grid_refinement: int = 1,
     true base point cannot be skipped; failure to find any candidate raises
     rather than passing silently.
     """
-    return verify_levels_encoding(level_walk(theta, n), n, grid_refinement,
-                                  max_word, budget)
+    return verify_levels_encoding(level_walk(theta, n), n, budget)
 
 
-def verify_levels_encoding(lv: Levels, n: int, grid_refinement: int = 1,
-                           max_word: int = 100_000,
-                           budget: int = 2) -> EncodingMatch:
+def verify_levels_encoding(lv: Levels, n: int, budget: int = 2) -> EncodingMatch:
     """`verify_encoding` at level n of levels already walked to n or beyond."""
-    if grid_refinement < 1:
-        raise ValueError("grid refinement must be >= 1")
     theta_val = lv.traj.steps[0].value
     if not theta_val < Fraction(1, 2):
         raise ValueError("rotation number must lie below 1/2 for direct encoding")
-    word = expand_word(lv.rules[:n], A, max_len=max_word)
+    word = expand_word(lv.rules[:n], A, max_len=ENCODING_WORD_MAX)
     span = lv.traj.delta_product(n)
-    grid = (exact_floor(2 / span) + 1) * grid_refinement
+    grid = exact_floor(2 / span) + 1
     orbits = _Orbits(Fraction(0), theta_val, grid, len(word))
     target = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
     bad = np.zeros(grid, dtype=np.int64)

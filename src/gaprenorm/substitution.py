@@ -75,21 +75,10 @@ class WordStats:
     @classmethod
     def of_word(cls, word: str) -> "WordStats":
         """Direct single pass over the letters."""
-        s = hi = lo = 0
-        first = True
-        for ch in word:
-            s += WEIGHT[ch]
-            if first:
-                hi = lo = s
-                first = False
-            else:
-                if s > hi:
-                    hi = s
-                if s < lo:
-                    lo = s
-        if first:
+        sums = list(accumulate(WEIGHT[ch] for ch in word))
+        if not sums:
             return cls.empty()
-        return cls(len(word), s, hi, lo)
+        return cls(len(word), sums[-1], max(sums), min(sums))
 
     def concat(self, other: "WordStats") -> "WordStats":
         return WordStats(*_concat(self.astuple(), other.astuple()))
@@ -191,15 +180,6 @@ class SubstitutionRule:
         if reps > 0:
             segments.append((fill, reps))
         return tuple(segments)
-
-    def image_length(self, letter: str) -> int:
-        return sum(
-            rep * sum(cnt for _, cnt in runs)
-            for runs, rep in self.image_segments(letter)
-        )
-
-    def image_stats(self, letter: str) -> WordStats:
-        return WordStats(*_fold_segments(self.image_segments(letter), _LETTER_STATS))
 
     def image_word(self, letter: str) -> str:
         return _image_word(self, letter)
@@ -404,7 +384,10 @@ class GrowthCheck:
         return all(self.step_ok)
 
 
-def check_length_growth(theta: CFExpansion, n: int, band: float = 0.2) -> GrowthCheck:
+LOG_RATE_BAND = 0.2  # how far the A-length log rate may sit from the estimate
+
+
+def check_length_growth(theta: CFExpansion, n: int) -> GrowthCheck:
     """Verify min length at level v dominates max length at level v - 3."""
     lens = levels(theta, n).lengths
     mins = tuple(min(u) for u in lens)
@@ -419,7 +402,7 @@ def check_length_growth(theta: CFExpansion, n: int, band: float = 0.2) -> Growth
         step_ok=step_ok,
         lyap_estimate=lyap,
         log_rate=log_rate,
-        rate_in_band=abs(log_rate - lyap) <= band,
+        rate_in_band=abs(log_rate - lyap) <= LOG_RATE_BAND,
     )
 
 

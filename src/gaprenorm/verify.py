@@ -152,7 +152,7 @@ def check_growth() -> tuple[bool, str]:
     """6: three-step length growth and the log-rate band at level 30."""
     thetas = _sample_thetas(606, 50, bits=256, min_quotients=65)
     for theta in thetas:
-        rep = check_length_growth(theta, 30, band=0.2)
+        rep = check_length_growth(theta, 30)
         if not rep.all_steps_ok:
             return False, "min length failed to dominate max three levels down"
         if not rep.rate_in_band:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gaprenorm.cf import (
     CellBoundaryError,
@@ -11,19 +12,46 @@ from gaprenorm.cf import (
     cf_normalize,
     cf_value,
     classify_cell,
-    classify_value,
     format_theta_spec,
     gap_derivative,
     gap_map,
     gap_map_value,
     gap_trajectory,
-    gauss_map,
     parity_floor,
     parse_theta_spec,
     rational_to_cf,
     sample_theta,
 )
-from gaprenorm.exact import Surd, make_surd
+from gaprenorm.exact import ExactReal, Surd, exact_floor, make_surd
+
+
+def classify_value(x: ExactReal) -> PartitionCell:
+    """Partition cell containing x in (0, 1), read off x itself.
+
+    An oracle independent of `classify_cell`, which reads the cell off the
+    expansion; endpoint hits are an error.
+    """
+    if not (0 < x < 1):
+        raise ValueError("value must lie in (0, 1)")
+    half = Fraction(1, 2)
+    if x == half:
+        raise CellBoundaryError("1/2 is a cell boundary")
+    if x > half:
+        return PartitionCell("half")
+    r = 1 / x
+    a1 = exact_floor(r)
+    if r == a1:
+        raise CellBoundaryError(f"{x} is the endpoint 1/{a1}")
+    if a1 % 2 == 1:
+        return PartitionCell("odd", k=(a1 - 1) // 2)
+    y = r - a1
+    m = exact_floor(1 / y)
+    if 1 / y == m:
+        raise CellBoundaryError(f"{x} is an even-cell endpoint")
+    cell = PartitionCell("even", n=a1 // 2, m=m)
+    if not cell.contains(x):
+        raise CellBoundaryError(f"{x} sits on the boundary of {cell}")
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +76,23 @@ def test_format_round_trip():
         cf = parse_theta_spec(spec)
         again = parse_theta_spec(format_theta_spec(cf))
         assert cf_value(again) == cf_value(cf)
+
+
+RAW_QUOTIENTS = st.lists(st.integers(1, 50), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RAW_QUOTIENTS, RAW_QUOTIENTS)
+def test_spec_round_trip(pre, per):
+    try:
+        cf = cf_normalize(pre, per)
+    except ValueError:  # empty, or the finite [1]
+        assume(False)
+    spec = format_theta_spec(cf)
+    assert parse_theta_spec(spec) == cf
+    # the canonical form is a fixed point of normalization
+    assert cf_normalize(cf.preperiod, cf.period) == cf
+    assert format_theta_spec(cf_normalize(cf.preperiod, cf.period)) == spec
 
 
 def test_normalize_folds_trailing_one():
@@ -88,13 +133,6 @@ def test_quadratic_values():
     assert cf_value(parse_theta_spec("cfper:[][2]")) == make_surd(0, 1, 2) - 1
     assert cf_value(parse_theta_spec("cfper:[][1]")) == (make_surd(0, 1, 5) - 1) / 2
     assert cf_value(parse_theta_spec("cfper:[1][2]")) == make_surd(0, 1, 2) / 2
-
-
-def test_gauss_map_shifts():
-    cf = parse_theta_spec("cf:[2,3,4]")
-    assert gauss_map(cf).preperiod == (3, 4)
-    with pytest.raises(ExpansionExhaustedError):
-        gauss_map(parse_theta_spec("cf:[5]"))
 
 
 # ---------------------------------------------------------------------------

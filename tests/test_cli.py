@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaprenorm import cli
 from gaprenorm.cli import main
+from gaprenorm.measure import ConvergenceError, UlamAssemblyError
+from gaprenorm.orbit import EncodingSearchError
 
 
 def run(capsys, *argv):
@@ -160,6 +163,52 @@ def test_config_rejects_unknown_field(capsys, tmp_path):
     code, _, err = run(capsys, "limsup", "--config", str(cfg))
     assert code == 1
     assert "bogus" in err
+
+
+# bad configurations and tolerances: each is a domain error, exit 1, no traceback
+BAD_RUNS = [
+    ("growth", "--depth", "0"),
+    ("limsup", "--config", {"depth": "x"}),
+    ("limsup", "--config", {"samples": 2.5}),
+    ("growth", "--config", {"theta_spec": 5}),
+    ("limsup", "--config", 5),
+    ("limsup", "--samples", "0"),
+    ("khinchin", "--samples", "0"),
+    ("ulam", "--tol", "-1", "--bins", "64"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_RUNS, ids=lambda a: " ".join(map(str, a)))
+def test_bad_input_exits_1(capsys, tmp_path, argv):
+    cfg = tmp_path / "cfg.json"
+    argv = [json.dumps(a) if not isinstance(a, str) else a for a in argv]
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        cfg.write_text(argv[i])
+        argv[i] = str(cfg)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, UlamAssemblyError,
+                                   EncodingSearchError])
+def test_package_runtime_errors_exit_1(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("no result")
+
+    monkeypatch.setattr(cli, "build_ulam", fail)
+    code, _, err = run(capsys, "ulam", "--bins", "8")
+    assert (code, err) == (1, "error: no result\n")
+
+
+def test_zero_sizes_still_run(capsys):
+    # these ran before the configuration checks and must keep running
+    for argv in (("limsup", "--depth", "0", "--samples", "2"),
+                 ("khinchin", "--depth", "0", "--samples", "2", "--n-max", "200"),
+                 ("boundedpq", "--orbit-length", "0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_bad_verb_exits_2(capsys):

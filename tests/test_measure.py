@@ -5,16 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaprenorm.cf import PartitionCell, gap_trajectory, leading_quotients, sample_theta
+from gaprenorm.cf import (
+    PartitionCell,
+    gap_map_value,
+    gap_trajectory,
+    leading_quotients,
+    rational_to_cf,
+    sample_theta,
+)
 from gaprenorm.measure import (
     THRESHOLD_FAMILIES,
-    DensityEstimate,
-    branch_forward,
     build_ulam,
     correlation_decay,
     integral_log_norm,
     inverse_branch,
-    inverse_branches,
     khinchin_experiment,
     series_bound,
     stationary_density,
@@ -34,27 +38,9 @@ def test_branch_round_trip():
         for _ in range(50):
             t = Fraction(rng.randint(1, 999), 1000)
             x = lo + (hi - lo) * t
-            y = branch_forward(x, cell)
+            y = gap_map_value(x, rational_to_cf(x))
             assert 0 < y < 1
             assert inverse_branch(y, cell) == x
-
-
-def test_inverse_branches_cover():
-    pre = inverse_branches(Fraction(1, 3), min_cell_width=1e-7)
-    kinds = {cell.kind for _, cell in pre}
-    assert kinds == {"half", "even"}  # odd branches only reach (1/2, 1)
-    for x, cell in pre:
-        assert cell.contains(x)
-        assert branch_forward(x, cell) == Fraction(1, 3)
-    pre_hi = inverse_branches(Fraction(2, 3), min_cell_width=1e-7)
-    assert {cell.kind for _, cell in pre_hi} == {"odd", "even"}
-
-
-def test_inverse_branches_boundary():
-    with pytest.raises(ValueError):
-        inverse_branches(Fraction(1, 2))
-    with pytest.raises(ValueError):
-        inverse_branches(Fraction(3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +67,6 @@ def test_operator_rows_are_stochastic():
     assert np.allclose(op.matrix.sum(axis=1), 1.0, atol=1e-12)
     assert op.matrix.min() >= 0.0
     assert op.row_defect < 1e-6
-    doc = op.to_json()
-    assert doc["bins"] == 64 and len(doc["matrix"]) == 64
 
 
 def test_stationary_density_properties():
@@ -97,14 +81,6 @@ def test_stationary_density_properties():
     # overlap weights are exact even when the cut is inside a bin
     third = dens.mass(0, Fraction(1, 3))
     assert 0 < third < 1
-
-
-def test_density_json_round_trip():
-    dens = stationary_density(build_ulam(32), tol=1e-10)
-    doc = dens.to_json()
-    back = DensityEstimate.from_json(doc)
-    assert back.bins == dens.bins
-    assert np.allclose(back.values, dens.values)
 
 
 def test_l1_needs_nested_grids():

@@ -74,8 +74,6 @@ def test_word_weights_and_profile():
         prof.rho_at(0)
     with pytest.raises(ValueError):
         prof.rho_at(9)
-    rows = prof.rows()
-    assert rows[0] == {"i": 1, "S_i": 1, "rho_i": 1}
 
 
 def test_profile_of_encoding():

@@ -72,12 +72,19 @@ def _binary_repeat(stats: WordStats, count: int) -> WordStats:
     return result
 
 
+WORDS = st.text(alphabet=LETTERS, max_size=12)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=LETTERS, max_size=12), st.integers(0, 40))
-def test_repeat_matches_brute_force(w, k):
+@given(WORDS, st.integers(0, 40), WORDS, WORDS)
+def test_repeat_matches_brute_force(w, k, u, v):
     closed = WordStats.of_word(w).repeat(k)
     assert closed == _binary_repeat(WordStats.of_word(w), k)
     assert closed == WordStats.of_word(w * k)
+    # the monoid laws of concat: associativity and the empty word as identity
+    sw, su, sv = WordStats.of_word(w), WordStats.of_word(u), WordStats.of_word(v)
+    assert (sw + su) + sv == sw + (su + sv) == WordStats.of_word(w + u + v)
+    assert sw + WordStats.empty() == WordStats.empty() + sw == sw
 
 
 def test_rho_subadditive_and_factor_monotone():
@@ -125,20 +132,19 @@ def test_image_stats_match_words():
         for flag in (False, True)
     ]
     for rule in rules:
+        stats = stats_by_level([rule])[1]
         for L in LETTERS:
-            word = rule.image_word(L)
-            assert rule.image_stats(L) == WordStats.of_word(word)
-            assert rule.image_length(L) == len(word)
+            assert stats[L] == WordStats.of_word(rule.image_word(L))
 
 
 def test_a_and_b_images_share_length():
     for k in range(1, 8):
         rule = SubstitutionRule("odd", k=k)
-        assert rule.image_length(A) == rule.image_length(B)
+        assert len(rule.image_word(A)) == len(rule.image_word(B))
         for a2 in range(1, 8):
             for flag in (False, True):
                 rule = SubstitutionRule("even", k=k, a2=a2, next_one=flag)
-                assert rule.image_length(A) == rule.image_length(B)
+                assert len(rule.image_word(A)) == len(rule.image_word(B))
 
 
 def test_build_rule_reads_the_expansion():
