@@ -263,13 +263,6 @@ def gap_map_value(value: ExactReal, cf: CFExpansion | TrajectoryStep) -> ExactRe
     return 1 / g1 - cf.quotient(2)
 
 
-def parity_floor(a: int) -> int:
-    """Largest even integer <= a (for quotients, so a >= 1)."""
-    if not isinstance(a, int) or a < 1:
-        raise ValueError(f"expected a positive integer, got {a!r}")
-    return a - (a % 2)
-
-
 @dataclass(frozen=True)
 class PartitionCell:
     """One cell of the Markov partition for the gap map.

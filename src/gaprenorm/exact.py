@@ -239,10 +239,6 @@ def exact_floor(x: ExactReal) -> int:
     return n if math.floor(lo) == n or x >= n else n - 1
 
 
-def exact_ceil(x: ExactReal) -> int:
-    return -exact_floor(-x)
-
-
 def _log_fraction(f: Fraction) -> float:
     # math.log accepts arbitrary-size ints, so this stays accurate for the
     # huge numerators exact trajectories produce

@@ -282,6 +282,10 @@ class BoundedPQRecord:
     ratio: float
 
 
+# largest decade mark encoded: at 10**7 symbols the run peaks near 0.5 GB
+ORBIT_LENGTH_MAX = 10**7
+
+
 def run_bounded_pq_check(
     cfg: ExperimentConfig, x0: Fraction = Fraction(0)
 ) -> tuple[list[BoundedPQRecord], dict]:
@@ -297,12 +301,12 @@ def run_bounded_pq_check(
     value = cf_value(theta)
     if not value < Fraction(1, 2):
         raise ValueError("orbit driver needs theta < 1/2")
-    marks = []
-    stop = max(1000, cfg.orbit_length)
-    mark = 1000
-    while mark <= stop:
-        marks.append(mark)
-        mark *= 10
+    # 10**3, 10**4, ... up to the largest power of ten <= max(1000, length)
+    marks = [10**e for e in range(3, len(str(max(1000, cfg.orbit_length))))]
+    if marks[-1] > ORBIT_LENGTH_MAX:
+        raise ValueError(
+            f"orbit length {marks[-1]} exceeds the budget of {ORBIT_LENGTH_MAX}"
+        )
     enc = encode_orbit(x0, value, marks[-1])
     prof = discrepancy_profile(enc)
     records = [

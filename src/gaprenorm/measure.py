@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from itertools import islice
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import digamma, polygamma, spence, zeta
@@ -41,6 +43,7 @@ __all__ = [
     "THRESHOLD_FAMILIES",
     "ExceedanceRecord",
     "KhinchinResult",
+    "khinchin_experiments",
     "khinchin_experiment",
 ]
 
@@ -118,6 +121,7 @@ class UlamOperator:
 
 
 ROW_DEFECT_LIMIT = 1e-6  # largest row mass defect accepted before renormalizing
+MAX_BINS = 8192  # the dense matrix takes 8 * bins**2 bytes: 512 MiB here
 
 
 def build_ulam(bins: int) -> UlamOperator:
@@ -130,6 +134,8 @@ def build_ulam(bins: int) -> UlamOperator:
     """
     if bins < 2 or bins % 2:
         raise ValueError("bins must be even and at least 2")
+    if bins > MAX_BINS:
+        raise ValueError(f"bins {bins} exceeds the budget of {MAX_BINS}")
     B = bins
     L = max(B, 256)
     P = np.zeros((B, B))
@@ -478,6 +484,74 @@ def _denominator_bits(n_max: int) -> int:
     return max(256, int((1.2 * n_max + 500) * 1.75))
 
 
+def khinchin_experiments(
+    families: Sequence[str],
+    samples: int,
+    n_max: int,
+    rng_seed: int,
+    window: tuple[int, int] | None = None,
+) -> list[KhinchinResult]:
+    """Count window exceedances of the leading quotient over random starts.
+
+    Each sample draws a uniform big-denominator rational and walks its
+    quotient list once.  Every family then counts the indices n in the window
+    with leading quotient above its threshold b_n; one result per family
+    comes back, in the order given.  Per-sample generators are seeded with
+    seed xor index, so results are independent of any batching.  half_counts
+    restrict the same counts to the lower half of the window.
+    """
+    if not families or any(f not in THRESHOLD_FAMILIES for f in families):
+        raise ValueError(
+            f"need families from {sorted(THRESHOLD_FAMILIES)}, got {list(families)}"
+        )
+    if samples < 1:
+        raise ValueError("need samples >= 1")
+    w0, w1 = window if window is not None else (100, n_max)
+    if not 0 <= w0 <= w1 <= n_max:
+        raise ValueError("window must satisfy 0 <= lo <= hi <= n_max")
+    half = (w0 + w1) // 2
+    bits = _denominator_bits(n_max)
+    # per family: its thresholds over the window, records and half counts
+    tallies = [
+        ([THRESHOLD_FAMILIES[family](n) for n in range(w0, w1 + 1)], [], [])
+        for family in families
+    ]
+    # a quotient at or below every family's smallest threshold counts for none
+    floor = min(min(thresholds) for thresholds, _, _ in tallies)
+    resamples = 0
+    for sample_id in range(samples):
+        rng = random.Random(rng_seed ^ sample_id)
+        while True:
+            p = rng.getrandbits(bits)  # below 2**bits, so theta < 1
+            if p == 0:
+                continue
+            quotients = rational_to_cf(Fraction(p, 1 << bits)).preperiod
+            walk = list(islice(leading_quotients(quotients), w1 + 1))
+            # a draw is kept once its walk reaches the end of the window
+            if len(walk) > w1:
+                break
+            resamples += 1
+        candidates = [(n, a1) for n, a1 in enumerate(walk[w0:], w0) if a1 > floor]
+        for thresholds, records, half_counts in tallies:
+            hits = [n for n, a1 in candidates if a1 > thresholds[n - w0]]
+            last = hits[-1] if hits else -1
+            records.append(ExceedanceRecord(sample_id, len(hits), last))
+            half_counts.append(bisect_right(hits, half))
+    return [
+        KhinchinResult(
+            family=family,
+            samples=samples,
+            n_max=n_max,
+            seed=rng_seed,
+            window=(w0, w1),
+            records=records,
+            half_counts=half_counts,
+            resamples=resamples,
+        )
+        for family, (_, records, half_counts) in zip(families, tallies)
+    ]
+
+
 def khinchin_experiment(
     threshold_family: str,
     samples: int,
@@ -485,66 +559,5 @@ def khinchin_experiment(
     rng_seed: int,
     window: tuple[int, int] | None = None,
 ) -> KhinchinResult:
-    """Count window exceedances of the leading quotient over random starts.
-
-    Each sample draws a uniform big-denominator rational, walks its quotient
-    list, and counts indices n in the window with leading quotient above the
-    threshold b_n.  Per-sample generators are seeded with seed xor index, so
-    results are independent of any batching.  half_counts restrict the same
-    counts to the lower half of the window (for divergence-vs-window checks).
-    """
-    if threshold_family not in THRESHOLD_FAMILIES:
-        raise ValueError(
-            f"unknown family {threshold_family!r}; "
-            f"choose from {sorted(THRESHOLD_FAMILIES)}"
-        )
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    b = THRESHOLD_FAMILIES[threshold_family]
-    w0, w1 = window if window is not None else (100, n_max)
-    if not 0 <= w0 <= w1 <= n_max:
-        raise ValueError("window must satisfy 0 <= lo <= hi <= n_max")
-    half = (w0 + w1) // 2
-    bits = _denominator_bits(n_max)
-    thresholds = [b(n) for n in range(w0, w1 + 1)]
-    records = []
-    half_counts = []
-    resamples = 0
-    for sample_id in range(samples):
-        rng = random.Random(rng_seed ^ sample_id)
-        while True:
-            p = rng.getrandbits(bits)
-            if p == 0:
-                continue
-            theta = Fraction(p, 1 << bits)
-            if theta >= 1:
-                continue
-            quotients = rational_to_cf(theta).preperiod
-            count = 0
-            count_half = 0
-            last = -1
-            reached = -1
-            for n, a1 in enumerate(leading_quotients(quotients)):
-                reached = n
-                if n > w1:
-                    break
-                if n >= w0 and a1 > thresholds[n - w0]:
-                    count += 1
-                    last = n
-                    if n <= half:
-                        count_half += 1
-            if reached >= w1:
-                break
-            resamples += 1
-        records.append(ExceedanceRecord(sample_id=sample_id, count=count, last_index=last))
-        half_counts.append(count_half)
-    return KhinchinResult(
-        family=threshold_family,
-        samples=samples,
-        n_max=n_max,
-        seed=rng_seed,
-        window=(w0, w1),
-        records=records,
-        half_counts=half_counts,
-        resamples=resamples,
-    )
+    """`khinchin_experiments` for a single threshold family."""
+    return khinchin_experiments((threshold_family,), samples, n_max, rng_seed, window)[0]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -182,15 +182,10 @@ class SubstitutionRule:
         return tuple(segments)
 
     def image_word(self, letter: str) -> str:
-        return _image_word(self, letter)
-
-
-@lru_cache(maxsize=4096)
-def _image_word(rule: SubstitutionRule, letter: str) -> str:
-    return "".join(
-        "".join(ch * cnt for ch, cnt in runs) * rep
-        for runs, rep in rule.image_segments(letter)
-    )
+        return "".join(
+            "".join(ch * cnt for ch, cnt in runs) * rep
+            for runs, rep in self.image_segments(letter)
+        )
 
 
 _LETTER_STATS = {ch: WordStats.of_letter(ch).astuple() for ch in LETTERS}
@@ -257,7 +252,7 @@ def expand_word(rules: Sequence[SubstitutionRule], letter: str = A,
         )
     word = letter
     for rule in reversed(rules):
-        word = "".join(rule.image_word(ch) for ch in word)
+        word = word.translate({ord(ch): rule.image_word(ch) for ch in LETTERS})
     return word
 
 

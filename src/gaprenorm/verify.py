@@ -20,7 +20,7 @@ from .exact import exact_log
 from .measure import (
     build_ulam,
     integral_log_norm,
-    khinchin_experiment,
+    khinchin_experiments,
     series_bound,
     stationary_density,
 )
@@ -217,12 +217,9 @@ def check_integrability() -> tuple[bool, str]:
 
 def check_exceedances() -> tuple[bool, str]:
     """10: summable thresholds yield median 0; linear ones keep accruing."""
-    summable = khinchin_experiment(
-        "iterated_log_squared", samples=200, n_max=5000, rng_seed=1040,
-        window=(100, 5000),
-    )
-    linear = khinchin_experiment(
-        "linear", samples=200, n_max=5000, rng_seed=1040, window=(100, 5000)
+    summable, linear = khinchin_experiments(
+        ("iterated_log_squared", "linear"), samples=200, n_max=5000,
+        rng_seed=1040, window=(100, 5000),
     )
     ok = (
         summable.median_count == 0

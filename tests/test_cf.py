@@ -17,7 +17,6 @@ from gaprenorm.cf import (
     gap_map,
     gap_map_value,
     gap_trajectory,
-    parity_floor,
     parse_theta_spec,
     rational_to_cf,
     sample_theta,
@@ -194,12 +193,6 @@ def test_no_consecutive_half_steps():
         assert all(not (x == 1 and y == 1) for x, y in zip(heads, heads[1:]))
 
 
-def test_parity_floor():
-    assert [parity_floor(a) for a in (1, 2, 3, 4, 7)] == [0, 2, 2, 4, 6]
-    with pytest.raises(ValueError):
-        parity_floor(0)
-
-
 def test_trajectory_bookkeeping():
     traj = gap_trajectory(parse_theta_spec("cfper:[][2]"), 10)
     assert len(traj.steps) == 11
@@ -282,7 +275,8 @@ def test_trajectory_views_match_gap_map_chain():
         traj = gap_trajectory(theta, len(chain) - 1)
         for step, cf in zip(traj.steps, chain):
             assert (step.cf.preperiod, step.cf.period) == (cf.preperiod, cf.period)
-            assert (step.a1, step.e) == (cf.head, parity_floor(cf.head))
+            assert step.a1 == cf.head
+            assert step.e % 2 == 0 and cf.head - step.e in (0, 1)
             for i in (1, 2, 3):
                 assert step.available(i) == cf.available(i)
                 if cf.available(i):

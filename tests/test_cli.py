@@ -175,6 +175,8 @@ BAD_RUNS = [
     ("limsup", "--samples", "0"),
     ("khinchin", "--samples", "0"),
     ("ulam", "--tol", "-1", "--bins", "64"),
+    ("ulam", "--bins", "8194"),
+    ("boundedpq", "--orbit-length", "100000000"),
 ]
 
 

@@ -1,10 +1,14 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gaprenorm import measure, verify
 from gaprenorm.cf import (
     PartitionCell,
     gap_map_value,
@@ -20,6 +24,7 @@ from gaprenorm.measure import (
     integral_log_norm,
     inverse_branch,
     khinchin_experiment,
+    khinchin_experiments,
     series_bound,
     stationary_density,
 )
@@ -173,5 +178,104 @@ def test_khinchin_validation():
     with pytest.raises(ValueError):
         khinchin_experiment("cubic", samples=4, n_max=100, rng_seed=0)
     with pytest.raises(ValueError):
+        khinchin_experiments(("linear", "cubic"), samples=4, n_max=100, rng_seed=0)
+    with pytest.raises(ValueError):
+        khinchin_experiments((), samples=4, n_max=100, rng_seed=0)
+    with pytest.raises(ValueError):
         khinchin_experiment("linear", samples=4, n_max=100, rng_seed=0,
                             window=(90, 200))
+
+
+def _reference_khinchin(family, samples, n_max, rng_seed, window, bits):
+    # one family per walk, sample by sample: the loop the shared walk replaced
+    b = THRESHOLD_FAMILIES[family]
+    w0, w1 = window if window is not None else (100, n_max)
+    half = (w0 + w1) // 2
+    thresholds = [b(n) for n in range(w0, w1 + 1)]
+    records, half_counts, resamples = [], [], 0
+    for sample_id in range(samples):
+        rng = random.Random(rng_seed ^ sample_id)
+        while True:
+            p = rng.getrandbits(bits)
+            if p == 0:
+                continue
+            theta = Fraction(p, 1 << bits)
+            if theta >= 1:
+                continue
+            quotients = rational_to_cf(theta).preperiod
+            count = count_half = 0
+            last = reached = -1
+            for n, a1 in enumerate(leading_quotients(quotients)):
+                reached = n
+                if n > w1:
+                    break
+                if n >= w0 and a1 > thresholds[n - w0]:
+                    count += 1
+                    last = n
+                    if n <= half:
+                        count_half += 1
+            if reached >= w1:
+                break
+            resamples += 1
+        records.append(measure.ExceedanceRecord(sample_id, count, last))
+        half_counts.append(count_half)
+    return (w0, w1), records, half_counts, resamples
+
+
+@st.composite
+def _khinchin_runs(draw):
+    families = draw(st.lists(st.sampled_from(sorted(THRESHOLD_FAMILIES)),
+                             min_size=1, max_size=3, unique=True))
+    # 40-bit draws often walk fewer than 21 levels, so short runs with them
+    # go through the resample rule
+    short = draw(st.booleans())
+    n_max = draw(st.integers(16, 20) if short else st.integers(0, 400))
+    if n_max >= 100 and draw(st.booleans()):
+        window = None
+    else:
+        hi = draw(st.integers(16 if short else 0, n_max))
+        window = (draw(st.integers(0, hi)), hi)
+    samples, seed = draw(st.integers(1, 4)), draw(st.integers(0, 2**32))
+    return families, samples, n_max, seed, window, short
+
+
+@settings(max_examples=100, deadline=None)
+@given(_khinchin_runs())
+def test_khinchin_experiments_match_reference(run):
+    families, samples, n_max, seed, window, short = run
+    if short:
+        bits = 40
+        draws = mock.patch.object(measure, "_denominator_bits", lambda _: bits)
+    else:
+        bits = max(256, int((1.2 * n_max + 500) * 1.75))
+        draws = contextlib.nullcontext()
+    with draws:
+        results = khinchin_experiments(families, samples, n_max, seed, window)
+    assert [r.family for r in results] == families
+    for res in results:
+        expected = _reference_khinchin(res.family, samples, n_max, seed, window, bits)
+        assert (res.window, res.records, res.half_counts, res.resamples) == expected
+        assert (res.samples, res.n_max, res.seed) == (samples, n_max, seed)
+
+
+def test_check_exceedances_walks_each_theta_once(monkeypatch):
+    expansions = 0
+    results = []
+
+    def counting_rational_to_cf(value):
+        nonlocal expansions
+        expansions += 1
+        return rational_to_cf(value)
+
+    def keeping_experiments(*args, **kwargs):
+        got = khinchin_experiments(*args, **kwargs)
+        results.extend(got)
+        return got
+
+    monkeypatch.setattr(measure, "rational_to_cf", counting_rational_to_cf)
+    monkeypatch.setattr(verify, "khinchin_experiments", keeping_experiments)
+    passed, details = verify.check_exceedances()
+    assert passed
+    assert details == "summable median 0, linear median 4, window growth 711 -> 859"
+    assert expansions == 200 + results[0].resamples
+    assert [r.family for r in results] == ["iterated_log_squared", "linear"]
