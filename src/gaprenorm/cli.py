@@ -16,36 +16,12 @@ import math
 import sys
 from fractions import Fraction
 
-from .cf import (
-    classify_cell,
-    gap_trajectory,
-    parse_theta_spec,
-)
+# The level verbs need only these numpy-free modules; every other verb
+# imports its modules itself, so traj/word/rho/matrix never load numpy.
+from . import GaprenormError
+from .cf import classify_cell, gap_trajectory, parse_theta_spec
 from .exact import exact_str
-from .experiments import (
-    EmitError,
-    ExperimentConfig,
-    IteratedLogFamily,
-    emit,
-    run_bounded_pq_check,
-    run_growth_experiment,
-    run_limsup_probe,
-    run_trimmed_sums,
-    tool_version,
-)
-from .measure import (
-    THRESHOLD_FAMILIES,
-    ConvergenceError,
-    UlamAssemblyError,
-    build_ulam,
-    khinchin_experiment,
-    stationary_density,
-)
-from .orbit import EncodingSearchError
 from .substitution import A, ReturnMatrix, expand_word, levels, return_matrix
-from . import verify as verify_mod
-
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _resolve_theta_spec(spec: str, den_bound: int | None) -> str:
@@ -101,14 +77,16 @@ def _add_emit(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+def _build_config(args: argparse.Namespace):
+    from .experiments import ExperimentConfig
+
     merged = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("--config wants a JSON object of config fields")
-        bad = set(loaded) - _CONFIG_FIELDS
+        bad = set(loaded) - {f.name for f in dataclasses.fields(ExperimentConfig)}
         if bad:
             raise ValueError(f"unknown config fields: {sorted(bad)}")
         merged.update(loaded)
@@ -125,6 +103,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _emit_or_summarize(args, records, meta, summary_lines) -> None:
+    from .experiments import emit
+
     if args.out is not None:
         plot_fields = None
         if args.plot_fields is not None:
@@ -237,6 +217,9 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_ulam(args) -> int:
+    from .experiments import tool_version
+    from .measure import build_ulam, stationary_density
+
     op = build_ulam(args.bins)
     density = stationary_density(op, tol=args.tol)
     summary = {
@@ -264,6 +247,8 @@ def cmd_ulam(args) -> int:
 
 
 def cmd_khinchin(args) -> int:
+    from .measure import khinchin_experiment
+
     cfg = _build_config(args)
     window = None
     if args.window is not None:
@@ -303,6 +288,8 @@ def cmd_khinchin(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    from .experiments import IteratedLogFamily, run_growth_experiment
+
     cfg = _build_config(args)
     family = IteratedLogFamily(cfg.k, cfg.epsilon)
     records = run_growth_experiment(cfg, family)
@@ -325,6 +312,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_trimmed(args) -> int:
+    from .experiments import run_trimmed_sums
+
     cfg = _build_config(args)
     try:
         checkpoints = tuple(int(c) for c in args.checkpoints.split(","))
@@ -343,6 +332,8 @@ def cmd_trimmed(args) -> int:
 
 
 def cmd_boundedpq(args) -> int:
+    from .experiments import run_bounded_pq_check
+
     cfg = _build_config(args)
     x0 = Fraction(args.x0)
     records, summary = run_bounded_pq_check(cfg, x0=x0)
@@ -363,6 +354,8 @@ def cmd_boundedpq(args) -> int:
 
 
 def cmd_limsup(args) -> int:
+    from .experiments import run_limsup_probe
+
     cfg = _build_config(args)
     records, summary = run_limsup_probe(cfg)
     meta = cfg.to_meta()
@@ -381,6 +374,8 @@ def cmd_limsup(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as verify_mod
+
     numbers = None
     if args.only is not None:
         numbers = [int(tok) for tok in args.only.split(",")]
@@ -398,13 +393,37 @@ def cmd_verify(args) -> int:
 # wiring
 
 
+class _VersionAction(argparse.Action):
+    """--version; asks git for the revision only when the flag is given."""
+
+    def __init__(self, option_strings, dest):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from .experiments import tool_version
+
+        print(tool_version())
+        parser.exit()
+
+
+def _threshold_family(name: str) -> str:
+    from .measure import THRESHOLD_FAMILIES
+
+    if name not in THRESHOLD_FAMILIES:
+        choices = ", ".join(map(repr, sorted(THRESHOLD_FAMILIES)))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {choices})")
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaprenorm",
         description="Renormalization toolkit for half-discrepancy sums of "
         "irrational rotations.",
     )
-    parser.add_argument("--version", action="version", version=tool_version())
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("traj", help="exact trajectory table of the gap dynamics")
@@ -440,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ulam)
 
     p = sub.add_parser("khinchin", help="window exceedances of the leading quotient")
-    p.add_argument("--family", choices=sorted(THRESHOLD_FAMILIES), default="linear")
+    p.add_argument("--family", type=_threshold_family, default="linear",
+                   help="threshold family; a wrong name lists the choices")
     p.add_argument("--n-max", type=int, default=5000)
     p.add_argument("--window", default=None, help="lo,hi window of orbit steps")
     _add_config(p)
@@ -484,8 +504,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError, OSError, EmitError, ConvergenceError,
-            UlamAssemblyError, EncodingSearchError) as exc:
+    except (ValueError, ArithmeticError, OSError, GaprenormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

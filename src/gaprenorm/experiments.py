@@ -21,9 +21,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from . import __version__
+from . import GaprenormError, __version__
 from .cf import (
     CFExpansion,
     cf_value,
@@ -57,7 +56,7 @@ __all__ = [
 ]
 
 
-class EmitError(RuntimeError):
+class EmitError(GaprenormError):
     """Refusing to write an output file (empty table, bad format, I/O)."""
 
 
@@ -162,6 +161,8 @@ class IteratedLogFamily:
         """Cumulative integral of f from the cutoff, adaptive to 1e-8."""
         if t <= self.cutoff:
             return 0.0
+        from scipy.integrate import quad
+
         val, _ = quad(self.f, self.cutoff * (1 + 1e-12), t, epsrel=1e-8, limit=200)
         return val
 

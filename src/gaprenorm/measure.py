@@ -24,8 +24,8 @@ from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import digamma, polygamma, spence, zeta
 
+from . import GaprenormError
 from .cf import PartitionCell, leading_quotients, rational_to_cf
 from .exact import ExactReal
 
@@ -48,11 +48,11 @@ __all__ = [
 ]
 
 
-class UlamAssemblyError(RuntimeError):
+class UlamAssemblyError(GaprenormError):
     """Raised when the assembled rows miss too much mass before renormalizing."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(GaprenormError):
     """Power iteration failed to reach the requested residual."""
 
 
@@ -136,6 +136,8 @@ def build_ulam(bins: int) -> UlamOperator:
         raise ValueError("bins must be even and at least 2")
     if bins > MAX_BINS:
         raise ValueError(f"bins {bins} exceeds the budget of {MAX_BINS}")
+    from scipy.special import digamma, polygamma, zeta
+
     B = bins
     L = max(B, 256)
     P = np.zeros((B, B))
@@ -286,6 +288,8 @@ def stationary_density(op: UlamOperator, tol: float = 1e-10) -> DensityEstimate:
 
 
 def _dilog(z):
+    from scipy.special import spence
+
     return spence(1.0 - np.asarray(z, dtype=np.float64))
 
 
@@ -341,6 +345,8 @@ def _even_n_tail(N: int) -> float:
     t1 = float((np.log(2 * n) / (2 * n * (2 * n + 1))).sum())
     t1 += 0.5 * float(_log_uu1_tail(2.0 * (N + 1_000_000) + 1.0))
     g0, g1 = _g_constants()
+    from scipy.special import zeta
+
     return t1 + g0 * zeta(2, N + 1) / 4.0 + g1 * zeta(3, N + 1) / 8.0
 
 
@@ -477,6 +483,11 @@ class KhinchinResult:
         return int(sum(self.half_counts))
 
 
+# one float threshold per window index and family, and a draw of about
+# 2.1 n_max bits per sample whose expansion costs time quadratic in n_max
+MAX_KHINCHIN_N = 100_000
+
+
 def _denominator_bits(n_max: int) -> int:
     # each step consumes at most two quotients and a random b-bit rational
     # carries about 0.58 b of them; the 1.75 factor leaves slack so that
@@ -506,6 +517,8 @@ def khinchin_experiments(
         )
     if samples < 1:
         raise ValueError("need samples >= 1")
+    if n_max > MAX_KHINCHIN_N:
+        raise ValueError(f"n_max {n_max} exceeds the budget of {MAX_KHINCHIN_N}")
     w0, w1 = window if window is not None else (100, n_max)
     if not 0 <= w0 <= w1 <= n_max:
         raise ValueError("window must satisfy 0 <= lo <= hi <= n_max")

@@ -27,12 +27,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import GaprenormError
 from .exact import ExactReal, Surd, _sign_triplet, exact_floor
 from .cf import CFExpansion
 from .substitution import A, B, C, Levels, expand_word, levels as level_walk
 
 
-class EncodingSearchError(RuntimeError):
+class EncodingSearchError(GaprenormError):
     """No grid point reproduced the symbolic word within the mismatch budget."""
 
 

@@ -1,14 +1,18 @@
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaprenorm import cli
+from gaprenorm import measure
 from gaprenorm.cli import main
+from gaprenorm.experiments import EmitError, tool_version
 from gaprenorm.measure import ConvergenceError, UlamAssemblyError
 from gaprenorm.orbit import EncodingSearchError
 
@@ -176,6 +180,7 @@ BAD_RUNS = [
     ("khinchin", "--samples", "0"),
     ("ulam", "--tol", "-1", "--bins", "64"),
     ("ulam", "--bins", "8194"),
+    ("khinchin", "--n-max", "200000000", "--samples", "1"),
     ("boundedpq", "--orbit-length", "100000000"),
 ]
 
@@ -194,14 +199,27 @@ def test_bad_input_exits_1(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, UlamAssemblyError,
-                                   EncodingSearchError])
+                                   EncodingSearchError, EmitError])
 def test_package_runtime_errors_exit_1(capsys, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("no result")
 
-    monkeypatch.setattr(cli, "build_ulam", fail)
+    # the verb imports build_ulam when it runs, so it finds the patched one
+    monkeypatch.setattr(measure, "build_ulam", fail)
     code, _, err = run(capsys, "ulam", "--bins", "8")
     assert (code, err) == (1, "error: no result\n")
+
+
+def test_emit_error_exits_1_in_a_fresh_process(tmp_path):
+    # EmitError's module is loaded only by the verb that raises it
+    env = {**os.environ, "PYTHONPATH": str(Path(measure.__file__).parents[1])}
+    out = tmp_path / "missing" / "limsup.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "gaprenorm.cli", "limsup", "--samples", "2",
+         "--depth", "20", "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: cannot write")
 
 
 def test_zero_sizes_still_run(capsys):
@@ -217,6 +235,18 @@ def test_bad_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_version_and_family_are_checked_when_parsed(capsys):
+    # both read their module only when the flag is parsed
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0 and capsys.readouterr().out == tool_version() + "\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["khinchin", "--family", "cubic"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cubic' (choose from 'iterated_log_squared'" in (
+        capsys.readouterr().err)
 
 
 def _readme_lines(verbs):

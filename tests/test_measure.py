@@ -186,6 +186,14 @@ def test_khinchin_validation():
                             window=(90, 200))
 
 
+def test_khinchin_refuses_n_max_over_budget():
+    # refused before the thresholds or the first draw exist; without the
+    # check this call would walk a 210,000-bit rational
+    with pytest.raises(ValueError, match="budget"):
+        khinchin_experiment("linear", samples=1, n_max=measure.MAX_KHINCHIN_N + 1,
+                            rng_seed=0)
+
+
 def _reference_khinchin(family, samples, n_max, rng_seed, window, bits):
     # one family per walk, sample by sample: the loop the shared walk replaced
     b = THRESHOLD_FAMILIES[family]

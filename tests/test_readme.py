@@ -6,6 +6,8 @@ import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import gaprenorm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,3 +40,19 @@ def test_public_api_is_the_quick_start():
     assert gaprenorm.__all__ == imported + ["levels"]
     for name in gaprenorm.__all__:
         assert callable(getattr(gaprenorm, name))
+
+
+def test_top_level_names_resolve_to_their_submodules():
+    from gaprenorm import cf, measure, orbit, substitution
+
+    home = {"parse_theta_spec": cf, "gap_trajectory": cf, "cf_value": cf,
+            "renorm_identity": substitution, "levels": substitution,
+            "encode_orbit": orbit, "build_ulam": measure,
+            "stationary_density": measure}
+    assert sorted(gaprenorm.__all__) == sorted(home)
+    for name, module in home.items():
+        assert getattr(gaprenorm, name) is getattr(module, name)
+    assert set(gaprenorm.__all__) <= set(dir(gaprenorm))
+    with pytest.raises(AttributeError):
+        gaprenorm.nope
+    assert (cf.__name__, measure.__name__) == ("gaprenorm.cf", "gaprenorm.measure")
