@@ -409,7 +409,8 @@ def emit(
 
     CSV puts the echoed meta in '#'-prefixed comment lines, then a header
     naming the record fields.  Identical (records, meta) yield identical
-    bytes.  An empty table is an error and writes nothing.
+    bytes.  An empty table or a plot field that is not a record field is an
+    error and writes nothing.
     """
     if fmt not in _FORMATS:
         raise EmitError(f"unknown format {fmt!r}; choose from {_FORMATS}")
@@ -417,6 +418,9 @@ def emit(
         raise EmitError("refusing to write an empty table")
     path = Path(path)
     names = [f.name for f in dataclasses.fields(records[0])]
+    for name in plot_fields or ():
+        if name not in names:
+            raise EmitError(f"unknown plot field {name!r}; choose from {names}")
     meta = dict(meta or {})
     if "version" not in meta:
         meta["version"] = tool_version()

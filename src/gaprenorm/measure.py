@@ -10,6 +10,12 @@ machine epsilon instead of at the truncation scale.
 Also here: the stationary-density power iteration, the log-norm
 integrability estimate with its Lebesgue-measure series bound, an empirical
 correlation-decay probe, and the quotient-exceedance Monte Carlo.
+
+Masses of rational intervals under the step density (`DensityEstimate.mass`
+and the cells of `integral_log_norm`) are computed in integers: each bin
+overlap is a cross-multiplied numerator over denominator, divided once.
+Python's int / int is correctly rounded, as is float(Fraction), so with the
+sum order kept every result has the bits of the exact Fraction computation.
 """
 
 from __future__ import annotations
@@ -195,6 +201,21 @@ def build_ulam(bins: int) -> UlamOperator:
 # stationary density
 
 
+def _cell_mass(values, B: int, a: int, b: int, c: int, d: int) -> float:
+    """Mass of (a/b, c/d), 0 <= a/b < c/d <= 1, under the step density."""
+    first = a * B // b
+    last = min(c * B // d, B - 1)
+    if first == last:
+        return values[first] * ((c * b - a * d) / (b * d))
+    total = values[first] * (((first + 1) * b - a * B) / (B * b))
+    for i in range(first + 1, last):
+        total += values[i] * (1 / B)
+    num = c * B - last * d  # zero when c/d sits on the edge last/B
+    if num:
+        total += values[last] * (num / (d * B))
+    return total
+
+
 @dataclass(frozen=True)
 class DensityEstimate:
     """Piecewise-constant density (mean one) with its fixed-point residual."""
@@ -212,23 +233,23 @@ class DensityEstimate:
         return float(self.values.max())
 
     def mass(self, lo, hi) -> float:
-        """Measure of (lo, hi) under the estimate; overlaps taken exactly."""
-        lo = Fraction(lo) if not isinstance(lo, Fraction) else lo
-        hi = Fraction(hi) if not isinstance(hi, Fraction) else hi
-        lo = max(lo, Fraction(0))
-        hi = min(hi, Fraction(1))
+        """Measure of (lo, hi) clamped to [0, 1] under the estimate.
+
+        Each bin overlap is an integer ratio divided once, so the result has
+        the bits of the sum of float(Fraction overlap) terms.
+        """
+        lo = max(Fraction(lo), Fraction(0))
+        hi = min(Fraction(hi), Fraction(1))
         if hi <= lo:
             return 0.0
-        B = self.bins
-        first = int(lo * B)
-        last = min(int(hi * B), B - 1)
-        total = 0.0
-        for i in range(first, last + 1):
-            left = max(lo, Fraction(i, B))
-            right = min(hi, Fraction(i + 1, B))
-            if right > left:
-                total += float(self.values[i]) * float(right - left)
-        return total
+        return _cell_mass(
+            self.values.tolist(),
+            self.bins,
+            lo.numerator,
+            lo.denominator,
+            hi.numerator,
+            hi.denominator,
+        )
 
     @property
     def mass_upper_half(self) -> float:
@@ -379,20 +400,26 @@ def integral_log_norm(density: DensityEstimate) -> float:
     max density times the Lebesgue series tail, which keeps the estimate on
     the conservative side.  Cells are enumerated to K = 4 * bins.  Half cells
     contribute nothing.
+
+    Cell endpoints enter `_cell_mass` as integers (odd k: 1/(2k+2), 1/(2k+1);
+    even (n, m): m/(2nm+1), (m+1)/(2n(m+1)+1)), so no Fraction is built, and
+    the terms are added one by one in enumeration order, so the result has
+    the bits of the exact-Fraction masses.
     """
-    K = 4 * density.bins
+    B = density.bins
+    K = 4 * B
+    v = density.values.tolist()
     total = 0.0
     for k in range(1, K + 1):
         lam = k + math.sqrt(k * k + 1.0)
-        lo, hi = PartitionCell("odd", k=k).endpoints
-        total += math.log(lam) * density.mass(lo, hi)
+        total += math.log(lam) * _cell_mass(v, B, 1, 2 * k + 2, 1, 2 * k + 1)
     for n in range(1, K // 2 + 1):
         M = max(1, K // (2 * n))
         for m in range(1, M + 1):
             T = 2 * n * m + 2
             lam = 0.5 * (T + math.sqrt(T * T - 4.0))
-            lo, hi = PartitionCell("even", n=n, m=m).endpoints
-            total += math.log(lam) * density.mass(lo, hi)
+            mass = _cell_mass(v, B, m, T - 1, m + 1, T + 2 * n - 1)
+            total += math.log(lam) * mass
     tail = _odd_tail(K)
     ns = np.arange(1, K // 2 + 1)
     tail += float(_even_m_tail(ns, np.maximum(1, K // (2 * ns))).sum())

@@ -182,6 +182,8 @@ BAD_RUNS = [
     ("ulam", "--bins", "8194"),
     ("khinchin", "--n-max", "200000000", "--samples", "1"),
     ("boundedpq", "--orbit-length", "100000000"),
+    ("limsup", "--samples", "2", "--depth", "20", "--fmt", "plot", "--out",
+     "x.dat", "--plot-fields", "nope,rho"),
 ]
 
 
@@ -193,9 +195,15 @@ def test_bad_input_exits_1(capsys, tmp_path, argv):
         i = argv.index("--config") + 1
         cfg.write_text(argv[i])
         argv[i] = str(cfg)
+    out = None
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        out = argv[i] = str(tmp_path / argv[i])
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+    if out is not None:
+        assert not Path(out).exists()  # nothing is written
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, UlamAssemblyError,

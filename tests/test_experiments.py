@@ -255,3 +255,7 @@ def test_emit_refuses_bad_input(tmp_path):
         emit(records, "tsv", tmp_path / "x.tsv")
     with pytest.raises(EmitError):
         emit(records, "csv", tmp_path / "no" / "such" / "dir" / "x.csv")
+    for fmt in ("plot", "csv"):
+        with pytest.raises(EmitError, match="unknown plot field 'nope'"):
+            emit(records, fmt, target, plot_fields=("log_N", "nope"))
+        assert not target.exists()

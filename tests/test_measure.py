@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaprenorm import measure, verify
+from gaprenorm import cf, measure, verify
 from gaprenorm.cf import (
     PartitionCell,
     gap_map_value,
@@ -88,6 +89,58 @@ def test_stationary_density_properties():
     assert 0 < third < 1
 
 
+def _fraction_mass(values, lo, hi):
+    """DensityEstimate.mass walked with Fraction overlaps: the oracle."""
+    lo = Fraction(lo) if not isinstance(lo, Fraction) else lo
+    hi = Fraction(hi) if not isinstance(hi, Fraction) else hi
+    lo = max(lo, Fraction(0))
+    hi = min(hi, Fraction(1))
+    if hi <= lo:
+        return 0.0
+    B = len(values)
+    first = int(lo * B)
+    last = min(int(hi * B), B - 1)
+    total = 0.0
+    for i in range(first, last + 1):
+        left = max(lo, Fraction(i, B))
+        right = min(hi, Fraction(i + 1, B))
+        if right > left:
+            total += float(values[i]) * float(right - left)
+    return total
+
+
+@st.composite
+def _mass_cases(draw):
+    bins = draw(st.sampled_from([2, 6, 64]))
+    values = draw(st.lists(st.floats(0, 4), min_size=bins, max_size=bins))
+    point = st.one_of(
+        st.integers(-2, 3),  # ints, 0 and 1 among them
+        # bin edges and the points between them, some outside [0, 1]
+        st.builds(Fraction, st.integers(-bins, 2 * bins),
+                  st.sampled_from([bins, 2 * bins, 3 * bins, 7 * bins])),
+        st.fractions(min_value=-1, max_value=2, max_denominator=10**6),
+        st.sampled_from([Fraction(0), Fraction(1)]),
+    )
+    lo = draw(point)
+    if draw(st.booleans()):
+        return bins, values, lo, draw(point)
+    # a short interval, most often inside one bin
+    width = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(10**6, 10**12)))
+    return bins, values, lo, lo + width
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mass_cases())
+def test_mass_matches_fraction_oracle(case):
+    bins, values, lo, hi = case
+    dens = measure.DensityEstimate(bins=bins, values=np.array(values), residual=0.0)
+    got = dens.mass(lo, hi)
+    assert type(got) is float
+    assert got == _fraction_mass(values, lo, hi)
+    # reversed, the interval is empty
+    assert dens.mass(hi, lo) == _fraction_mass(values, hi, lo)
+
+
 def test_l1_needs_nested_grids():
     a = stationary_density(build_ulam(32), tol=1e-10)
     b = stationary_density(build_ulam(64), tol=1e-10)
@@ -120,6 +173,56 @@ def test_integral_below_cap():
     dens = stationary_density(build_ulam(128), tol=1e-10)
     integral = integral_log_norm(dens)
     assert 0 < integral <= dens.max_density * series_bound()
+
+
+@functools.lru_cache(maxsize=None)
+def _density(bins):
+    return stationary_density(build_ulam(bins), tol=1e-10)
+
+
+def _fraction_integral(density):
+    """integral_log_norm over PartitionCell endpoints and Fraction masses."""
+    K = 4 * density.bins
+    total = 0.0
+    for k in range(1, K + 1):
+        lam = k + math.sqrt(k * k + 1.0)
+        lo, hi = PartitionCell("odd", k=k).endpoints
+        total += math.log(lam) * _fraction_mass(density.values, lo, hi)
+    for n in range(1, K // 2 + 1):
+        M = max(1, K // (2 * n))
+        for m in range(1, M + 1):
+            T = 2 * n * m + 2
+            lam = 0.5 * (T + math.sqrt(T * T - 4.0))
+            lo, hi = PartitionCell("even", n=n, m=m).endpoints
+            total += math.log(lam) * _fraction_mass(density.values, lo, hi)
+    tail = measure._odd_tail(K)
+    ns = np.arange(1, K // 2 + 1)
+    tail += float(measure._even_m_tail(ns, np.maximum(1, K // (2 * ns))).sum())
+    tail += measure._even_n_tail(K // 2)
+    return total + density.max_density * tail
+
+
+@pytest.mark.parametrize("bins", [2, 6, 64, 128])
+def test_integral_log_norm_matches_fraction_loop(bins):
+    dens = _density(bins)
+    assert integral_log_norm(dens).hex() == _fraction_integral(dens).hex()
+
+
+def test_integral_log_norm_builds_no_fraction(monkeypatch):
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    dens = _density(64)
+    for module in (measure, cf):
+        monkeypatch.setattr(module, "Fraction", CountingFraction)
+    integral_log_norm(dens)
+    assert built == []
+    dens.mass(0, Fraction(1, 3))  # the counter does see the Fraction path
+    assert built
 
 
 def test_correlation_decay():
