@@ -138,13 +138,21 @@ class IteratedLogFamily:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need k >= 1")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.k == 1 and self.epsilon:
             raise ValueError("k = 1 has no log factor to raise; use k >= 2")
         c = 1.0
-        for _ in range(self.k - 1):
-            c = math.exp(c)
+        for j in range(1, self.k):
+            try:
+                c = math.exp(c)
+            except OverflowError:
+                raise ValueError(
+                    f"k = {self.k}: the cutoff overflows a float at exp({c:.6g}); "
+                    f"use k <= {j}"
+                ) from None
         object.__setattr__(self, "cutoff", c)
 
     def f(self, x: float) -> float:
@@ -158,13 +166,23 @@ class IteratedLogFamily:
         return val
 
     def F(self, t: float) -> float:
-        """Cumulative integral of f from the cutoff, adaptive to 1e-8."""
+        """Cumulative integral of f from the cutoff, adaptive to 1e-8.
+
+        Values are cached per process by (family, t), so a repeated t costs a
+        lookup; each value keeps the bits of its one quad call.
+        """
         if t <= self.cutoff:
             return 0.0
-        from scipy.integrate import quad
+        return _integral(self, t)
 
-        val, _ = quad(self.f, self.cutoff * (1 + 1e-12), t, epsrel=1e-8, limit=200)
-        return val
+
+@cache
+def _integral(family: IteratedLogFamily, t: float) -> float:
+    """Adaptive quad of family.f from just above its cutoff to t."""
+    from scipy.integrate import quad
+
+    val, _ = quad(family.f, family.cutoff * (1 + 1e-12), t, epsrel=1e-8, limit=200)
+    return val
 
 
 # ---------------------------------------------------------------------------

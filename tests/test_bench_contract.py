@@ -35,3 +35,9 @@ def test_driver_bindings_exist():
     # from run_limsup_probe and run_growth_experiment
     for name in ("gap_trajectory", "stats_by_level", "lengths_by_level"):
         assert callable(getattr(gaprenorm.experiments, name, None)), name
+
+
+def test_integral_cache_is_cleared_per_pass():
+    # benchmarks/workloads.py:clear_package_caches calls cache_clear on each
+    # module attribute that has one, so every pass starts with an empty F memo
+    assert callable(getattr(gaprenorm.experiments._integral, "cache_clear", None))

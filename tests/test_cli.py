@@ -172,6 +172,8 @@ def test_config_rejects_unknown_field(capsys, tmp_path):
 # bad configurations and tolerances: each is a domain error, exit 1, no traceback
 BAD_RUNS = [
     ("growth", "--depth", "0"),
+    ("growth", "--depth", "5", "--epsilon", "nan"),
+    ("growth", "--depth", "5", "--epsilon", "inf"),
     ("limsup", "--config", {"depth": "x"}),
     ("limsup", "--config", {"samples": 2.5}),
     ("growth", "--config", {"theta_spec": 5}),

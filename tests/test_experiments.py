@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+from gaprenorm import experiments
 from gaprenorm.experiments import (
     EmitError,
     ExperimentConfig,
@@ -44,8 +45,8 @@ def test_emit_asks_git_only_when_needed(monkeypatch, tmp_path):
         calls.append(args)
         return subprocess.CompletedProcess(args, 0, stdout="abc1234\n", stderr="")
 
+    records, _ = _records()  # before the patch: its to_meta may ask git
     monkeypatch.setattr(subprocess, "run", fake_run)
-    records, _ = _records()
     tool_version.cache_clear()
     try:
         emit(records, "csv", tmp_path / "a.csv", meta={"version": "pinned"})
@@ -79,6 +80,13 @@ def test_family_validation():
         IteratedLogFamily(2, epsilon=-0.1)
     with pytest.raises(ValueError):
         IteratedLogFamily(1, epsilon=0.5)  # k = 1 has no log factor to bump
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            IteratedLogFamily(2, epsilon=eps)
+    IteratedLogFamily(4)  # cutoff exp(exp(e)), about 3.8e6
+    with pytest.raises(ValueError, match=r"k = 5: the cutoff overflows a float "
+                       r"at exp\(3\.81428e\+06\); use k <= 4"):
+        IteratedLogFamily(5)
 
 
 def test_family_values():
@@ -101,6 +109,37 @@ def test_family_integral_pinned():
     assert IteratedLogFamily(3).cutoff == math.exp(math.e)
     assert IteratedLogFamily(2) == IteratedLogFamily(2)
     assert repr(IteratedLogFamily(2)) == "IteratedLogFamily(k=2, epsilon=0.0)"
+
+
+# F(t).hex() for t = 3, 50, 100, 1024: the bits of one quad call each
+F_TS = (3.0, 50.0, 100.0, 1024.0)
+F_PINNED = {
+    (2, 0.0): ["0x1.b1674de6a5c04p-1", "0x1.0a72e764f3e93p+12",
+               "0x1.40b003c0ffcf5p+14", "0x1.9b9d2d245a327p+21"],
+    (3, 0.0): ["0x0.0p+0", "0x1.3d4670c91f38cp+12",
+               "0x1.c44bdad5f9fa3p+14", "0x1.7fb2a46e874e8p+22"],
+    (2, 1.0): ["0x1.c7cefaa3b0ac2p-1", "0x1.d0783b562968ep+13",
+               "0x1.4e06439686b24p+16", "0x1.4ce91da38ad1cp+24"],
+}
+
+
+def test_family_integral_memo_keeps_bits():
+    experiments._integral.cache_clear()
+    for _ in ("cold", "warm"):
+        got = {
+            key: [IteratedLogFamily(*key).F(t).hex() for t in F_TS]
+            for key in F_PINNED
+        }
+        assert got == F_PINNED
+
+
+def test_family_integral_cached_by_family_and_t():
+    experiments._integral.cache_clear()
+    IteratedLogFamily(2, 0).F(50.0)
+    IteratedLogFamily(2, 0).F(50.0)  # the same (family, t) is a hit
+    IteratedLogFamily(2, 0.0).F(50.0)  # an equal family shares the entry
+    info = experiments._integral.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
 
 def test_family_epsilon_raises_last_factor():
@@ -127,6 +166,16 @@ def test_growth_on_fixed_theta():
     assert records[9].f_of_n == pytest.approx(10 * math.log(10))
     again = run_growth_experiment(cfg, IteratedLogFamily(cfg.k, cfg.epsilon))
     assert_same_records(again, records)
+
+
+def test_growth_same_with_cold_and_warm_integral_cache():
+    cfg = ExperimentConfig(depth=40, seed=5, k=3, epsilon=0.5)
+    experiments._integral.cache_clear()
+    cold = run_growth_experiment(cfg, IteratedLogFamily(cfg.k, cfg.epsilon))
+    assert experiments._integral.cache_info().misses == 40 - 15  # n > e**e
+    warm = run_growth_experiment(cfg, IteratedLogFamily(cfg.k, cfg.epsilon))
+    assert experiments._integral.cache_info().hits == 40 - 15
+    assert_same_records(warm, cold)
 
 
 def test_growth_sampled_theta_deterministic():
