@@ -50,19 +50,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
-def make_surd(a, b, d: int) -> ExactReal:
-    """Build a + b*sqrt(d), collapsing to a Fraction when the value is rational."""
-    a, b = Fraction(a), Fraction(b)
-    if d <= 0:
-        raise ValueError("radicand must be positive")
-    if b == 0:
-        return a
-    s, d0 = squarefree_split(d)
-    if d0 == 1:
-        return a + b * s
-    return Surd(a, b * s, d0)
-
-
 def _sign_triplet(a: Fraction | int, b: Fraction | int, d: int) -> int:
     """Sign of a + b*sqrt(d) for a non-square d > 1 (so the value is 0 only if a = b = 0).
 

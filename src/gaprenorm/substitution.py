@@ -10,6 +10,22 @@ words fold without ever materializing them.
 The letter weights are +1 for A and -1 for B and C; `rho` of a word is
 1 + (max prefix sum) - (min prefix sum), the spread of its half-discrepancy
 walk.
+
+`stats_by_level` folds the stats one level at a time, one fold per rule
+kind.  Each level computes the block X = A^k B^(k-1) once and builds every
+image from it with a few concatenations, naming
+
+    lead = A X C,   fill = X C,   bal = X B C:
+
+    odd a1 = 2k + 1:   A -> bal,   B -> lead,   C -> A
+    even a1 = 2k:
+        a3 != 1:       A -> lead fill^(a2-1),   B -> bal fill^(a2-1),
+                       C -> bal fill^a2 = (image of B) fill
+        a3 == 1:       A -> bal fill^a2,   C -> lead fill^(a2-1),
+                       B -> lead fill^a2 = (image of C) fill
+
+where fill^m is repeated in closed form.  `image_segments` spells the same
+images out as run-length segments for `expand_word`.
 """
 
 from __future__ import annotations
@@ -188,17 +204,36 @@ class SubstitutionRule:
         )
 
 
-_LETTER_STATS = {ch: WordStats.of_letter(ch).astuple() for ch in LETTERS}
+_LETTER_STATS = tuple(WordStats.of_letter(ch).astuple() for ch in LETTERS)
 
 
-def _fold_segments(segments: Segments, stats: dict[str, Stats]) -> Stats:
-    acc = (0, 0, 0, 0)
-    for runs, rep in segments:
-        seg = (0, 0, 0, 0)
-        for ch, cnt in runs:
-            seg = _concat(seg, _repeat(stats[ch], cnt))
-        acc = _concat(acc, _repeat(seg, rep))
-    return acc
+def _fold_rule(rule: SubstitutionRule, a: Stats, b: Stats, c: Stats
+               ) -> tuple[Stats, Stats, Stats]:
+    """Stats of the images of A, B and C under one rule.
+
+    a, b and c are the stats of the three (nonempty) letter words; the
+    images are built from the shared block X = A^k B^(k-1) as the module
+    docstring lays out.
+    """
+    if rule.kind == "identity":
+        return a, b, c
+    k = rule.k
+    x = _repeat(a, k)
+    if k > 1:
+        x = _concat(x, _repeat(b, k - 1))
+    fill = _concat(x, c)
+    lead = _concat(a, fill)
+    bal = _concat(_concat(x, b), c)
+    if rule.kind == "odd":
+        return bal, lead, a
+    if rule.next_one:
+        a_img = _concat(bal, _repeat(fill, rule.a2))
+        c_img = _concat(lead, _repeat(fill, rule.a2 - 1)) if rule.a2 > 1 else lead
+        return a_img, _concat(c_img, fill), c_img
+    if rule.a2 > 1:
+        fills = _repeat(fill, rule.a2 - 1)
+        lead, bal = _concat(lead, fills), _concat(bal, fills)
+    return lead, bal, _concat(bal, fill)
 
 
 def build_rule(cf: CFExpansion | TrajectoryStep) -> SubstitutionRule:
@@ -230,10 +265,9 @@ def stats_by_level(rules: Sequence[SubstitutionRule]) -> list[dict[str, WordStat
     cur = _LETTER_STATS
     out = [cur]
     for rule in rules:
-        if rule.kind != "identity":
-            cur = {ch: _fold_segments(rule.image_segments(ch), cur) for ch in LETTERS}
+        cur = _fold_rule(rule, *cur)
         out.append(cur)
-    return [{ch: WordStats(*st[ch]) for ch in LETTERS} for st in out]
+    return [{A: WordStats(*a), B: WordStats(*b), C: WordStats(*c)} for a, b, c in out]
 
 
 def expand_word(rules: Sequence[SubstitutionRule], letter: str = A,

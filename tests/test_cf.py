@@ -21,7 +21,9 @@ from gaprenorm.cf import (
     rational_to_cf,
     sample_theta,
 )
-from gaprenorm.exact import ExactReal, Surd, exact_floor, make_surd
+from gaprenorm.exact import ExactReal, Surd, exact_floor
+
+from surds import make_surd
 
 
 def classify_value(x: ExactReal) -> PartitionCell:

@@ -14,9 +14,10 @@ from gaprenorm.exact import (
     exact_floor,
     exact_log,
     fraction_bounds,
-    make_surd,
     squarefree_split,
 )
+
+from surds import make_surd
 
 
 def test_squarefree_split():

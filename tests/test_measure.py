@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaprenorm import cf, measure, verify
+from gaprenorm import cf, measure
 from gaprenorm.cf import (
     PartitionCell,
     gap_map_value,
@@ -369,23 +369,10 @@ def test_khinchin_experiments_match_reference(run):
         assert (res.samples, res.n_max, res.seed) == (samples, n_max, seed)
 
 
-def test_check_exceedances_walks_each_theta_once(monkeypatch):
-    expansions = 0
-    results = []
-
-    def counting_rational_to_cf(value):
-        nonlocal expansions
-        expansions += 1
-        return rational_to_cf(value)
-
-    def keeping_experiments(*args, **kwargs):
-        got = khinchin_experiments(*args, **kwargs)
-        results.extend(got)
-        return got
-
-    monkeypatch.setattr(measure, "rational_to_cf", counting_rational_to_cf)
-    monkeypatch.setattr(verify, "khinchin_experiments", keeping_experiments)
-    passed, details = verify.check_exceedances()
+def test_check_exceedances_walks_each_theta_once(exceedance_run):
+    # the shared run of check 10 counts every rational_to_cf call in measure
+    passed, details = exceedance_run.verdict.passed, exceedance_run.verdict.details
+    expansions, results = exceedance_run.expansions, exceedance_run.results
     assert passed
     assert details == "summable median 0, linear median 4, window growth 711 -> 859"
     assert expansions == 200 + results[0].resamples

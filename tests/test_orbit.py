@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaprenorm.cf import cf_value, parse_theta_spec, rational_to_cf, sample_theta
-from gaprenorm.exact import Surd, _sign_triplet, exact_floor, make_surd
+from gaprenorm.exact import Surd, _sign_triplet, exact_floor
 from gaprenorm.orbit import (
     DiscrepancyProfile,
     EncodingSearchError,
@@ -18,6 +18,8 @@ from gaprenorm.orbit import (
     word_weights,
 )
 from gaprenorm.substitution import A, B, C, expand_word, levels, rules_along
+
+from surds import make_surd
 
 SILVER = cf_value(parse_theta_spec("cfper:[][2]"))
 

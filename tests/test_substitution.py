@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -31,6 +32,7 @@ from gaprenorm.substitution import (
     return_matrix,
     rules_along,
     stats_by_level,
+    _fold_rule,
 )
 
 
@@ -135,6 +137,69 @@ def test_image_stats_match_words():
         stats = stats_by_level([rule])[1]
         for L in LETTERS:
             assert stats[L] == WordStats.of_word(rule.image_word(L))
+
+
+def _fold_segments(segments, stats: dict[str, WordStats]) -> WordStats:
+    """Oracle: the generic fold over a rule's run-length image segments."""
+    acc = WordStats.empty()
+    for runs, rep in segments:
+        seg = WordStats.empty()
+        for ch, cnt in runs:
+            seg = seg + stats[ch].repeat(cnt)
+        acc = acc + seg.repeat(rep)
+    return acc
+
+
+@st.composite
+def letter_stats(draw):
+    """Stats that pass WordStats' check, of length >= 2 and any total sign."""
+    length = draw(st.integers(2, 10**30))
+    total = draw(st.one_of(st.just(0), st.integers(-length, length)))
+    hi = draw(st.integers(total, length))
+    lo = draw(st.integers(-length, total))
+    return WordStats(length, total, hi, lo)
+
+
+SMALL_OR_LARGE = st.one_of(st.integers(1, 4), st.integers(1, 10**12))
+RULES = st.one_of(
+    st.just(SubstitutionRule("identity")),
+    st.builds(SubstitutionRule, st.just("odd"), k=SMALL_OR_LARGE),
+    st.builds(SubstitutionRule, st.just("even"), k=SMALL_OR_LARGE,
+              a2=SMALL_OR_LARGE, next_one=st.booleans()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RULES, letter_stats(), letter_stats(), letter_stats())
+def test_fold_per_kind_matches_segment_fold(rule, a, b, c):
+    stats = {A: a, B: b, C: c}
+    expected = tuple(_fold_segments(rule.image_segments(L), stats).astuple()
+                     for L in LETTERS)
+    assert _fold_rule(rule, a.astuple(), b.astuple(), c.astuple()) == expected
+
+
+# quotients 1..4, and every third one a scrambled value up to 10^9: by depth
+# 1000 the walk meets identity, odd and both even rules, a2 = 1, and k and a2
+# above 10^8
+LARGE_QUOTIENTS = "cf:[" + ",".join(
+    str((i ** 3 * 7919) % 10**9 + 1 if i % 3 == 0 else (1, 1, 2, 3, 1, 4, 2, 1)[i % 8])
+    for i in range(2400)
+) + "]"
+
+
+@pytest.mark.parametrize(("spec", "digest"), [
+    ("cfper:[][2]", "546011ef2b5944e7ebbbb53992281d407488d6a1ae9417eb3821f5d710e84b9b"),
+    ("cfper:[][2,5]", "1c38232c23041182e3ff0ce92ad1f9034b552c6058ff3b6d59c6b6419acf83b5"),
+    (LARGE_QUOTIENTS, "c39acf96ea0cc5445cb075131fb83031601b297454964ef4524c9aeea0764fc9"),
+], ids=["silver", "period-2-5", "large-quotients"])
+def test_stats_by_level_golden(spec, digest):
+    # sha256 of every level's (length, total, max, min) integers at depth 1000
+    h = hashlib.sha256()
+    for lv in stats_by_level(levels(parse_theta_spec(spec), 1000).rules):
+        for L in LETTERS:
+            s = lv[L]
+            h.update(f"{s.length} {s.total} {s.max_prefix} {s.min_prefix}\n".encode())
+    assert h.hexdigest() == digest
 
 
 def test_a_and_b_images_share_length():
