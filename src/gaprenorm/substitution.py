@@ -11,9 +11,9 @@ The letter weights are +1 for A and -1 for B and C; `rho` of a word is
 1 + (max prefix sum) - (min prefix sum), the spread of its half-discrepancy
 walk.
 
-`stats_by_level` folds the stats one level at a time, one fold per rule
-kind.  Each level computes the block X = A^k B^(k-1) once and builds every
-image from it with a few concatenations, naming
+`_fold_rule` is the one definition of the images, one fold per rule kind.
+Each level computes the block X = A^k B^(k-1) once and builds every image
+from it with a few concatenations, naming
 
     lead = A X C,   fill = X C,   bal = X B C:
 
@@ -24,8 +24,12 @@ image from it with a few concatenations, naming
         a3 == 1:       A -> bal fill^a2,   C -> lead fill^(a2-1),
                        B -> lead fill^a2 = (image of C) fill
 
-where fill^m is repeated in closed form.  `image_segments` spells the same
-images out as run-length segments for `expand_word`.
+The fold only concatenates and repeats, so it runs over any monoid: on stats
+tuples, where fill^m is repeated in closed form, it gives `stats_by_level`,
+and on strings it gives the images that `expand_word` substitutes.
+`return_matrix` counts the same images' letters by hand rather than through
+the fold, so the stats lengths checked against it meet an independent
+derivation.
 """
 
 from __future__ import annotations
@@ -48,9 +52,7 @@ A, B, C = "A", "B", "C"
 LETTERS = (A, B, C)
 WEIGHT = {A: 1, B: -1, C: -1}
 
-Runs = tuple[tuple[str, int], ...]
 Stats = tuple[int, int, int, int]  # WordStats fields, as a plain tuple
-Segments = tuple[tuple[Runs, int], ...]
 
 
 class WordBudgetError(ValueError):
@@ -84,34 +86,12 @@ class WordStats:
         return cls(0, 0, 0, 0)
 
     @classmethod
-    def of_letter(cls, letter: str) -> "WordStats":
-        w = WEIGHT[letter]
-        return cls(1, w, w, w)
-
-    @classmethod
     def of_word(cls, word: str) -> "WordStats":
         """Direct single pass over the letters."""
         sums = list(accumulate(WEIGHT[ch] for ch in word))
         if not sums:
             return cls.empty()
         return cls(len(word), sums[-1], max(sums), min(sums))
-
-    def concat(self, other: "WordStats") -> "WordStats":
-        return WordStats(*_concat(self.astuple(), other.astuple()))
-
-    def __add__(self, other: "WordStats") -> "WordStats":
-        return self.concat(other)
-
-    def repeat(self, count: int) -> "WordStats":
-        """Stats of this word repeated `count` times, in closed form."""
-        if count < 0:
-            raise ValueError("negative repeat count")
-        if count == 0:
-            return WordStats.empty()
-        return WordStats(*_repeat(self.astuple(), count))
-
-    def astuple(self) -> Stats:
-        return (self.length, self.total, self.max_prefix, self.min_prefix)
 
     @property
     def rho(self) -> int:
@@ -145,18 +125,14 @@ def _repeat(s: Stats, count: int) -> Stats:
             lo + more * min(total, 0))
 
 
-def _runs(*pairs: tuple[str, int]) -> Runs:
-    return tuple((ch, cnt) for ch, cnt in pairs if cnt > 0)
-
-
 @dataclass(frozen=True)
 class SubstitutionRule:
     """The letter substitution induced by one renormalization level.
 
     kind 'identity' covers a1 = 1, 'odd' covers a1 = 2k + 1, and 'even'
     covers a1 = 2k with second quotient a2; `next_one` distinguishes the
-    even subcase where the following quotient is 1.  Images are stored as
-    run-length segments (runs, repeat) so large quotients stay O(1).
+    even subcase where the following quotient is 1.  `_fold_rule` builds
+    the images.
     """
 
     kind: str
@@ -172,68 +148,37 @@ class SubstitutionRule:
         if self.kind == "even" and (self.k < 1 or self.a2 < 1):
             raise ValueError("even rules need k >= 1 and a2 >= 1")
 
-    def image_segments(self, letter: str) -> Segments:
-        if letter not in LETTERS:
-            raise ValueError(f"unknown letter {letter!r}")
-        k, a2 = self.k, self.a2
-        if self.kind == "identity":
-            return ((_runs((letter, 1)), 1),)
-        if self.kind == "odd":
-            if letter == A:
-                return ((_runs((A, k), (B, k), (C, 1)), 1),)
-            if letter == B:
-                return ((_runs((A, k + 1), (B, k - 1), (C, 1)), 1),)
-            return ((_runs((A, 1)), 1),)
-        lead = _runs((A, k + 1), (B, k - 1), (C, 1))
-        fill = _runs((A, k), (B, k - 1), (C, 1))
-        bal = _runs((A, k), (B, k), (C, 1))
-        if not self.next_one:
-            table = {A: (lead, a2 - 1), B: (bal, a2 - 1), C: (bal, a2)}
-        else:
-            table = {A: (bal, a2), B: (lead, a2), C: (lead, a2 - 1)}
-        first, reps = table[letter]
-        segments = [(first, 1)]
-        if reps > 0:
-            segments.append((fill, reps))
-        return tuple(segments)
 
-    def image_word(self, letter: str) -> str:
-        return "".join(
-            "".join(ch * cnt for ch, cnt in runs) * rep
-            for runs, rep in self.image_segments(letter)
-        )
+_LETTER_STATS = tuple((1, WEIGHT[ch], WEIGHT[ch], WEIGHT[ch]) for ch in LETTERS)
 
 
-_LETTER_STATS = tuple(WordStats.of_letter(ch).astuple() for ch in LETTERS)
+def _fold_rule(rule: SubstitutionRule, a, b, c, cat=_concat, rep=_repeat):
+    """The images of A, B and C under one rule, in any monoid.
 
-
-def _fold_rule(rule: SubstitutionRule, a: Stats, b: Stats, c: Stats
-               ) -> tuple[Stats, Stats, Stats]:
-    """Stats of the images of A, B and C under one rule.
-
-    a, b and c are the stats of the three (nonempty) letter words; the
+    a, b and c are the (nonempty) letter words, or their stats; `cat`
+    concatenates two of them and `rep` repeats one count >= 1 times.  The
     images are built from the shared block X = A^k B^(k-1) as the module
     docstring lays out.
     """
     if rule.kind == "identity":
         return a, b, c
     k = rule.k
-    x = _repeat(a, k)
+    x = rep(a, k)
     if k > 1:
-        x = _concat(x, _repeat(b, k - 1))
-    fill = _concat(x, c)
-    lead = _concat(a, fill)
-    bal = _concat(_concat(x, b), c)
+        x = cat(x, rep(b, k - 1))
+    fill = cat(x, c)
+    lead = cat(a, fill)
+    bal = cat(cat(x, b), c)
     if rule.kind == "odd":
         return bal, lead, a
     if rule.next_one:
-        a_img = _concat(bal, _repeat(fill, rule.a2))
-        c_img = _concat(lead, _repeat(fill, rule.a2 - 1)) if rule.a2 > 1 else lead
-        return a_img, _concat(c_img, fill), c_img
+        a_img = cat(bal, rep(fill, rule.a2))
+        c_img = cat(lead, rep(fill, rule.a2 - 1)) if rule.a2 > 1 else lead
+        return a_img, cat(c_img, fill), c_img
     if rule.a2 > 1:
-        fills = _repeat(fill, rule.a2 - 1)
-        lead, bal = _concat(lead, fills), _concat(bal, fills)
-    return lead, bal, _concat(bal, fill)
+        fills = rep(fill, rule.a2 - 1)
+        lead, bal = cat(lead, fills), cat(bal, fills)
+    return lead, bal, cat(bal, fill)
 
 
 def build_rule(cf: CFExpansion | TrajectoryStep) -> SubstitutionRule:
@@ -261,13 +206,22 @@ def rules_along(theta: CFExpansion, n: int) -> list[SubstitutionRule]:
 
 
 def stats_by_level(rules: Sequence[SubstitutionRule]) -> list[dict[str, WordStats]]:
-    """Per-letter stats of the composed substitution after 0, 1, ..., len(rules) levels."""
+    """Per-letter stats of the composed substitution after 0, 1, ..., len(rules) levels.
+
+    An identity level shares the previous level's dict.
+    """
+    def checked(a, b, c):
+        return {A: WordStats(*a), B: WordStats(*b), C: WordStats(*c)}
+
     cur = _LETTER_STATS
-    out = [cur]
+    out = [checked(*cur)]
     for rule in rules:
-        cur = _fold_rule(rule, *cur)
-        out.append(cur)
-    return [{A: WordStats(*a), B: WordStats(*b), C: WordStats(*c)} for a, b, c in out]
+        if rule.kind == "identity":
+            out.append(out[-1])
+        else:
+            cur = _fold_rule(rule, *cur)
+            out.append(checked(*cur))
+    return out
 
 
 def expand_word(rules: Sequence[SubstitutionRule], letter: str = A,
@@ -286,7 +240,8 @@ def expand_word(rules: Sequence[SubstitutionRule], letter: str = A,
         )
     word = letter
     for rule in reversed(rules):
-        word = word.translate({ord(ch): rule.image_word(ch) for ch in LETTERS})
+        images = _fold_rule(rule, A, B, C, str.__add__, str.__mul__)
+        word = word.translate(dict(zip(map(ord, LETTERS), images)))
     return word
 
 
@@ -389,52 +344,6 @@ def levels(theta: CFExpansion, n: int) -> Levels:
     return Levels(traj, rules, halfsums)
 
 
-def lyapunov_estimate(theta: CFExpansion, n: int) -> float:
-    """log of the largest return length at level n, divided by n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return math.log(max(levels(theta, n).lengths[n])) / n
-
-
-@dataclass(frozen=True)
-class GrowthCheck:
-    """Exact three-step length growth plus a log-rate band check."""
-
-    levels: tuple[int, ...]
-    min_lengths: tuple[int, ...]
-    max_lengths: tuple[int, ...]
-    step_ok: tuple[bool, ...]  # min at level v >= max at level v - 3, for v >= 3
-    lyap_estimate: float
-    log_rate: float
-    rate_in_band: bool
-
-    @property
-    def all_steps_ok(self) -> bool:
-        return all(self.step_ok)
-
-
-LOG_RATE_BAND = 0.2  # how far the A-length log rate may sit from the estimate
-
-
-def check_length_growth(theta: CFExpansion, n: int) -> GrowthCheck:
-    """Verify min length at level v dominates max length at level v - 3."""
-    lens = levels(theta, n).lengths
-    mins = tuple(min(u) for u in lens)
-    maxs = tuple(max(u) for u in lens)
-    step_ok = tuple(mins[v] >= maxs[v - 3] for v in range(3, n + 1))
-    lyap = math.log(maxs[n]) / n
-    log_rate = math.log(lens[n][0]) / n
-    return GrowthCheck(
-        levels=tuple(range(n + 1)),
-        min_lengths=mins,
-        max_lengths=maxs,
-        step_ok=step_ok,
-        lyap_estimate=lyap,
-        log_rate=log_rate,
-        rate_in_band=abs(log_rate - lyap) <= LOG_RATE_BAND,
-    )
-
-
 class SpreadBoundError(ValueError):
     """The word spread drifted outside the half-sum window."""
 
@@ -446,17 +355,17 @@ class LevelIdentity:
     xi: int
 
 
-def renorm_identity(theta: CFExpansion, n: int, check: bool = True) -> LevelIdentity:
+def renorm_identity(theta: CFExpansion, n: int) -> LevelIdentity:
     """Compare rho of the level-n A-word with half the even-part sum.
 
     The half-sum runs over levels 0 .. n-1; the residual xi stays in
-    [-5, 5], which `check` enforces.
+    [-5, 5], and SpreadBoundError reports a level where it does not.
     """
     lv = levels(theta, n)
     rho = lv.stats[n][A].rho
     halfsum = lv.halfsums[n]
     xi = rho - halfsum
-    if check and abs(xi) > 5:
+    if abs(xi) > 5:
         raise SpreadBoundError(
             f"xi = {xi} outside [-5, 5] at level {n} for theta {theta}"
         )

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,32 +13,42 @@ from gaprenorm.cf import (
     parse_theta_spec,
     sample_theta,
 )
+from gaprenorm import substitution
 from gaprenorm.substitution import (
     A,
     B,
     C,
     LETTERS,
+    Levels,
     ReturnMatrix,
     SpreadBoundError,
     SubstitutionRule,
     WordBudgetError,
     WordStats,
     build_rule,
-    check_length_growth,
     expand_word,
     lengths_by_level,
     levels,
-    lyapunov_estimate,
     renorm_identity,
     return_matrix,
     rules_along,
     stats_by_level,
+    _concat,
     _fold_rule,
+    _repeat,
 )
 
 
 def random_word(rng, max_len=60) -> str:
     return "".join(rng.choice(LETTERS) for _ in range(rng.randint(0, max_len)))
+
+
+def stats_of(word: str) -> tuple[int, int, int, int]:
+    """Stats of a word as the tuple that `_concat` and `_repeat` fold."""
+    return astuple(WordStats.of_word(word))
+
+
+EMPTY = stats_of("")
 
 
 # ---------------------------------------------------------------------------
@@ -60,17 +71,17 @@ def test_concat_is_the_word_homomorphism():
     rng = random.Random(20)
     for _ in range(1000):
         u, v = random_word(rng), random_word(rng)
-        assert WordStats.of_word(u + v) == WordStats.of_word(u) + WordStats.of_word(v)
+        assert stats_of(u + v) == _concat(stats_of(u), stats_of(v))
 
 
-def _binary_repeat(stats: WordStats, count: int) -> WordStats:
+def _binary_repeat(s, count: int):
     """Reference: repeat by binary folding of concatenations."""
-    result = WordStats.empty()
+    result = EMPTY
     while count:
         if count & 1:
-            result = result + stats
+            result = _concat(result, s)
         count >>= 1
-        stats = stats + stats
+        s = _concat(s, s)
     return result
 
 
@@ -78,15 +89,16 @@ WORDS = st.text(alphabet=LETTERS, max_size=12)
 
 
 @settings(max_examples=300, deadline=None)
-@given(WORDS, st.integers(0, 40), WORDS, WORDS)
+@given(WORDS, st.integers(1, 40), WORDS, WORDS)
 def test_repeat_matches_brute_force(w, k, u, v):
-    closed = WordStats.of_word(w).repeat(k)
-    assert closed == _binary_repeat(WordStats.of_word(w), k)
-    assert closed == WordStats.of_word(w * k)
+    closed = _repeat(stats_of(w), k)
+    assert closed == _binary_repeat(stats_of(w), k)
+    assert closed == stats_of(w * k)
     # the monoid laws of concat: associativity and the empty word as identity
-    sw, su, sv = WordStats.of_word(w), WordStats.of_word(u), WordStats.of_word(v)
-    assert (sw + su) + sv == sw + (su + sv) == WordStats.of_word(w + u + v)
-    assert sw + WordStats.empty() == WordStats.empty() + sw == sw
+    sw, su, sv = stats_of(w), stats_of(u), stats_of(v)
+    assert (_concat(_concat(sw, su), sv) == _concat(sw, _concat(su, sv))
+            == stats_of(w + u + v))
+    assert _concat(sw, EMPTY) == _concat(EMPTY, sw) == sw
 
 
 def test_rho_subadditive_and_factor_monotone():
@@ -96,7 +108,7 @@ def test_rho_subadditive_and_factor_monotone():
         if not u or not v:
             continue
         su, sv = WordStats.of_word(u), WordStats.of_word(v)
-        assert (su + sv).rho <= su.rho + sv.rho
+        assert WordStats(*_concat(astuple(su), astuple(sv))).rho <= su.rho + sv.rho
         w = u + v
         i = rng.randrange(len(w))
         j = rng.randint(i + 1, len(w))
@@ -107,17 +119,73 @@ def test_rho_subadditive_and_factor_monotone():
 # the rules
 
 
+def _runs(*pairs):
+    return tuple((ch, cnt) for ch, cnt in pairs if cnt > 0)
+
+
+def _image_segments(rule: SubstitutionRule, letter: str):
+    """Reference: a rule's image of `letter` as run-length segments.
+
+    Each segment (runs, repeat) stands for its runs of letters written
+    `repeat` times, so the table stays small for large quotients.
+    """
+    k, a2 = rule.k, rule.a2
+    if rule.kind == "identity":
+        return ((_runs((letter, 1)), 1),)
+    if rule.kind == "odd":
+        if letter == A:
+            return ((_runs((A, k), (B, k), (C, 1)), 1),)
+        if letter == B:
+            return ((_runs((A, k + 1), (B, k - 1), (C, 1)), 1),)
+        return ((_runs((A, 1)), 1),)
+    lead = _runs((A, k + 1), (B, k - 1), (C, 1))
+    fill = _runs((A, k), (B, k - 1), (C, 1))
+    bal = _runs((A, k), (B, k), (C, 1))
+    if not rule.next_one:
+        table = {A: (lead, a2 - 1), B: (bal, a2 - 1), C: (bal, a2)}
+    else:
+        table = {A: (bal, a2), B: (lead, a2), C: (lead, a2 - 1)}
+    first, reps = table[letter]
+    segments = [(first, 1)]
+    if reps > 0:
+        segments.append((fill, reps))
+    return tuple(segments)
+
+
+def _image_word(rule: SubstitutionRule, letter: str) -> str:
+    return "".join(
+        "".join(ch * cnt for ch, cnt in runs) * rep
+        for runs, rep in _image_segments(rule, letter)
+    )
+
+
+# identity, odd k <= 8, and even k, a2 <= 8 with next_one both ways
+SMALL_RULES = [SubstitutionRule("identity")]
+SMALL_RULES += [SubstitutionRule("odd", k=k) for k in range(1, 9)]
+SMALL_RULES += [
+    SubstitutionRule("even", k=k, a2=a2, next_one=flag)
+    for k in range(1, 9)
+    for a2 in range(1, 9)
+    for flag in (False, True)
+]
+
+
+def test_expand_word_matches_run_length_table():
+    for rule in SMALL_RULES:
+        for L in LETTERS:
+            assert expand_word([rule], L) == _image_word(rule, L)
+
+
 def test_rule_images_small_cases():
-    odd = SubstitutionRule("odd", k=1)
-    assert {L: odd.image_word(L) for L in LETTERS} == {A: "ABC", B: "AAC", C: "A"}
+    def images(rule):
+        return {L: expand_word([rule], L) for L in LETTERS}
+
+    assert images(SubstitutionRule("odd", k=1)) == {A: "ABC", B: "AAC", C: "A"}
     even = SubstitutionRule("even", k=1, a2=1)
-    assert {L: even.image_word(L) for L in LETTERS} == {A: "AAC", B: "ABC", C: "ABCAC"}
+    assert images(even) == {A: "AAC", B: "ABC", C: "ABCAC"}
     even1 = SubstitutionRule("even", k=1, a2=1, next_one=True)
-    assert {L: even1.image_word(L) for L in LETTERS} == {
-        A: "ABCAC", B: "AACAC", C: "AAC"
-    }
-    ident = SubstitutionRule("identity")
-    assert all(ident.image_word(L) == L for L in LETTERS)
+    assert images(even1) == {A: "ABCAC", B: "AACAC", C: "AAC"}
+    assert images(SubstitutionRule("identity")) == {L: L for L in LETTERS}
     with pytest.raises(ValueError):
         SubstitutionRule("odd", k=0)
     with pytest.raises(ValueError):
@@ -125,28 +193,20 @@ def test_rule_images_small_cases():
 
 
 def test_image_stats_match_words():
-    rules = [SubstitutionRule("identity"), ]
-    rules += [SubstitutionRule("odd", k=k) for k in range(1, 6)]
-    rules += [
-        SubstitutionRule("even", k=k, a2=a2, next_one=flag)
-        for k in range(1, 6)
-        for a2 in range(1, 6)
-        for flag in (False, True)
-    ]
-    for rule in rules:
+    for rule in SMALL_RULES:
         stats = stats_by_level([rule])[1]
         for L in LETTERS:
-            assert stats[L] == WordStats.of_word(rule.image_word(L))
+            assert stats[L] == WordStats.of_word(expand_word([rule], L))
 
 
-def _fold_segments(segments, stats: dict[str, WordStats]) -> WordStats:
+def _fold_segments(segments, letter_stats: dict):
     """Oracle: the generic fold over a rule's run-length image segments."""
-    acc = WordStats.empty()
+    acc = EMPTY
     for runs, rep in segments:
-        seg = WordStats.empty()
+        seg = EMPTY
         for ch, cnt in runs:
-            seg = seg + stats[ch].repeat(cnt)
-        acc = acc + seg.repeat(rep)
+            seg = _concat(seg, _repeat(letter_stats[ch], cnt))
+        acc = _concat(acc, _repeat(seg, rep))
     return acc
 
 
@@ -157,7 +217,7 @@ def letter_stats(draw):
     total = draw(st.one_of(st.just(0), st.integers(-length, length)))
     hi = draw(st.integers(total, length))
     lo = draw(st.integers(-length, total))
-    return WordStats(length, total, hi, lo)
+    return astuple(WordStats(length, total, hi, lo))
 
 
 SMALL_OR_LARGE = st.one_of(st.integers(1, 4), st.integers(1, 10**12))
@@ -173,9 +233,8 @@ RULES = st.one_of(
 @given(RULES, letter_stats(), letter_stats(), letter_stats())
 def test_fold_per_kind_matches_segment_fold(rule, a, b, c):
     stats = {A: a, B: b, C: c}
-    expected = tuple(_fold_segments(rule.image_segments(L), stats).astuple()
-                     for L in LETTERS)
-    assert _fold_rule(rule, a.astuple(), b.astuple(), c.astuple()) == expected
+    expected = tuple(_fold_segments(_image_segments(rule, L), stats) for L in LETTERS)
+    assert _fold_rule(rule, a, b, c) == expected
 
 
 # quotients 1..4, and every third one a scrambled value up to 10^9: by depth
@@ -203,13 +262,8 @@ def test_stats_by_level_golden(spec, digest):
 
 
 def test_a_and_b_images_share_length():
-    for k in range(1, 8):
-        rule = SubstitutionRule("odd", k=k)
-        assert len(rule.image_word(A)) == len(rule.image_word(B))
-        for a2 in range(1, 8):
-            for flag in (False, True):
-                rule = SubstitutionRule("even", k=k, a2=a2, next_one=flag)
-                assert len(rule.image_word(A)) == len(rule.image_word(B))
+    for rule in SMALL_RULES:
+        assert len(expand_word([rule], A)) == len(expand_word([rule], B))
 
 
 def test_build_rule_reads_the_expansion():
@@ -291,11 +345,12 @@ def test_matrix_algebra():
 
 
 def test_growth_and_lyapunov_silver():
-    theta = parse_theta_spec("cfper:[][2]")
-    rep = check_length_growth(theta, 30)
-    assert rep.all_steps_ok and rep.rate_in_band
+    lens = levels(parse_theta_spec("cfper:[][2]"), 40).lengths
+    # check 6's comparisons at level 30: three-step growth and the rate band
+    assert all(min(lens[v]) >= max(lens[v - 3]) for v in range(3, 31))
+    assert abs(math.log(lens[30][0]) - math.log(max(lens[30]))) / 30 <= 0.2
     # each silver level eats two quotients, so lengths grow like (3 + 2 sqrt 2)^n
-    assert math.isclose(lyapunov_estimate(theta, 40), math.log(3 + 2 * math.sqrt(2)),
+    assert math.isclose(math.log(max(lens[40])) / 40, math.log(3 + 2 * math.sqrt(2)),
                         rel_tol=0.05)
 
 
@@ -325,14 +380,18 @@ def test_levels_fields():
     assert lv.stats == stats_by_level(lv.rules)
     assert lv.lengths == lengths_by_level(lv.rules)
     assert lv.halfsums == list(range(9))  # every silver level has E/2 = 1
-    ident = renorm_identity(theta, 8, check=False)
+    ident = renorm_identity(theta, 8)
     assert (lv.stats[8][A].rho, lv.halfsums[8]) == (ident.rho, ident.halfsum)
-    assert lyapunov_estimate(theta, 8) == math.log(max(lv.lengths[8])) / 8
 
 
-def test_spread_bound_error_is_reachable_only_by_flag():
-    # check=False must never raise even where the identity is checked
+def test_spread_bound_error_is_raised_outside_the_window(monkeypatch):
     theta = parse_theta_spec("cfper:[][2]")
-    ident = renorm_identity(theta, 10, check=False)
+    ident = renorm_identity(theta, 10)
     assert isinstance(ident.xi, int)
     assert SpreadBoundError.__mro__[1] is ValueError
+    # lowering every half-sum by 11 lifts xi from [-5, 5] into [6, 16]
+    lv = levels(theta, 10)
+    shifted = Levels(lv.traj, lv.rules, [h - 11 for h in lv.halfsums])
+    monkeypatch.setattr(substitution, "levels", lambda theta, n: shifted)
+    with pytest.raises(SpreadBoundError, match=r"outside \[-5, 5\] at level 10"):
+        renorm_identity(theta, 10)
