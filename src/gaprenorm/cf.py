@@ -13,10 +13,24 @@ first-return system and acts on expansions symbolically:
 
 Rationals eventually exhaust their expansion under g; that degeneracy is a
 hard error here, never a silent fallback.
+
+A gap trajectory holds each level as a state (a1, offset): the level's
+expansion is [a1, q[offset], q[offset + 1], ...] over the quotients q of
+theta_0, and its exact value depends on that state alone.  For a periodic
+theta_0 the offsets are kept modulo the period, so the states are finitely
+many and a long enough walk re-enters one it has seen; from then on every
+value, and so every delta, repeats the cycle between the two visits.  The
+exact values are computed up to the first repeated state and the rest are
+read off that cycle, and delta products are powers of the cycle's product.
+The arithmetic is exact and its results canonical, so this gives the same
+numbers, digit for digit, as running the chain over every level.  A rational
+theta_0 never repeats a state: its offsets never decrease, and two levels
+share an offset only across an odd head and the head 1 it maps to.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,6 +175,18 @@ def _fold_quotients(quotients: list[int], tail: ExactReal) -> ExactReal:
     return value
 
 
+def _continuants(quotients: Iterable[int]) -> tuple[int, int, int, int]:
+    """The product [[A, B], [C, D]] of [[0, 1], [1, a]] over the quotients.
+
+    [a1, ..., ak + t] = (A*t + B) / (C*t + D), so a finite expansion has the
+    value B / D, from integer steps alone.
+    """
+    A, B, C, D = 1, 0, 0, 1
+    for a in quotients:
+        A, B, C, D = B, A + a * B, D, C + a * D
+    return A, B, C, D
+
+
 def cf_value(cf: CFExpansion, depth: Optional[int] = None) -> ExactReal:
     """Value of the expansion: the depth-th convergent, or exact if depth is None.
 
@@ -174,15 +200,13 @@ def cf_value(cf: CFExpansion, depth: Optional[int] = None) -> ExactReal:
             raise ExpansionExhaustedError(
                 f"expansion has fewer than {depth} quotients"
             )
-        return _fold_quotients(cf.quotients(depth), Fraction(0))
+        _, B, _, D = _continuants(cf.quotients(depth))
+        return Fraction(B, D)
     if cf.is_finite:
-        return _fold_quotients(list(cf.preperiod), Fraction(0))
+        _, B, _, D = _continuants(cf.preperiod)
+        return Fraction(B, D)
     # periodic part: the purely periodic value t satisfies t = (A t + B)/(C t + D)
-    # where [[A,B],[C,D]] is the product of [[0,1],[1,b]] over the block
-    A, B, C, D = 1, 0, 0, 1
-    for b in cf.period:
-        # multiply on the right by [[0,1],[1,b]]
-        A, B, C, D = B, A + b * B, D, C + b * D
+    A, B, C, D = _continuants(cf.period)
     disc = (D - A) ** 2 + 4 * B * C
     s, d0 = squarefree_split(disc)
     if d0 == 1:
@@ -349,28 +373,54 @@ def gap_derivative(theta: ExactReal, cell: PartitionCell) -> ExactReal:
 
 class _Walk:
     """What the steps of one trajectory share: theta_0, the (a1, offset) of
-    each level, and the exact values and deltas once they have been read."""
+    each level, and the exact values and deltas once they have been read.
 
-    __slots__ = ("theta0", "heads", "offsets", "exact")
+    `cycle` is (first, length) once the values are read: level v >= first
+    has the value and delta of level first + (v - first) % length.  A walk
+    with no repeated state has first = len(heads) and length 0.
+    """
+
+    __slots__ = ("theta0", "heads", "offsets", "exact", "cycle")
 
     def __init__(self, theta0: CFExpansion):
         self.theta0 = theta0
         self.heads: list[int] = []
         self.offsets: list[int] = []
         self.exact: Optional[tuple[list[ExactReal], list[ExactReal]]] = None
+        self.cycle: Optional[tuple[int, int]] = None
 
     def values_and_deltas(self) -> tuple[list[ExactReal], list[ExactReal]]:
-        """Exact value and delta of every level, by the gap_map_value chain."""
+        """Exact value and delta of every level.
+
+        The gap_map_value chain runs up to the first level whose
+        (a1, offset) repeats an earlier level's; the later levels are read
+        off the cycle between the two.  A repeated state has an equal value:
+        the chain's step reads only the head and the quotients from the
+        offset on (`TrajectoryStep.quotient`), so the value of a level is
+        that of [a1, q[offset], ...] whichever level it is.
+        """
         if self.exact is None:
             values, deltas = [], []
-            value = cf_value(self.theta0)
-            last = len(self.heads) - 1
-            for level in range(last + 1):
+            seen: dict[tuple[int, int], int] = {}
+            step = None
+            total = len(self.heads)
+            self.cycle = (total, 0)
+            for level, state in enumerate(zip(self.heads, self.offsets)):
+                if state in seen:
+                    self.cycle = (seen[state], level - seen[state])
+                    break
+                seen[state] = level
+                if step is None:
+                    value = cf_value(self.theta0)
+                else:
+                    value = gap_map_value(values[-1], step)
                 step = TrajectoryStep(self, level)
                 values.append(value)
                 deltas.append(1 - step.e * value)
-                if level < last:
-                    value = gap_map_value(value, step)
+            length = self.cycle[1]
+            for _ in range(len(values), total):
+                values.append(values[-length])
+                deltas.append(deltas[-length])
             self.exact = values, deltas
         return self.exact
 
@@ -440,13 +490,31 @@ class GapTrajectory:
     steps: tuple[TrajectoryStep, ...]
 
     def delta_product(self, n: Optional[int] = None) -> ExactReal:
-        """Product delta_0 * ... * delta_{n-1} (all steps if n is None)."""
-        if n is None:
-            n = len(self.steps)
-        prod: ExactReal = Fraction(1)
-        for step in self.steps[:n]:
-            prod = prod * step.delta
-        return prod
+        """Product delta_0 * ... * delta_{n-1} (all steps if n is None).
+
+        Past the first cycle of a periodic trajectory the product is the
+        pre-cycle product and a partial cycle times the cycle product to the
+        q-th power; the arithmetic is exact, so this is the plain product.
+        """
+        n = slice(n).indices(len(self.steps))[1]
+        walk = self.steps[0]._walk
+        deltas = walk.values_and_deltas()[1]
+        first, length = walk.cycle
+        if n <= first + length:
+            return math.prod(deltas[:n], start=Fraction(1))
+        q, r = divmod(n - first, length)
+        cycle = math.prod(deltas[first:first + length], start=Fraction(1))
+        return math.prod(deltas[:first + r], start=Fraction(1)) * _power(cycle, q)
+
+
+def _power(x: ExactReal, k: int) -> ExactReal:
+    """x ** k for k >= 1, by repeated squaring."""
+    result = x
+    for bit in bin(k)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
 
 
 def gap_trajectory(theta: CFExpansion, n: int) -> GapTrajectory:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .cf import CFExpansion, cf_normalize, gap_trajectory, sample_theta
-from .exact import exact_log
+from .exact import ExactReal, exact_log
 from .measure import (
     build_ulam,
     integral_log_norm,
@@ -243,9 +243,12 @@ def check_delta_decay() -> tuple[bool, str]:
     half_log2 = math.log(2.0) / 2.0
     log2 = math.log(2.0)
     for theta in thetas:
-        traj = gap_trajectory(theta, 30)
-        for n in range(2, 31):
-            rate = -exact_log(traj.delta_product(n)) / n
+        prod: ExactReal = Fraction(1)
+        for n, step in enumerate(gap_trajectory(theta, 30).steps[:30], start=1):
+            prod = prod * step.delta
+            if n < 2:
+                continue
+            rate = -exact_log(prod) / n
             if rate < half_log2 - log2 / n - 1e-12:
                 return False, f"rate {rate:.6f} too small at n = {n}"
     return True, "50 trajectories (40 rational, 10 periodic), n in [2, 30]"

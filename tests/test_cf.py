@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -227,6 +228,98 @@ def test_trajectory_values_match_cf_value():
         for step in traj.steps:
             assert step.value == cf_value(step.cf)
             assert step.delta == 1 - step.e * step.value
+
+
+def _chain_oracle(theta, depth):
+    """Values, deltas and prefix delta products of levels 0..depth by the plain
+    gap_map_value chain over repeated gap_map and a left fold."""
+    cf, value = theta, cf_value(theta)
+    values, deltas, products = [], [], [Fraction(1)]
+    for level in range(depth + 1):
+        values.append(value)
+        deltas.append(1 - (cf.head - cf.head % 2) * value)
+        products.append(products[-1] * deltas[-1])
+        if level < depth:
+            value = gap_map_value(value, cf)
+            cf = gap_map(cf)
+    return values, deltas, products
+
+
+def _assert_trajectory_matches_chain(theta, depth):
+    try:
+        traj = gap_trajectory(theta, depth)
+    except ExpansionExhaustedError as err:
+        depth = err.steps_completed
+        traj = gap_trajectory(theta, depth)
+    values, deltas, products = _chain_oracle(theta, depth)
+    for step, value, delta in zip(traj.steps, values, deltas, strict=True):
+        assert step.value == value and str(step.value) == str(value)
+        assert step.delta == delta and str(step.delta) == str(delta)
+    for n in range(depth + 3):
+        want = products[min(n, depth + 1)]
+        got = traj.delta_product(n)
+        assert got == want and str(got) == str(want)
+    assert str(traj.delta_product()) == str(products[-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pre=st.lists(st.integers(1, 12), max_size=3),
+    per=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    depth=st.integers(0, 60),
+)
+def test_periodic_trajectory_matches_plain_chain(pre, per, depth):
+    # values and delta products read off the first cycle equal the chain run
+    # over every level, digit for digit
+    theta = cf_normalize(pre, per)
+    try:
+        _assert_trajectory_matches_chain(theta, depth)
+    except CellBoundaryError:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(2, 1 << 64), p=st.integers(1, 1 << 64), depth=st.integers(0, 60))
+def test_rational_trajectory_matches_plain_chain(q, p, depth):
+    theta = rational_to_cf(Fraction(p % (q - 1) + 1, q))
+    try:
+        _assert_trajectory_matches_chain(theta, depth)
+    except CellBoundaryError:
+        assume(False)
+
+
+def test_cycle_of_length_one_and_empty_product():
+    # every level of the silver theta has the same state, so its cycle has
+    # length 1 from level 0 on
+    theta = parse_theta_spec("cfper:[][2]")
+    for depth in (0, 1, 2, 7, 60):
+        _assert_trajectory_matches_chain(theta, depth)
+        traj = gap_trajectory(theta, depth)
+        empty = traj.delta_product(0)
+        assert empty == 1 and isinstance(empty, Fraction)
+        assert len({str(step.value) for step in traj.steps}) == 1
+
+
+def _trajectory_digest(spec: str, depth: int = 60) -> str:
+    traj = gap_trajectory(parse_theta_spec(spec), depth)
+    h = hashlib.sha256()
+    for step in traj.steps:
+        h.update(f"{step.value}\n{step.delta}\n".encode())
+    for n in range(depth + 2):
+        h.update(f"{traj.delta_product(n)}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("cfper:[][2]", "8924c6ab706b45fd407a2887c71f5e19b0deaf06951d0434f3e95cb9e5850b03"),
+    ("cfper:[][2,5]", "e99c42eb35edd69176f00b8073f3de4833bfcb1f5715e73b299c4e704f47514a"),
+    ("cfper:[1][3,7,2]", "393413c440449381a74119aebffec67e5d7830aa753aab61df784f9ff2e41258"),
+    ("cfper:[3][1,4,2]", "8bb16ae39e989ce9fb51c110185847232dcdafe03f266995e35216385ef44ced"),
+])
+def test_periodic_trajectory_golden(spec, digest):
+    # sha256 of every exact value, delta and delta product (n <= 61) at depth
+    # 60, taken from the chain run over every level
+    assert _trajectory_digest(spec) == digest
 
 
 def _cell_or_error(cf, *value):
