@@ -504,17 +504,7 @@ class GapTrajectory:
             return math.prod(deltas[:n], start=Fraction(1))
         q, r = divmod(n - first, length)
         cycle = math.prod(deltas[first:first + length], start=Fraction(1))
-        return math.prod(deltas[:first + r], start=Fraction(1)) * _power(cycle, q)
-
-
-def _power(x: ExactReal, k: int) -> ExactReal:
-    """x ** k for k >= 1, by repeated squaring."""
-    result = x
-    for bit in bin(k)[3:]:
-        result = result * result
-        if bit == "1":
-            result = result * x
-    return result
+        return math.prod(deltas[:first + r], start=Fraction(1)) * cycle ** q
 
 
 def gap_trajectory(theta: CFExpansion, n: int) -> GapTrajectory:

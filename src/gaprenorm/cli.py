@@ -19,7 +19,13 @@ from fractions import Fraction
 # The level verbs need only these numpy-free modules; every other verb
 # imports its modules itself, so traj/word/rho/matrix never load numpy.
 from . import GaprenormError
-from .cf import classify_cell, gap_trajectory, parse_theta_spec
+from .cf import (
+    CellBoundaryError,
+    ExpansionExhaustedError,
+    classify_cell,
+    gap_trajectory,
+    parse_theta_spec,
+)
 from .exact import exact_str
 from .substitution import A, ReturnMatrix, expand_word, levels, return_matrix
 
@@ -128,14 +134,27 @@ def _parse_theta(args: argparse.Namespace):
 
 def cmd_traj(args) -> int:
     theta = _parse_theta(args)
-    traj = gap_trajectory(theta, args.depth)
+    try:
+        traj, exhausted = gap_trajectory(theta, args.depth), None
+    except ExpansionExhaustedError as exc:
+        if exc.steps_completed is None:
+            raise
+        # print the levels reached, then report the exhaustion as usual
+        traj, exhausted = gap_trajectory(theta, exc.steps_completed), exc
     rows = []
     for n, step in enumerate(traj.steps):
+        try:
+            cell = str(classify_cell(step, step.value))
+        except CellBoundaryError:
+            # the last level of an exhausted expansion sits on a cell endpoint
+            if exhausted is None or n < len(traj.steps) - 1:
+                raise
+            cell = "endpoint"
         rows.append(
             {
                 "n": n,
                 "theta_n": float(step.value),
-                "cell": str(classify_cell(step, step.value)),
+                "cell": cell,
                 "a1": step.a1,
                 "e": step.e,
                 "delta": exact_str(step.delta),
@@ -143,13 +162,15 @@ def cmd_traj(args) -> int:
         )
     if args.json:
         print(json.dumps({"theta_spec": args.theta, "levels": rows}, indent=2))
-        return 0
-    print(f"{'n':>3} {'theta_n':>20} {'a1':>6} {'E':>3}  cell / delta")
-    for r in rows:
-        print(
-            f"{r['n']:>3} {r['theta_n']:>20.15f} {r['a1']:>6} {r['e']:>3}"
-            f"  {r['cell']}   delta = {r['delta']}"
-        )
+    else:
+        print(f"{'n':>3} {'theta_n':>20} {'a1':>6} {'E':>3}  cell / delta")
+        for r in rows:
+            print(
+                f"{r['n']:>3} {r['theta_n']:>20.15f} {r['a1']:>6} {r['e']:>3}"
+                f"  {r['cell']}   delta = {r['delta']}"
+            )
+    if exhausted is not None:
+        raise exhausted
     return 0
 
 

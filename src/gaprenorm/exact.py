@@ -1,14 +1,19 @@
 """Exact arithmetic over rationals and real quadratic irrationals.
 
 Every number the core manipulates is either a `fractions.Fraction` or a
-`Surd` representing a + b*sqrt(d) with rational a, b and a non-square
-integer d > 1.  `squarefree_split` strips square factors by trial division
-over the primes below 2^10 plus an exact square test of what is left, so d
-is squarefree except possibly for repeated primes above 2^10; no integer is
-ever factored.  Two radicands name one field exactly when their product is a
-perfect square, and `Surd` decides equality by field, not by the form of d.
-All order comparisons are exact integer comparisons; floating point only
-appears when a caller explicitly asks for an approximation.
+`Surd`, the value (p + q*sqrt(d))/r held as integers with a non-square
+d > 1.  The integer triple is kept canonical (r > 0, gcd(p, q, r) = 1), so
+an operation costs a few integer products and one three-way gcd, where a
+pair of Fraction coefficients would pay a gcd per coefficient; equal values
+of one radicand have equal triples, and the coefficients a = p/r and
+b = q/r read back as the same reduced Fractions.  `squarefree_split` strips
+square factors by trial division over the primes below 2^10 plus an exact
+square test of what is left, so d is squarefree except possibly for
+repeated primes above 2^10; no integer is ever factored.  Two radicands
+name one field exactly when their product is a perfect square, and `Surd`
+decides equality by field, not by the form of d.  All order comparisons are
+exact integer comparisons; floating point only appears when a caller
+explicitly asks for an approximation.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ def _sign_triplet(a: Fraction | int, b: Fraction | int, d: int) -> int:
     """Sign of a + b*sqrt(d) for a non-square d > 1 (so the value is 0 only if a = b = 0).
 
     d need not be squarefree: only sqrt(d) being irrational matters.  Takes
-    Fractions or ints; the orbit kernel's exact fallback passes Fractions.
+    ints (from `Surd`) or Fractions (from the orbit kernel's exact fallback).
     """
     if b == 0:
         return (a > 0) - (a < 0)
@@ -75,107 +80,133 @@ def _sign_triplet(a: Fraction | int, b: Fraction | int, d: int) -> int:
 
 
 class Surd:
-    """a + b*sqrt(d) with Fraction coefficients, b != 0 and a non-square d > 1.
+    """(p + q*sqrt(d)) / r with integers p, q, r, q != 0 and a non-square d > 1.
+
+    The triple is canonical: r > 0 and gcd(p, q, r) = 1, so each value of
+    one radicand has exactly one triple.  An operation multiplies integers
+    and divides out one three-way gcd (`_reduced`); no coefficient is ever a
+    Fraction.  `Surd(a, b, d)` builds a + b*sqrt(d) from rational a and b,
+    and `a`, `b` read the coefficients back as the reduced Fractions
+    p/r and q/r, so `str`, `repr` and hashes are those of the coefficients.
 
     d is squarefree except possibly for repeated primes above 2^10 (see
     `squarefree_split`), so one field Q(sqrt(d)) can carry several radicands.
     Arithmetic stays inside the field and collapses to Fraction whenever the
     radical part cancels.  Equality, hashing and mixed operands are decided
     by field: sqrt(d1) and sqrt(d2) mix exactly when d1*d2 is a perfect
-    square.  Mixing two different fields is an error rather than a silent
-    approximation, and two Surds of different fields compare unequal.
+    square, and a result keeps the left operand's radicand.  Mixing two
+    different fields is an error rather than a silent approximation, and two
+    Surds of different fields compare unequal.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "q", "r", "d")
 
-    def __init__(self, a: Fraction, b: Fraction, d: int):
-        self.a = a
-        self.b = b
+    def __init__(self, a: Fraction | int, b: Fraction | int, d: int):
+        a, b = Fraction(a), Fraction(b)
+        # over the lcm of two reduced denominators the triple is already canonical
+        r = math.lcm(a.denominator, b.denominator)
+        self.p = a.numerator * (r // a.denominator)
+        self.q = b.numerator * (r // b.denominator)
+        self.r = r
         self.d = d
 
-    def _coerce(self, other) -> tuple[Fraction, Fraction]:
-        """Return (a, b) of the other operand inside this Surd's field."""
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.r)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.r)
+
+    def _coerce(self, other) -> tuple[int, int, int]:
+        """(p, q, r) with r > 0 of the other operand inside this Surd's field."""
         if isinstance(other, Surd):
             if other.d == self.d:
-                return other.a, other.b
-            # b2 sqrt(d2) = (b2 r / d1) sqrt(d1) when r^2 = d1 d2
-            r = math.isqrt(self.d * other.d)
-            if r * r != self.d * other.d:
+                return other.p, other.q, other.r
+            # q2 sqrt(d2) = (q2 s / d1) sqrt(d1) when s^2 = d1 d2
+            s = math.isqrt(self.d * other.d)
+            if s * s != self.d * other.d:
                 raise ValueError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-            return other.a, other.b * r / self.d
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0)
+            return other.p * self.d, other.q * s, other.r * self.d
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         raise TypeError(f"unsupported operand {type(other).__name__}")
 
-    @staticmethod
-    def _wrap(a: Fraction, b: Fraction, d: int) -> ExactReal:
-        return a if b == 0 else Surd(a, b, d)
-
     def __add__(self, other) -> ExactReal:
-        oa, ob = self._coerce(other)
-        return self._wrap(self.a + oa, self.b + ob, self.d)
+        p, q, r = self._coerce(other)
+        return _reduced(self.p * r + p * self.r, self.q * r + q * self.r,
+                        self.r * r, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> ExactReal:
-        oa, ob = self._coerce(other)
-        return self._wrap(self.a - oa, self.b - ob, self.d)
+        p, q, r = self._coerce(other)
+        return _reduced(self.p * r - p * self.r, self.q * r - q * self.r,
+                        self.r * r, self.d)
 
     def __rsub__(self, other) -> ExactReal:
-        oa, ob = self._coerce(other)
-        return self._wrap(oa - self.a, ob - self.b, self.d)
+        p, q, r = self._coerce(other)
+        return _reduced(p * self.r - self.p * r, q * self.r - self.q * r,
+                        self.r * r, self.d)
 
     def __neg__(self) -> "Surd":
-        return Surd(-self.a, -self.b, self.d)
+        return _reduced(-self.p, -self.q, self.r, self.d)
 
     def __mul__(self, other) -> ExactReal:
-        oa, ob = self._coerce(other)
-        return self._wrap(
-            self.a * oa + self.b * ob * self.d,
-            self.a * ob + self.b * oa,
-            self.d,
-        )
+        return _times(self.p, self.q, self.r, *self._coerce(other), self.d)
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "Surd":
-        # 1/(a + b sqrt d) = (a - b sqrt d) / (a^2 - b^2 d); denominator is
-        # nonzero because sqrt(d) is irrational
-        norm = self.a * self.a - self.b * self.b * self.d
-        return Surd(self.a / norm, -self.b / norm, self.d)
-
     def __truediv__(self, other) -> ExactReal:
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return Surd(self.a / other, self.b / other, self.d)
-        oa, ob = self._coerce(other)
-        return self * Surd(oa, ob, self.d)._inverse()
+        p, q, r = self._coerce(other)
+        if p == 0 and q == 0:
+            raise ZeroDivisionError("division by zero")
+        return _times(self.p, self.q, self.r, *_inverse(p, q, r, self.d), self.d)
 
     def __rtruediv__(self, other) -> ExactReal:
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        inv = self._inverse()
-        return self._wrap(inv.a * other, inv.b * other, self.d)
+        return _times(*self._coerce(other), *_inverse(self.p, self.q, self.r, self.d),
+                      self.d)
+
+    def __pow__(self, k: int) -> ExactReal:
+        """x ** k for an int k >= 0, by repeated squaring."""
+        if not isinstance(k, int) or k < 0:
+            return NotImplemented
+        result, base = Fraction(1), self
+        while k:
+            if k & 1:
+                result = base * result
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
     def _cmp_sign(self, other) -> int:
-        oa, ob = self._coerce(other)
-        return _sign_triplet(self.a - oa, self.b - ob, self.d)
+        # both denominators are positive, so the numerator of the
+        # difference carries its sign
+        p, q, r = self._coerce(other)
+        return _sign_triplet(self.p * r - p * self.r, self.q * r - q * self.r, self.d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Surd):
+            if other.d == self.d:  # canonical triples: equal values, equal triples
+                return self.p == other.p and self.q == other.q and self.r == other.r
             try:
-                oa, ob = self._coerce(other)
+                p, q, r = self._coerce(other)
             except ValueError:
                 return False  # different fields
-            return self.a == oa and self.b == ob
+            return self.p * r == p * self.r and self.q * r == q * self.r
         if isinstance(other, (int, Fraction)):
             return False  # a surd is irrational
         return NotImplemented
 
     def __hash__(self):
-        # b*b*d and the sign of b fix b*sqrt(d) whatever form d takes
-        return hash((self.a, self.b * self.b * self.d, self.b > 0))
+        # a and b*b*d with the sign of b fix a + b*sqrt(d) whatever form d takes
+        return hash((self.a, Fraction(self.q * self.q * self.d, self.r * self.r),
+                     self.q > 0))
 
     def __lt__(self, other):
         return self._cmp_sign(other) < 0
@@ -197,8 +228,36 @@ class Surd:
         return f"Surd({self.a!r}, {self.b!r}, {self.d})"
 
     def __str__(self):
-        sign = "+" if self.b >= 0 else "-"
+        sign = "+" if self.q >= 0 else "-"
         return f"{self.a} {sign} {abs(self.b)}*sqrt({self.d})"
+
+
+def _reduced(p: int, q: int, r: int, d: int) -> ExactReal:
+    """(p + q*sqrt(d)) / r for r != 0: a canonical Surd, or Fraction(p, r) if q = 0."""
+    if q == 0:
+        return Fraction(p, r)
+    if r < 0:
+        p, q, r = -p, -q, -r
+    g = math.gcd(p, q, r)
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
+    x = object.__new__(Surd)
+    x.p, x.q, x.r, x.d = p, q, r, d
+    return x
+
+
+def _times(p1: int, q1: int, r1: int, p2: int, q2: int, r2: int, d: int) -> ExactReal:
+    """The product of two triples of one radicand, reduced once."""
+    return _reduced(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, r1 * r2, d)
+
+
+def _inverse(p: int, q: int, r: int, d: int) -> tuple[int, int, int]:
+    """A triple of 1/((p + q*sqrt(d))/r), not reduced.
+
+    r/(p + q sqrt d) = r (p - q sqrt d) / (p^2 - q^2 d); the norm is nonzero
+    when q = 0 < |p| or when sqrt(d) is irrational.
+    """
+    return r * p, -r * q, p * p - q * q * d
 
 
 def fraction_bounds(x: ExactReal, prec_bits: int = 96) -> tuple[Fraction, Fraction]:
@@ -206,24 +265,21 @@ def fraction_bounds(x: ExactReal, prec_bits: int = 96) -> tuple[Fraction, Fracti
     if isinstance(x, (int, Fraction)):
         f = Fraction(x)
         return f, f
+    # sqrt(d) lies in [num, num + 1] / 2^prec_bits
     num = math.isqrt(x.d << (2 * prec_bits))
-    scale = Fraction(1, 1 << prec_bits)
-    root_lo = num * scale
-    root_hi = (num + 1) * scale
-    if x.b >= 0:
-        return x.a + x.b * root_lo, x.a + x.b * root_hi
-    return x.a + x.b * root_hi, x.a + x.b * root_lo
+    top, den = x.p << prec_bits, x.r << prec_bits
+    lo, hi = Fraction(top + x.q * num, den), Fraction(top + x.q * (num + 1), den)
+    return (lo, hi) if x.q >= 0 else (hi, lo)
 
 
 def exact_floor(x: ExactReal) -> int:
     """Largest integer <= x, decided exactly, however large |x| is."""
     if isinstance(x, (int, Fraction)):
         return math.floor(x)
-    # an enclosure narrower than 2^-64 holds at most one integer; one exact
-    # comparison places x against it
-    lo, hi = fraction_bounds(x, 64 + abs(x.b.numerator).bit_length())
-    n = math.floor(hi)
-    return n if math.floor(lo) == n or x >= n else n - 1
+    # q*sqrt(d) is irrational, so with f = floor(q*sqrt(d)) the value is
+    # (p + f + t)/r for some 0 < t < 1, whose floor is (p + f) // r
+    root = math.isqrt(x.q * x.q * x.d)
+    return (x.p + root if x.q > 0 else x.p - root - 1) // x.r
 
 
 def _log_fraction(f: Fraction) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import GaprenormError
 from .exact import ExactReal, Surd, _sign_triplet, exact_floor
-from .cf import CFExpansion, cf_value
+from .cf import CFExpansion
 from .substitution import A, B, C, Levels, expand_word, levels as level_walk
 
 
@@ -57,7 +57,8 @@ def _surd_parts(x, field: Optional[Surd]) -> tuple[Fraction, Fraction]:
     """(a, b) of x = a + b*sqrt(d) in the field of `field` (rational if None)."""
     if field is None:
         return Fraction(x), Fraction(0)
-    return field._coerce(x)
+    p, q, r = field._coerce(x)
+    return Fraction(p, r), Fraction(q, r)
 
 
 class _Orbits:
@@ -221,7 +222,7 @@ def verify_encoding(theta: CFExpansion, n: int, budget: int = 2) -> EncodingMatc
 
 def verify_levels_encoding(lv: Levels, n: int, budget: int = 2) -> EncodingMatch:
     """`verify_encoding` at level n of levels already walked to n or beyond."""
-    theta_val = cf_value(lv.traj.theta0)
+    theta_val = lv.theta_value
     if not theta_val < Fraction(1, 2):
         raise ValueError("rotation number must lie below 1/2 for direct encoding")
     word = expand_word(lv.rules[:n], A, max_len=ENCODING_WORD_MAX)
@@ -292,7 +293,7 @@ def sandwich_levels_sweep(y: ExactReal, lv: Levels,
     if not 1 <= n_max <= len(lv.rules):
         raise ValueError(f"n_max must lie in 1..{len(lv.rules)}")
     need = 2 * max(lv.lengths[n_max])
-    profile = discrepancy_profile(encode_orbit(y, cf_value(lv.traj.theta0), need))
+    profile = discrepancy_profile(encode_orbit(y, lv.theta_value, need))
     out = []
     for n in range(1, n_max + 1):
         rho_prev, rho_level = lv.stats[n - 1][A].rho, lv.stats[n][A].rho

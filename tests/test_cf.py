@@ -322,6 +322,21 @@ def test_periodic_trajectory_golden(spec, digest):
     assert _trajectory_digest(spec) == digest
 
 
+def test_delta_squared_inverts_the_gap_slope():
+    # delta_v = 1 - E(a1) theta_v is |g'(theta_v)|^(-1/2) on every cell, so
+    # the product below is exactly 1 at every level; periodic levels run it
+    # through Surd division and multiplication
+    rng = random.Random(59)
+    thetas = [parse_theta_spec(spec)
+              for spec in ("cfper:[][2]", "cfper:[][2,5]", "cfper:[1][3,7,2]",
+                           "cfper:[3][1,4,2]")]
+    thetas += [sample_theta(rng, bits=256) for _ in range(20)]
+    for theta in thetas:
+        for step in gap_trajectory(theta, 59).steps:
+            cell = classify_cell(step, step.value)
+            assert step.delta ** 2 * gap_derivative(step.value, cell) == 1
+
+
 def _cell_or_error(cf, *value):
     try:
         return classify_cell(cf, *value)

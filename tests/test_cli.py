@@ -39,6 +39,29 @@ def test_traj_table(capsys):
     assert "delta" in out
 
 
+def test_traj_prints_levels_reached_before_exhaustion(capsys):
+    # cf:[2,3,1,4] runs out of quotients after 2 steps; levels 0..2 print in
+    # the usual formats, the last one on the endpoint 1/5 of Odd(2)
+    code, out, err = run(capsys, "traj", "--theta", "cf:[2,3,1,4]", "--depth", "8")
+    assert code == 1
+    assert err == ("error: trajectory exhausted after 2 steps: gap map exhausted"
+                   " the expansion (odd a1)\n")
+    lines = out.splitlines()
+    assert lines[0].split() == ["n", "theta_n", "a1", "E", "cell", "/", "delta"]
+    assert [line.split()[0] for line in lines[1:]] == ["0", "1", "2"]
+    assert lines[-1].endswith("endpoint   delta = 1/5")
+    code, out, json_err = run(capsys, "traj", "--theta", "cf:[2,3,1,4]", "--depth",
+                              "8", "--json")
+    assert code == 1 and json_err == err
+    doc = json.loads(out)
+    assert [(row["n"], row["cell"], row["delta"]) for row in doc["levels"]] == [
+        (0, "Even(1,3)", "5/43"), (1, "Half", "1"), (2, "endpoint", "1/5")]
+    # a full table up to level 2 keeps its endpoint error and prints nothing
+    code, out, err = run(capsys, "traj", "--theta", "cf:[2,3,1,4]", "--depth", "2")
+    assert code == 1 and out == ""
+    assert err == "error: 1/5 sits on the boundary of Odd(2)\n"
+
+
 def test_word(capsys):
     code, out, _ = run(capsys, "word", "--theta", "cfper:[][2]", "--level", "1")
     assert code == 0

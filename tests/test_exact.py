@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import subprocess
@@ -17,7 +18,7 @@ from gaprenorm.exact import (
     squarefree_split,
 )
 
-from surds import make_surd
+from surds import PairSurd, make_surd, pair_exact_floor, pair_fraction_bounds
 
 
 def test_squarefree_split():
@@ -229,6 +230,100 @@ def test_order_agrees_with_enclosures(data, d, prec):
         assert x < y and y > x and not x >= y
     if hi_y < lo_x:
         assert x > y and y < x and not x <= y
+
+
+# each field in its squarefree form and in one with a square factor:
+# sqrt(8) = 2 sqrt(2), sqrt(12) = 2 sqrt(3), sqrt(45) = 3 sqrt(5)
+ORACLE_FORMS = {2: (2, 8), 3: (3, 12), 5: (5, 45)}
+BIG_INT = st.integers(-(1 << 200), 1 << 200)
+BIG_FRACTION = st.builds(Fraction, BIG_INT, st.integers(1, 1 << 200))
+
+
+def _both(a: Fraction, b: Fraction, form: int, d: int):
+    """a + b*sqrt(d) written over sqrt(form), as (Surd, PairSurd)."""
+    k = math.isqrt(form // d)
+    return Surd(a, b / k, form), PairSurd(a, b / k, form)
+
+
+@st.composite
+def surd_and_reference(draw, d):
+    a, b = draw(BIG_FRACTION), draw(BIG_FRACTION.filter(bool))
+    return _both(a, b, draw(st.sampled_from(ORACLE_FORMS[d])), d)
+
+
+@st.composite
+def operand_and_reference(draw, d):
+    kind = draw(st.sampled_from(("int", "fraction", "surd")))
+    if kind == "surd":
+        return draw(surd_and_reference(d))
+    n = draw(BIG_INT if kind == "int" else BIG_FRACTION)
+    return n, n
+
+
+def _assert_matches(got, want):
+    """A Surd result against the reference's: type, canonical triple and text."""
+    if not isinstance(want, PairSurd):
+        assert type(got) is Fraction and got == want
+        return
+    assert isinstance(got, Surd)
+    assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+    assert got.r > 0 and math.gcd(got.p, got.q, got.r) == 1
+    assert (got.p, got.q, got.r) == (got.a.numerator * (got.r // got.a.denominator),
+                                     got.b.numerator * (got.r // got.b.denominator),
+                                     math.lcm(got.a.denominator, got.b.denominator))
+    assert str(got) == str(want) and repr(got) == repr(want)
+    assert hash(got) == hash(want) and _float_or_overflow(got) == _float_or_overflow(want)
+
+
+def _float_or_overflow(x):
+    # powers of 200-bit coefficients can pass the float range
+    try:
+        return float(x)
+    except OverflowError:
+        return OverflowError
+
+
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+ORDERS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.sampled_from(sorted(ORACLE_FORMS)),
+       prec=st.integers(1, 300), k=st.integers(0, 6))
+def test_surd_matches_the_fraction_pair_reference(data, d, prec, k):
+    x, x_ref = data.draw(surd_and_reference(d))
+    y, y_ref = data.draw(operand_and_reference(d))
+    _assert_matches(x, x_ref)
+    _assert_matches(-x, -x_ref)
+    _assert_matches(x ** k, x_ref ** k)
+    for op in ARITHMETIC:
+        _assert_matches(op(y, x), op(y_ref, x_ref))
+        if op is operator.truediv and y == 0:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            continue
+        _assert_matches(op(x, y), op(x_ref, y_ref))
+    for op in ORDERS:
+        assert op(x, y) == op(x_ref, y_ref) and op(y, x) == op(y_ref, x_ref)
+    assert fraction_bounds(x, prec) == pair_fraction_bounds(x_ref, prec)
+    assert exact_floor(x) == pair_exact_floor(x_ref)
+    # the same value over the field's other radicand form
+    other = next(f for f in ORACLE_FORMS[d] if f != x.d)
+    twin, twin_ref = _both(x.a, x.b * math.isqrt(x.d // d), other, d)
+    assert x == twin and twin == x and hash(x) == hash(twin) == hash(twin_ref)
+    _assert_matches(x - twin, x_ref - twin_ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.sampled_from(sorted(ORACLE_FORMS)),
+       f=BIG_FRACTION.filter(bool))
+def test_cancelled_radical_part_is_a_fraction(data, d, f):
+    x, _ = data.draw(surd_and_reference(d))
+    conjugate = 2 * x.a - x
+    for got, want in (((x + f) - x, f), (x - x, 0), (x * f / x, f),
+                      (x * conjugate, x.a * x.a - x.b * x.b * x.d),
+                      (x / (x * f), 1 / f)):
+        assert type(got) is Fraction and got == want
 
 
 START_UP = """
