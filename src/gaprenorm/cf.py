@@ -16,16 +16,19 @@ hard error here, never a silent fallback.
 
 A gap trajectory holds each level as a state (a1, offset): the level's
 expansion is [a1, q[offset], q[offset + 1], ...] over the quotients q of
-theta_0, and its exact value depends on that state alone.  For a periodic
-theta_0 the offsets are kept modulo the period, so the states are finitely
-many and a long enough walk re-enters one it has seen; from then on every
-value, and so every delta, repeats the cycle between the two visits.  The
-exact values are computed up to the first repeated state and the rest are
-read off that cycle, and delta products are powers of the cycle's product.
-The arithmetic is exact and its results canonical, so this gives the same
-numbers, digit for digit, as running the chain over every level.  A rational
-theta_0 never repeats a state: its offsets never decrease, and two levels
-share an offset only across an odd head and the head 1 it maps to.
+theta_0, and its exact value depends on that state alone.  The trajectory
+owns its states, its steps and their exact values; each step points back at
+it.  It computes theta_0's value once (`theta_value`) and runs the chain of
+values from there.  For a periodic theta_0 the offsets are kept modulo the
+period, so the states are finitely many and a long enough walk re-enters
+one it has seen; from then on every value, and so every delta, repeats the
+cycle between the two visits.  The exact values are computed up to the
+first repeated state and the rest are read off that cycle, and delta
+products are powers of the cycle's product.  The arithmetic is exact and
+its results canonical, so this gives the same numbers, digit for digit, as
+running the chain over every level.  A rational theta_0 never repeats a
+state: its offsets never decrease, and two levels share an offset only
+across an odd head and the head 1 it maps to.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import ExactReal, Surd, squarefree_split
@@ -371,60 +375,6 @@ def gap_derivative(theta: ExactReal, cell: PartitionCell) -> ExactReal:
     return 1 / (prod * prod)
 
 
-class _Walk:
-    """What the steps of one trajectory share: theta_0, the (a1, offset) of
-    each level, and the exact values and deltas once they have been read.
-
-    `cycle` is (first, length) once the values are read: level v >= first
-    has the value and delta of level first + (v - first) % length.  A walk
-    with no repeated state has first = len(heads) and length 0.
-    """
-
-    __slots__ = ("theta0", "heads", "offsets", "exact", "cycle")
-
-    def __init__(self, theta0: CFExpansion):
-        self.theta0 = theta0
-        self.heads: list[int] = []
-        self.offsets: list[int] = []
-        self.exact: Optional[tuple[list[ExactReal], list[ExactReal]]] = None
-        self.cycle: Optional[tuple[int, int]] = None
-
-    def values_and_deltas(self) -> tuple[list[ExactReal], list[ExactReal]]:
-        """Exact value and delta of every level.
-
-        The gap_map_value chain runs up to the first level whose
-        (a1, offset) repeats an earlier level's; the later levels are read
-        off the cycle between the two.  A repeated state has an equal value:
-        the chain's step reads only the head and the quotients from the
-        offset on (`TrajectoryStep.quotient`), so the value of a level is
-        that of [a1, q[offset], ...] whichever level it is.
-        """
-        if self.exact is None:
-            values, deltas = [], []
-            seen: dict[tuple[int, int], int] = {}
-            step = None
-            total = len(self.heads)
-            self.cycle = (total, 0)
-            for level, state in enumerate(zip(self.heads, self.offsets)):
-                if state in seen:
-                    self.cycle = (seen[state], level - seen[state])
-                    break
-                seen[state] = level
-                if step is None:
-                    value = cf_value(self.theta0)
-                else:
-                    value = gap_map_value(values[-1], step)
-                step = TrajectoryStep(self, level)
-                values.append(value)
-                deltas.append(1 - step.e * value)
-            length = self.cycle[1]
-            for _ in range(len(values), total):
-                values.append(values[-length])
-                deltas.append(deltas[-length])
-            self.exact = values, deltas
-        return self.exact
-
-
 class TrajectoryStep:
     """One renormalization level: a1, E(a1), and a view of its expansion.
 
@@ -432,18 +382,19 @@ class TrajectoryStep:
     the 0-based quotient sequence of theta_0; past the preperiod of a periodic
     theta_0 the offset wraps modulo the period.  `head`, `available` and
     `quotient` read the expansion as a CFExpansion does, without building
-    one; `cf` builds it on read.  `value` and `delta` are exact and are
-    computed for the whole trajectory on the first read of either.
+    one; `cf` builds it on read.  `value` and `delta` are exact and are read
+    from `traj`, the trajectory the step belongs to, which computes them for
+    every level on the first read of either.
     """
 
-    __slots__ = ("_walk", "level", "a1", "e", "offset")
+    __slots__ = ("traj", "level", "a1", "e", "offset")
 
-    def __init__(self, walk: _Walk, level: int):
-        self._walk = walk
+    def __init__(self, traj: GapTrajectory, level: int):
+        self.traj = traj
         self.level = level
-        self.a1 = walk.heads[level]
+        self.a1 = traj.heads[level]
         self.e = self.a1 - self.a1 % 2
-        self.offset = walk.offsets[level]
+        self.offset = traj.offsets[level]
 
     @property
     def head(self) -> int:
@@ -451,7 +402,7 @@ class TrajectoryStep:
 
     def available(self, count: int) -> bool:
         """Whether the level's expansion has at least `count` quotients."""
-        return self._walk.theta0.available(self.offset + count - 1)
+        return self.traj.theta0.available(self.offset + count - 1)
 
     def quotient(self, i: int) -> int:
         """The i-th quotient of the level's expansion (1-indexed)."""
@@ -459,12 +410,12 @@ class TrajectoryStep:
             raise ValueError("quotient index is 1-based")
         if i == 1:
             return self.a1
-        return self._walk.theta0.quotient(self.offset + i - 1)
+        return self.traj.theta0.quotient(self.offset + i - 1)
 
     @property
     def cf(self) -> CFExpansion:
         """The level's expansion, in the form the gap_map chain gives it."""
-        pre, per = self._walk.theta0.preperiod, self._walk.theta0.period
+        pre, per = self.traj.theta0.preperiod, self.traj.theta0.period
         if self.offset <= len(pre):
             return CFExpansion((self.a1,) + pre[self.offset:], per)
         # the head sits on period entry s: gap_map keeps that entry when the
@@ -477,17 +428,68 @@ class TrajectoryStep:
 
     @property
     def value(self) -> ExactReal:
-        return self._walk.values_and_deltas()[0][self.level]
+        return self.traj.values_and_deltas()[0][self.level]
 
     @property
     def delta(self) -> ExactReal:
-        return self._walk.values_and_deltas()[1][self.level]
+        return self.traj.values_and_deltas()[1][self.level]
 
 
-@dataclass(frozen=True)
 class GapTrajectory:
-    theta0: CFExpansion
-    steps: tuple[TrajectoryStep, ...]
+    """Levels theta_0 .. theta_n of the gap dynamics of `theta0`.
+
+    `heads[v]` and `offsets[v]` are the state (a1, offset) of level v and
+    `steps[v]` its view.  `theta_value`, theta_0's exact value, is computed
+    once, on first read, and is also level 0 of the exact values.  `cycle`
+    is (first, length) once the values are read: level v >= first has the
+    value and delta of level first + (v - first) % length.  A trajectory
+    with no repeated state has first = len(steps) and length 0.
+    """
+
+    def __init__(self, theta0: CFExpansion, heads: list[int], offsets: list[int]):
+        self.theta0 = theta0
+        self.heads = heads
+        self.offsets = offsets
+        self.steps = tuple(TrajectoryStep(self, v) for v in range(len(heads)))
+        self.cycle: Optional[tuple[int, int]] = None
+        self._exact: Optional[tuple[list[ExactReal], list[ExactReal]]] = None
+
+    @cached_property
+    def theta_value(self) -> ExactReal:
+        return cf_value(self.theta0)
+
+    def values_and_deltas(self) -> tuple[list[ExactReal], list[ExactReal]]:
+        """Exact value and delta of every level.
+
+        The gap_map_value chain runs from `theta_value` up to the first level
+        whose (a1, offset) repeats an earlier level's; the later levels are
+        read off the cycle between the two.  A repeated state has an equal
+        value: the chain's step reads only the head and the quotients from
+        the offset on (`TrajectoryStep.quotient`), so the value of a level is
+        that of [a1, q[offset], ...] whichever level it is.
+        """
+        if self._exact is None:
+            values, deltas = [], []
+            seen: dict[tuple[int, int], int] = {}
+            self.cycle = (len(self.steps), 0)
+            for step in self.steps:
+                state = step.a1, step.offset
+                if state in seen:
+                    self.cycle = (seen[state], step.level - seen[state])
+                    break
+                seen[state] = step.level
+                if values:
+                    value = gap_map_value(values[-1], self.steps[step.level - 1])
+                else:
+                    value = self.theta_value
+                values.append(value)
+                deltas.append(1 - step.e * value)
+            length = self.cycle[1]
+            for _ in range(len(values), len(self.steps)):
+                values.append(values[-length])
+                deltas.append(deltas[-length])
+            self._exact = values, deltas
+        return self._exact
 
     def delta_product(self, n: Optional[int] = None) -> ExactReal:
         """Product delta_0 * ... * delta_{n-1} (all steps if n is None).
@@ -497,9 +499,8 @@ class GapTrajectory:
         q-th power; the arithmetic is exact, so this is the plain product.
         """
         n = slice(n).indices(len(self.steps))[1]
-        walk = self.steps[0]._walk
-        deltas = walk.values_and_deltas()[1]
-        first, length = walk.cycle
+        deltas = self.values_and_deltas()[1]
+        first, length = self.cycle
         if n <= first + length:
             return math.prod(deltas[:n], start=Fraction(1))
         q, r = divmod(n - first, length)
@@ -524,7 +525,7 @@ def gap_trajectory(theta: CFExpansion, n: int) -> GapTrajectory:
     # of len(pre) always means a head on the last preperiod entry
     q = pre + per * 3
     wrap = len(pre) + len(per)
-    walk = _Walk(theta)
+    heads, offsets = [], []
     head, i = q[0], 1
     for level in range(n + 1):
         if head % 2 == 0 and not theta.available(i + 1):
@@ -533,8 +534,8 @@ def gap_trajectory(theta: CFExpansion, n: int) -> GapTrajectory:
                 f"level {level} value {value} hits a cell endpoint "
                 f"(delta = {1 - head * value})"
             )
-        walk.heads.append(head)
-        walk.offsets.append(i)
+        heads.append(head)
+        offsets.append(i)
         if level == n:
             break
         if not theta.available(i + _gap_need(head) - 1):
@@ -546,8 +547,7 @@ def gap_trajectory(theta: CFExpansion, n: int) -> GapTrajectory:
         head, i = _gap_step(q, head, i)
         if per and i > wrap:
             i = len(pre) + 1 + (i - len(pre) - 1) % len(per)
-    steps = tuple(TrajectoryStep(walk, level) for level in range(n + 1))
-    return GapTrajectory(theta0=theta, steps=steps)
+    return GapTrajectory(theta, heads, offsets)
 
 
 # --- the theta-spec grammar ------------------------------------------------

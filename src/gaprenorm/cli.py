@@ -141,15 +141,16 @@ def cmd_traj(args) -> int:
             raise
         # print the levels reached, then report the exhaustion as usual
         traj, exhausted = gap_trajectory(theta, exc.steps_completed), exc
-    rows = []
+    rows, boundary = [], None
     for n, step in enumerate(traj.steps):
         try:
             cell = str(classify_cell(step, step.value))
-        except CellBoundaryError:
-            # the last level of an exhausted expansion sits on a cell endpoint
-            if exhausted is None or n < len(traj.steps) - 1:
+        except CellBoundaryError as exc:
+            # a rational's last level may sit on a cell endpoint: print it,
+            # then report the error
+            if n < len(traj.steps) - 1:
                 raise
-            cell = "endpoint"
+            cell, boundary = "endpoint", exc
         rows.append(
             {
                 "n": n,
@@ -169,8 +170,8 @@ def cmd_traj(args) -> int:
                 f"{r['n']:>3} {r['theta_n']:>20.15f} {r['a1']:>6} {r['e']:>3}"
                 f"  {r['cell']}   delta = {r['delta']}"
             )
-    if exhausted is not None:
-        raise exhausted
+    if exhausted or boundary:
+        raise exhausted or boundary
     return 0
 
 

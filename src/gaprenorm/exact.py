@@ -55,11 +55,12 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
-def _sign_triplet(a: Fraction | int, b: Fraction | int, d: int) -> int:
+def _sign_triplet(a: int, b: int, d: int) -> int:
     """Sign of a + b*sqrt(d) for a non-square d > 1 (so the value is 0 only if a = b = 0).
 
-    d need not be squarefree: only sqrt(d) being irrational matters.  Takes
-    ints (from `Surd`) or Fractions (from the orbit kernel's exact fallback).
+    d need not be squarefree: only sqrt(d) being irrational matters.  `Surd`
+    passes the integer numerator of a difference, whose sign is the sign of
+    the difference.
     """
     if b == 0:
         return (a > 0) - (a < 0)

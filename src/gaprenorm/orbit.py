@@ -11,9 +11,10 @@ letters of a block of start points x steps, exactly:
   and X = floor(x0*2^64), the position times 2^64 lies in [P_j, P_j + j + 1)
   for P_j = X + j*T mod 2^64.  A step whose enclosure holds a boundary
   (0, 1/2 or 1 - theta, a boundary equal to P_j included) or wraps past 0 is
-  ambiguous; only those steps are decided from the exact coordinates with
-  the exact sign test.  An endpoint hit lies on a boundary, so every hit is
-  recorded, in step order, rather than guessed around.
+  ambiguous; only those steps are decided again, in exact arithmetic on
+  x0 and theta as given (Fractions or Surds).  An endpoint hit lies on a
+  boundary, so every hit is recorded, in step order, rather than guessed
+  around.
 
 This module is the ground truth the symbolic machinery is checked against.
 """
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import GaprenormError
-from .exact import ExactReal, Surd, _sign_triplet, exact_floor
+from .exact import ExactReal, Surd, exact_floor
 from .cf import CFExpansion
 from .substitution import A, B, C, Levels, expand_word, levels as level_walk
 
@@ -53,14 +54,6 @@ _ABC = np.frombuffer((A + B + C).encode("ascii"), dtype=np.uint8)
 _HIT_NAMES = ("0", "1/2", "1-theta")
 
 
-def _surd_parts(x, field: Optional[Surd]) -> tuple[Fraction, Fraction]:
-    """(a, b) of x = a + b*sqrt(d) in the field of `field` (rational if None)."""
-    if field is None:
-        return Fraction(x), Fraction(0)
-    p, q, r = field._coerce(x)
-    return Fraction(p, r), Fraction(q, r)
-
-
 class _Orbits:
     """Exact letters of the orbits of x_r = (x0 + r)/grid, r < grid.
 
@@ -73,17 +66,21 @@ class _Orbits:
         d = field.d if field else 0
         if d and math.isqrt(d) ** 2 == d:
             raise ArithmeticError(f"sqrt({d}) behaved rationally; radicand a square?")
-        self.d, self.grid = d, grid
-        self.xa, self.xb = _surd_parts(x0, field)
-        self.ta, self.tb = _surd_parts(theta, field)
-        self.period = None if d else self.ta.denominator
-        xden = grid * self.xa.denominator
-        lat = math.lcm(xden, self.ta.denominator)
-        self.lattice = not d and lat * min(steps + 1, self.period) < 1 << 63
+        if isinstance(x0, Surd) and isinstance(theta, Surd):
+            x0 + theta  # two fields raise "cannot mix" here, before any letter
+        # an int or a float runs as the Fraction of its value
+        x0, theta = (v if isinstance(v, Surd) else Fraction(v) for v in (x0, theta))
+        self.x0, self.theta, self.grid = x0, theta, grid
+        self.period, self.lattice = None, False
+        if field is None:
+            self.period = theta.denominator
+            xden = grid * x0.denominator
+            lat = math.lcm(xden, theta.denominator)
+            self.lattice = lat * min(steps + 1, self.period) < 1 << 63
         if self.lattice:
-            self.lat, self.step = lat, self.ta.numerator * (lat // self.ta.denominator)
+            self.lat, self.step = lat, theta.numerator * (lat // theta.denominator)
             r = np.arange(grid, dtype=np.int64)
-            self.pos0 = (self.xa.numerator + r * self.xa.denominator) * (lat // xden)
+            self.pos0 = (x0.numerator + r * x0.denominator) * (lat // xden)
             return
         self.T = exact_floor(theta * _ONE)
         # X_r = floor((x0 + r) * 2^64 / grid), exact in uint64 for grid < 2^32
@@ -121,21 +118,14 @@ class _Orbits:
         return out
 
     def _exact(self, r: int, j: int, hits: Optional[list]) -> str:
-        """Letter of row r at step j from the exact coordinates a + b*sqrt(d)."""
-        d = self.d
-        a = (self.xa + r) / self.grid + j * self.ta
-        b = self.xb / self.grid + j * self.tb
-        n = ((int(self.X[r]) + j * self.T) >> 64) + 1  # the floor is n or n - 1
-        if _sign_triplet(a - n, b, d) < 0:
-            n -= 1
-        a -= n
-        half = _sign_triplet(2 * a - 1, 2 * b, d)
-        at_c = _sign_triplet(a - 1 + self.ta, b + self.tb, d)
+        """Letter of row r at step j, decided in exact arithmetic."""
+        pos = (self.x0 + r) / self.grid + j * self.theta
+        pos -= exact_floor(pos)
+        half, at_c = Fraction(1, 2), 1 - self.theta
         if hits is not None:
-            for name, hit in zip(_HIT_NAMES, (a == 0 and b == 0, half == 0, at_c == 0)):
-                if hit:
-                    hits.append((j, name))
-        return A if half < 0 else B if at_c < 0 else C
+            hits.extend((j, name) for name, point in zip(_HIT_NAMES, (0, half, at_c))
+                        if pos == point)
+        return A if pos < half else B if pos < at_c else C
 
 
 def encode_orbit(x0: ExactReal, theta: ExactReal, length: int) -> OrbitEncoding:
@@ -222,7 +212,7 @@ def verify_encoding(theta: CFExpansion, n: int, budget: int = 2) -> EncodingMatc
 
 def verify_levels_encoding(lv: Levels, n: int, budget: int = 2) -> EncodingMatch:
     """`verify_encoding` at level n of levels already walked to n or beyond."""
-    theta_val = lv.theta_value
+    theta_val = lv.traj.theta_value
     if not theta_val < Fraction(1, 2):
         raise ValueError("rotation number must lie below 1/2 for direct encoding")
     word = expand_word(lv.rules[:n], A, max_len=ENCODING_WORD_MAX)
@@ -293,7 +283,7 @@ def sandwich_levels_sweep(y: ExactReal, lv: Levels,
     if not 1 <= n_max <= len(lv.rules):
         raise ValueError(f"n_max must lie in 1..{len(lv.rules)}")
     need = 2 * max(lv.lengths[n_max])
-    profile = discrepancy_profile(encode_orbit(y, lv.theta_value, need))
+    profile = discrepancy_profile(encode_orbit(y, lv.traj.theta_value, need))
     out = []
     for n in range(1, n_max + 1):
         rho_prev, rho_level = lv.stats[n - 1][A].rho, lv.stats[n][A].rho

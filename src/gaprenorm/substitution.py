@@ -45,10 +45,8 @@ from .cf import (
     ExpansionExhaustedError,
     GapTrajectory,
     TrajectoryStep,
-    cf_value,
     gap_trajectory,
 )
-from .exact import ExactReal
 
 A, B, C = "A", "B", "C"
 LETTERS = (A, B, C)
@@ -322,8 +320,8 @@ class Levels:
     at level v < n.  Indexed by v = 0 .. n: `halfsums[v]` adds E(a1)/2 over
     levels 0 .. v-1, `stats[v]` maps each letter to the stats of its level-v
     word, and `lengths[v]` is (|A-word|, |C-word|) from the matrix cocycle.
-    The last two, and `theta_value`, theta's exact value, are computed on
-    first use and kept.
+    The last two are computed on first use and kept; theta's exact value is
+    `traj.theta_value`.
     """
 
     traj: GapTrajectory
@@ -337,10 +335,6 @@ class Levels:
     @cached_property
     def lengths(self) -> list[tuple[int, int]]:
         return lengths_by_level(self.rules)
-
-    @cached_property
-    def theta_value(self) -> ExactReal:
-        return cf_value(self.traj.theta0)
 
 
 def levels(theta: CFExpansion, n: int) -> Levels:

@@ -107,7 +107,9 @@ class PairSurd:
 
     def _cmp_sign(self, other) -> int:
         oa, ob = self._coerce(other)
-        return _sign_triplet(self.a - oa, self.b - ob, self.d)
+        a, b = self.a - oa, self.b - ob
+        den = math.lcm(a.denominator, b.denominator)  # positive, so the sign stays
+        return _sign_triplet(int(a * den), int(b * den), self.d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PairSurd):

@@ -56,10 +56,15 @@ def test_traj_prints_levels_reached_before_exhaustion(capsys):
     doc = json.loads(out)
     assert [(row["n"], row["cell"], row["delta"]) for row in doc["levels"]] == [
         (0, "Even(1,3)", "5/43"), (1, "Half", "1"), (2, "endpoint", "1/5")]
-    # a full table up to level 2 keeps its endpoint error and prints nothing
-    code, out, err = run(capsys, "traj", "--theta", "cf:[2,3,1,4]", "--depth", "2")
-    assert code == 1 and out == ""
+    # reaching level 2 without running out prints the same table, then the
+    # endpoint error
+    code, depth_2_out, err = run(capsys, "traj", "--theta", "cf:[2,3,1,4]",
+                                 "--depth", "2")
+    assert code == 1 and depth_2_out == "\n".join(lines) + "\n"
     assert err == "error: 1/5 sits on the boundary of Odd(2)\n"
+    code, out, _ = run(capsys, "traj", "--theta", "cf:[2,3,1,4]", "--depth", "2",
+                       "--json")
+    assert code == 1 and json.loads(out) == doc
 
 
 def test_word(capsys):

@@ -1,13 +1,17 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaprenorm.cf import cf_value, parse_theta_spec, rational_to_cf, sample_theta
+from gaprenorm.cf import (
+    cf_value, gap_trajectory, parse_theta_spec, rational_to_cf, sample_theta,
+)
 from gaprenorm.exact import Surd, _sign_triplet, exact_floor
 from gaprenorm.orbit import (
+    _Orbits,
     DiscrepancyProfile,
     EncodingSearchError,
     discrepancy_profile,
@@ -29,6 +33,8 @@ def test_silver_prefix():
     assert enc.symbols == "AACACAACACABCACACAAC"
     assert enc.endpoint_hits == [(0, "0")]
     assert not enc.period_wrapped
+    # an int start point decides its ambiguous steps as Fraction(0) does
+    assert encode_orbit(0, SILVER, 20).symbols == enc.symbols
 
 
 def test_rational_orbit_wraps():
@@ -155,6 +161,62 @@ def test_orbit_mixes_forms_of_one_field():
         assert (got.symbols, got.endpoint_hits) == (want.symbols, want.endpoint_hits)
     with pytest.raises(ValueError, match="cannot mix"):
         encode_orbit(make_surd(-1, 1, 3) / 2, make_surd(-1, 1, 2), 10)
+
+
+@pytest.mark.parametrize("target", ["1/2", "1-theta"])
+def test_exact_fallback_mixes_forms_of_one_field(monkeypatch, target):
+    # the orbit of x0 = frac(target - k*theta) hits the target exactly at
+    # step k, so that step goes to the exact fallback, which then meets the
+    # wide and the tight form of sqrt(1033) in one position
+    wide = make_surd(0, Fraction(1, 1031), 1031 * 1031 * 1033)
+    tight = make_surd(0, 1, 1033)
+    k = 1234
+
+    def start(theta):
+        point = Fraction(1, 2) if target == "1/2" else 1 - theta
+        return _frac(point - k * theta)
+
+    theta_w, theta_t = (wide - 31) / 4, (tight - 31) / 4
+    want = encode_orbit(start(theta_t), theta_t, 3000)
+    assert (k, target) in want.endpoint_hits
+    assert (want.symbols, want.endpoint_hits) == _reference_encode(
+        start(theta_t), theta_t, 3000)[:2]
+    fallback = []
+    exact = _Orbits._exact
+
+    def spy(self, r, j, hits):
+        fallback.append(j)
+        return exact(self, r, j, hits)
+
+    monkeypatch.setattr(_Orbits, "_exact", spy)
+    for x0, theta in ((start(theta_w), theta_t), (start(theta_t), theta_w),
+                      (start(theta_w), theta_w)):
+        fallback.clear()
+        got = encode_orbit(x0, theta, 3000)
+        assert k in fallback
+        assert (got.symbols, got.endpoint_hits) == (want.symbols, want.endpoint_hits)
+
+
+def test_theta_value_computed_once_per_trajectory(monkeypatch):
+    calls = []
+    real = cf_value
+
+    def counting(cf, depth=None):
+        calls.append(cf)
+        return real(cf, depth)
+
+    for module in list(sys.modules.values()):  # every binding in the package
+        if (module.__name__.startswith("gaprenorm.")
+                and getattr(module, "cf_value", None) is real):
+            monkeypatch.setattr(module, "cf_value", counting)
+    theta = parse_theta_spec("cfper:[3][2,5,7]")
+    verify_encoding(theta, 4)  # reads theta's value and delta_product(4)
+    assert len(calls) == 1
+    traj = gap_trajectory(theta, 12)
+    assert traj.theta_value == traj.steps[0].value
+    traj.delta_product(12)
+    assert len(calls) == 2
+    assert traj.theta_value == real(theta)
 
 
 # --- the per-symbol exact walker, kept as a brute-force reference ----------
