@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import ExactReal, Surd, squarefree_split
+from .exact import ExactReal, Surd, mobius, squarefree_split
 
 
 class ExpansionExhaustedError(ValueError):
@@ -66,8 +66,8 @@ class CFExpansion:
     Direct construction takes canonical quotients as given: integers >= 1,
     not empty, and a finite expansion neither [1] nor ending in 1.  Raw input
     is validated once, by `cf_normalize` (which `parse_theta_spec`,
-    `rational_to_cf` and `sample_theta` go through); `shift` and `gap_map`
-    derive valid expansions from valid ones without checking again.
+    `rational_to_cf` and `sample_theta` go through); `gap_map` derives
+    valid expansions from valid ones without checking again.
     """
 
     preperiod: tuple[int, ...]
@@ -104,22 +104,6 @@ class CFExpansion:
 
     def quotients(self, count: int) -> list[int]:
         return [self.quotient(i) for i in range(1, count + 1)]
-
-    def shift(self, k: int = 1) -> "CFExpansion":
-        """Drop the first k quotients (the k-fold Gauss map)."""
-        if k < 0:
-            raise ValueError("cannot shift backwards")
-        if self.is_finite:
-            rest = self.preperiod[k:]
-            if not rest:
-                raise ExpansionExhaustedError(
-                    f"shift by {k} exhausts a {len(self.preperiod)}-quotient expansion"
-                )
-            return CFExpansion(rest)
-        if k <= len(self.preperiod):
-            return CFExpansion(self.preperiod[k:], self.period)
-        r = (k - len(self.preperiod)) % len(self.period)
-        return CFExpansion((), self.period[r:] + self.period[:r])
 
     def __str__(self):
         return format_theta_spec(self)
@@ -172,18 +156,11 @@ def rational_to_cf(value: Fraction) -> CFExpansion:
     return cf_normalize(quotients)
 
 
-def _fold_quotients(quotients: list[int], tail: ExactReal) -> ExactReal:
-    value = tail
-    for a in reversed(quotients):
-        value = 1 / (a + value)
-    return value
-
-
 def _continuants(quotients: Iterable[int]) -> tuple[int, int, int, int]:
     """The product [[A, B], [C, D]] of [[0, 1], [1, a]] over the quotients.
 
-    [a1, ..., ak + t] = (A*t + B) / (C*t + D), so a finite expansion has the
-    value B / D, from integer steps alone.
+    [a1, ..., ak + t] = (A*t + B) / (C*t + D), one `mobius` of the tail t,
+    so a finite expansion has the value B / D, from integer steps alone.
     """
     A, B, C, D = 1, 0, 0, 1
     for a in quotients:
@@ -218,14 +195,7 @@ def cf_value(cf: CFExpansion, depth: Optional[int] = None) -> ExactReal:
     t = Surd(Fraction(A - D, 2 * C), Fraction(s, 2 * C), d0)
     if not (0 < t < 1):
         raise ArithmeticError("periodic value fell outside (0, 1)")
-    return _fold_quotients(list(cf.preperiod), t)
-
-
-def _replace_head(cf: CFExpansion, new_head: int) -> CFExpansion:
-    if cf.preperiod:
-        return CFExpansion((new_head,) + cf.preperiod[1:], cf.period)
-    rotated = cf.period[1:] + cf.period[:1]
-    return CFExpansion((new_head,), rotated)
+    return mobius(*_continuants(cf.preperiod), t)
 
 
 def _gap_step(q: Sequence[int], head: int, i: int) -> tuple[int, int]:
@@ -258,9 +228,24 @@ def gap_map(cf: CFExpansion) -> CFExpansion:
     need = _gap_need(a1)
     if not cf.available(need):
         raise _gap_exhausted(a1)
-    head, i = _gap_step(cf.quotients(need), a1, 1)
-    tail = cf.shift(i - 1)
-    return tail if tail.head == head else _replace_head(tail, head)
+    return _level_expansion(cf, *_gap_step(cf.quotients(need), a1, 1))
+
+
+def _level_expansion(theta: CFExpansion, head: int, i: int) -> CFExpansion:
+    """[head, q[i], q[i + 1], ...] over the 0-based quotients q of theta.
+
+    The head takes the place of q[i - 1].  Past the preperiod, where that is
+    period entry s, a head equal to it starts the period rotated to s, and
+    any other head precedes the period rotated to s + 1, as gap_map gives it.
+    """
+    pre, per = theta.preperiod, theta.period
+    if i <= len(pre):
+        return CFExpansion((head,) + pre[i:], per)
+    s = (i - 1 - len(pre)) % len(per)
+    if head == per[s]:
+        return CFExpansion((), per[s:] + per[:s])
+    s += 1
+    return CFExpansion((head,), per[s:] + per[:s])
 
 
 def leading_quotients(quotients: Sequence[int]) -> Iterator[int]:
@@ -277,18 +262,27 @@ def leading_quotients(quotients: Sequence[int]) -> Iterator[int]:
         head, i = _gap_step(quotients, head, i)
 
 
+def branch_matrix(a1: int, a2: int = 0) -> tuple[int, int, int, int]:
+    """(a, b, c, d) of the inverse branch (a*y + b)/(c*y + d) onto a1's cell.
+
+    a2 picks the cell of an even a1; `PartitionCell` derives the table.
+    """
+    if a1 % 2 == 0:
+        return 1, a2, a1, a1 * a2 + 1
+    if a1 == 1:
+        return -1, 1, 0, 1
+    return 1, 0, a1 - 1, 1
+
+
 def gap_map_value(value: ExactReal, cf: CFExpansion | TrajectoryStep) -> ExactReal:
     """Image of `value` under the gap map, using the branch named by its expansion.
 
-    `cf` may also be a trajectory step, which reads its quotients in place.
+    The image is (d*x - b)/(a - c*x), the inverse of the cell's branch.  `cf`
+    may also be a trajectory step, which reads its quotients in place.
     """
     a1 = cf.head
-    if a1 == 1:
-        return 1 - value
-    if a1 % 2 == 1:
-        return value / (1 - (a1 - 1) * value)
-    g1 = 1 / value - a1
-    return 1 / g1 - cf.quotient(2)
+    a, b, c, d = branch_matrix(a1, 0 if a1 % 2 else cf.quotient(2))
+    return mobius(d, -b, -c, a, value)
 
 
 @dataclass(frozen=True)
@@ -296,13 +290,28 @@ class PartitionCell:
     """One cell of the Markov partition for the gap map.
 
     kind is 'half' for (1/2, 1), 'odd' for the cell with a1 = 2k + 1, and
-    'even' for the cell with a1 = 2n, a2 = m.
+    'even' for the cell with a1 = 2n, a2 = m.  g maps Half onto (0, 1/2),
+    Odd onto (1/2, 1) and Even onto (0, 1); its inverse psi(y) =
+    (a*y + b)/(c*y + d) on the cell is the integer matrix `branch_matrix`:
+
+        Half       [[-1, 1], [0, 1]]         psi(y) = 1 - y
+        Odd(k)     [[1, 0], [2k, 1]]         psi(y) = y / (2ky + 1)
+        Even(n, m) [[1, m], [2n, 2nm + 1]]   psi(y) = 1/(2n + 1/(m + y))
+
+    Half and Odd invert 1 - x and x/(1 - 2kx); Even inverts two Gauss steps.
+    The determinant is -1 for Half and 1 otherwise, so g(x) =
+    (d*x - b)/(a - c*x), |psi'(y)| = 1/(c*y + d)^2, and a level's factor
+    delta_v = 1 - E(a1)*theta_v = |a - c*theta_v| equals 1/(c*theta_{v+1} + d).
+    By the chain rule the product [[a_n, b_n], [c_n, d_n]] of the matrices of
+    levels 0 .. n-1 maps theta_n to theta_0, and delta_0 * ... * delta_{n-1}
+    = 1/|c_n*theta_n + d_n|.
     """
 
     kind: str
     k: int = 0
     n: int = 0
     m: int = 0
+    _TARGET = {"half": (0, 1), "odd": (1, 2), "even": (0, 2)}  # in halves
 
     def __post_init__(self):
         if self.kind not in ("half", "odd", "even"):
@@ -313,16 +322,19 @@ class PartitionCell:
             raise ValueError("even cells need n, m >= 1")
 
     @property
-    def endpoints(self) -> tuple[Fraction, Fraction]:
+    def matrix(self) -> tuple[int, int, int, int]:
         if self.kind == "half":
-            return Fraction(1, 2), Fraction(1)
+            return branch_matrix(1)
         if self.kind == "odd":
-            return Fraction(1, 2 * self.k + 2), Fraction(1, 2 * self.k + 1)
-        n, m = self.n, self.m
-        return (
-            Fraction(m, 2 * n * m + 1),
-            Fraction(m + 1, 2 * n * (m + 1) + 1),
-        )
+            return branch_matrix(2 * self.k + 1)
+        return branch_matrix(2 * self.n, self.m)
+
+    @property
+    def endpoints(self) -> tuple[Fraction, Fraction]:
+        """psi at the target's ends u/2; Half's psi, of determinant -1, swaps them."""
+        a, b, c, d = self.matrix
+        ends = [Fraction(a * u + 2 * b, c * u + 2 * d) for u in self._TARGET[self.kind]]
+        return tuple(ends) if a * d > b * c else tuple(ends[::-1])
 
     def contains(self, x: ExactReal) -> bool:
         lo, hi = self.endpoints
@@ -361,18 +373,12 @@ def classify_cell(cf: CFExpansion, value: Optional[ExactReal] = None) -> Partiti
 
 
 def gap_derivative(theta: ExactReal, cell: PartitionCell) -> ExactReal:
-    """|g'(theta)| on the given cell, exactly."""
+    """|g'(theta)| = 1/(a - c*theta)^2 on the given cell, exactly."""
     if not cell.contains(theta):
         raise CellBoundaryError(f"{theta} is not interior to {cell}")
-    if cell.kind == "half":
-        return Fraction(1)
-    if cell.kind == "odd":
-        den = 1 - 2 * cell.k * theta
-        return 1 / (den * den)
-    # even cell: two Gauss branches compose, so the slopes multiply
-    inner = 1 / theta - 2 * cell.n
-    prod = theta * inner
-    return 1 / (prod * prod)
+    a, _, c, _ = cell.matrix
+    den = a - c * theta
+    return 1 / (den * den)
 
 
 class TrajectoryStep:
@@ -415,16 +421,7 @@ class TrajectoryStep:
     @property
     def cf(self) -> CFExpansion:
         """The level's expansion, in the form the gap_map chain gives it."""
-        pre, per = self.traj.theta0.preperiod, self.traj.theta0.period
-        if self.offset <= len(pre):
-            return CFExpansion((self.a1,) + pre[self.offset:], per)
-        # the head sits on period entry s: gap_map keeps that entry when the
-        # head equals it and otherwise puts the head before the next one
-        s = (self.offset - 1 - len(pre)) % len(per)
-        if self.a1 == per[s]:
-            return CFExpansion((), per[s:] + per[:s])
-        s += 1
-        return CFExpansion((self.a1,), per[s:] + per[:s])
+        return _level_expansion(self.traj.theta0, self.a1, self.offset)
 
     @property
     def value(self) -> ExactReal:
@@ -466,7 +463,8 @@ class GapTrajectory:
         read off the cycle between the two.  A repeated state has an equal
         value: the chain's step reads only the head and the quotients from
         the offset on (`TrajectoryStep.quotient`), so the value of a level is
-        that of [a1, q[offset], ...] whichever level it is.
+        that of [a1, q[offset], ...] whichever level it is.  The delta
+        1 - E(a1)*value is |a - c*value| (see `PartitionCell`).
         """
         if self._exact is None:
             values, deltas = [], []
@@ -529,11 +527,8 @@ def gap_trajectory(theta: CFExpansion, n: int) -> GapTrajectory:
     head, i = q[0], 1
     for level in range(n + 1):
         if head % 2 == 0 and not theta.available(i + 1):
-            value = Fraction(1, head)
             raise CellBoundaryError(
-                f"level {level} value {value} hits a cell endpoint "
-                f"(delta = {1 - head * value})"
-            )
+                f"level {level} value 1/{head} hits a cell endpoint (delta = 0)")
         heads.append(head)
         offsets.append(i)
         if level == n:

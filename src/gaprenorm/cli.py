@@ -132,15 +132,32 @@ def _parse_theta(args: argparse.Namespace):
 # verbs
 
 
-def cmd_traj(args) -> int:
-    theta = _parse_theta(args)
+def _reached(walk, theta, n):
+    """(walk(theta, n), None), or, when a rational theta runs out first, the
+    walk to the last level it reached and the exhaustion, raised later."""
     try:
-        traj, exhausted = gap_trajectory(theta, args.depth), None
+        return walk(theta, n), None
     except ExpansionExhaustedError as exc:
         if exc.steps_completed is None:
             raise
-        # print the levels reached, then report the exhaustion as usual
-        traj, exhausted = gap_trajectory(theta, exc.steps_completed), exc
+        return walk(theta, exc.steps_completed), exc
+
+
+def _print_levels(args, rows, header, line, error=None) -> int:
+    """Print the rows as JSON (--json) or as a header (if any) over one
+    line(row) each; then raise `error`, the level a verb could not reach."""
+    if args.json:
+        print(json.dumps({"theta_spec": args.theta, "levels": rows}, indent=2))
+    else:
+        for text in ([header] if header else []) + [line(r) for r in rows]:
+            print(text)
+    if error:
+        raise error
+    return 0
+
+
+def cmd_traj(args) -> int:
+    traj, exhausted = _reached(gap_trajectory, _parse_theta(args), args.depth)
     rows, boundary = [], None
     for n, step in enumerate(traj.steps):
         try:
@@ -161,18 +178,11 @@ def cmd_traj(args) -> int:
                 "delta": exact_str(step.delta),
             }
         )
-    if args.json:
-        print(json.dumps({"theta_spec": args.theta, "levels": rows}, indent=2))
-    else:
-        print(f"{'n':>3} {'theta_n':>20} {'a1':>6} {'E':>3}  cell / delta")
-        for r in rows:
-            print(
-                f"{r['n']:>3} {r['theta_n']:>20.15f} {r['a1']:>6} {r['e']:>3}"
-                f"  {r['cell']}   delta = {r['delta']}"
-            )
-    if exhausted or boundary:
-        raise exhausted or boundary
-    return 0
+    return _print_levels(
+        args, rows, f"{'n':>3} {'theta_n':>20} {'a1':>6} {'E':>3}  cell / delta",
+        lambda r: (f"{r['n']:>3} {r['theta_n']:>20.15f} {r['a1']:>6} {r['e']:>3}"
+                   f"  {r['cell']}   delta = {r['delta']}"),
+        exhausted or boundary)
 
 
 def cmd_word(args) -> int:
@@ -184,9 +194,9 @@ def cmd_word(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    lv = levels(_parse_theta(args), args.level)
+    lv, exhausted = _reached(levels, _parse_theta(args), args.level)
     rows = []
-    for n in range(1, args.level + 1):
+    for n in range(1, len(lv.rules) + 1):
         rho, half = lv.stats[n][A].rho, lv.halfsums[n]
         rows.append(
             {
@@ -197,16 +207,11 @@ def cmd_rho(args) -> int:
                 "length": lv.lengths[n][0],
             }
         )
-    if args.json:
-        print(json.dumps({"theta_spec": args.theta, "levels": rows}, indent=2))
-        return 0
-    print(f"{'n':>3} {'rho':>8} {'halfsum':>8} {'xi':>4} {'length':>12}")
-    for r in rows:
-        print(
-            f"{r['n']:>3} {r['rho']:>8} {r['halfsum']:>8} {r['xi']:>4}"
-            f" {r['length']:>12}"
-        )
-    return 0
+    return _print_levels(
+        args, rows, f"{'n':>3} {'rho':>8} {'halfsum':>8} {'xi':>4} {'length':>12}",
+        lambda r: (f"{r['n']:>3} {r['rho']:>8} {r['halfsum']:>8} {r['xi']:>4}"
+                   f" {r['length']:>12}"),
+        exhausted)
 
 
 def cmd_matrix(args) -> int:
@@ -226,16 +231,11 @@ def cmd_matrix(args) -> int:
                 "top_eigenvalue": prod.top_eigenvalue(),
             }
         )
-    if args.json:
-        print(json.dumps({"theta_spec": args.theta, "levels": rows}, indent=2))
-        return 0
-    for r in rows:
-        (a, b), (c, d) = r["product"]
-        print(
-            f"n={r['n']:>2}  step={r['step']}  product=[[{a},{b}],[{c},{d}]]"
-            f"  lengths={tuple(r['lengths'])}  top~{r['top_eigenvalue']:.4f}"
-        )
-    return 0
+    return _print_levels(
+        args, rows, None,
+        lambda r: (f"n={r['n']:>2}  step={r['step']}  product="
+                   f"{str(r['product']).replace(' ', '')}  lengths={tuple(r['lengths'])}"
+                   f"  top~{r['top_eigenvalue']:.4f}"))
 
 
 def cmd_ulam(args) -> int:

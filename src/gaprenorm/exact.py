@@ -222,8 +222,15 @@ class Surd:
         return self._cmp_sign(other) >= 0
 
     def __float__(self) -> float:
-        lo, _ = fraction_bounds(self, 96)
-        return float(lo)
+        # rounding is monotone: once both ends of an enclosure round to one
+        # float, that float is the correctly rounded value
+        prec = 96
+        while True:
+            lo, hi = fraction_bounds(self, prec)
+            f = float(lo)
+            if f == float(hi):
+                return f
+            prec *= 2
 
     def __repr__(self):
         return f"Surd({self.a!r}, {self.b!r}, {self.d})"
@@ -259,6 +266,20 @@ def _inverse(p: int, q: int, r: int, d: int) -> tuple[int, int, int]:
     when q = 0 < |p| or when sqrt(d) is irrational.
     """
     return r * p, -r * q, p * p - q * q * d
+
+
+def mobius(a: int, b: int, c: int, d: int, x: ExactReal) -> ExactReal:
+    """(a*x + b)/(c*x + d) for integers a, b, c, d, reduced once.
+
+    A rational x = p/q gives Fraction(a*p + b*q, c*p + d*q); a Surd gives one
+    `_inverse` and one `_times`, so callers never see the triple.
+    """
+    if isinstance(x, Surd):
+        p, q, r, D = x.p, x.q, x.r, x.d
+        return _times(a * p + b * r, a * q, 1,
+                      *_inverse(c * p + d * r, c * q, 1, D), D)
+    p, q = x.numerator, x.denominator
+    return Fraction(a * p + b * q, c * p + d * q)
 
 
 def fraction_bounds(x: ExactReal, prec_bits: int = 96) -> tuple[Fraction, Fraction]:

@@ -1,11 +1,12 @@
 """Transfer operator of the gap map and its invariant density.
 
 The inverse branches of the map are Mobius transformations with integer
-coefficients, so every bin-overlap length in the Ulam matrix is an exact
-rational before the final float conversion.  Branch families are enumerated
-explicitly up to a cutoff and the remainder is summed in closed form
-(digamma and Hurwitz-zeta tails), which keeps each row's mass defect near
-machine epsilon instead of at the truncation scale.
+coefficients, read from the one table `cf.branch_matrix` (derived in
+`cf.PartitionCell`), so every bin-overlap length in the Ulam matrix is an
+exact rational before the final float conversion.  Branch families are
+enumerated explicitly up to a cutoff and the remainder is summed in closed
+form (digamma and Hurwitz-zeta tails), which keeps each row's mass defect
+near machine epsilon instead of at the truncation scale.
 
 Also here: the stationary-density power iteration, the log-norm
 integrability estimate with its Lebesgue-measure series bound, an empirical
@@ -32,15 +33,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import GaprenormError
-from .cf import PartitionCell, leading_quotients, rational_to_cf
-from .exact import ExactReal
+from .cf import PartitionCell, branch_matrix, leading_quotients, rational_to_cf
 
 __all__ = [
     "UlamAssemblyError",
     "ConvergenceError",
     "UlamOperator",
     "DensityEstimate",
-    "inverse_branch",
     "build_ulam",
     "stationary_density",
     "integral_log_norm",
@@ -63,19 +62,6 @@ class ConvergenceError(GaprenormError):
 
 
 # ---------------------------------------------------------------------------
-# inverse branches
-
-
-def inverse_branch(y: ExactReal, cell: PartitionCell) -> ExactReal:
-    """The unique preimage of y inside cell (point query, exact)."""
-    if cell.kind == "half":
-        return 1 - y
-    if cell.kind == "odd":
-        return y / (1 + 2 * cell.k * y)
-    return 1 / (2 * cell.n + 1 / (cell.m + y))
-
-
-# ---------------------------------------------------------------------------
 # Ulam matrix assembly
 
 # P[i, j] = bins * Leb(I_i intersect g^{-1} I_j).  Each enumerated branch is
@@ -83,9 +69,11 @@ def inverse_branch(y: ExactReal, cell: PartitionCell) -> ExactReal:
 # most two adjacent source bins; bin indices are exact integer floors.
 
 
-def _scatter_increasing(
-    P: np.ndarray, bins: int, cols: np.ndarray, num: np.ndarray, den: np.ndarray
-) -> None:
+def _scatter_increasing(P: np.ndarray, bins: int, j: np.ndarray, branch) -> None:
+    # the branch (a, b, c, d) sends the target bin edge j/bins to
+    # (a*j + b*bins) / (c*j + d*bins); the bin from edge j up is column j
+    a, b, c, d = branch
+    num, den, cols = a * j + b * bins, c * j + d * bins, j[:-1]
     x = num / den
     ib = (num * bins) // den
     i0, i1 = ib[:-1], ib[1:]
@@ -105,15 +93,15 @@ def _scatter_increasing(
 
 def _even_fit_m(bins: int, n: int) -> tuple[int, int]:
     # Smallest M such that the whole m > M remainder of the a1 = 2n strip,
-    # the interval ((M+1)/(2n(M+1)+1), 1/(2n)), sits inside one source bin.
-    if bins % (2 * n) == 0:
-        i_star = bins // (2 * n) - 1
-    else:
-        i_star = bins // (2 * n)
+    # the interval ((M+1)/(2n(M+1)+1), 1/(2n)), sits inside one source bin,
+    # i_star, the last bin that starts below 1/(2n)
+    i_star = (bins - 1) // (2 * n)
     M = 0
-    while ((M + 1) * bins) // (2 * n * (M + 1) + 1) != i_star:
+    while True:
+        _, b, _, d = branch_matrix(2 * n, M + 1)  # Even(n, M+1) starts at b/d
+        if b * bins // d == i_star:
+            return M, i_star
         M += 1
-    return M, i_star
 
 
 @dataclass(frozen=True)
@@ -151,21 +139,17 @@ def build_ulam(bins: int) -> UlamOperator:
     # half branch: bin edges map to bin edges, one full bin per column
     P[np.arange(B - 1, B // 2 - 1, -1), np.arange(B // 2)] += 1.0
 
-    # odd branches, target range (1/2, 1): x = j / (B + 2kj) at y = j/B
+    # odd branches have target (1/2, 1), even branches (0, 1)
     j_half = np.arange(B // 2, B + 1, dtype=np.int64)
-    cols_half = j_half[:-1]
     for k in range(1, L + 1):
-        _scatter_increasing(P, B, cols_half, j_half, B + 2 * k * j_half)
+        _scatter_increasing(P, B, j_half, branch_matrix(2 * k + 1))
 
-    # even branches, onto: x = (mB + j) / (2n(mB + j) + B)
     j_full = np.arange(B + 1, dtype=np.int64)
-    cols_full = j_full[:-1]
     edges = j_full / B
     for n in range(1, L + 1):
         M, i_star = _even_fit_m(B, n)
         for m in range(1, M + 1):
-            num = m * B + j_full
-            _scatter_increasing(P, B, cols_full, num, 2 * n * num + B)
+            _scatter_increasing(P, B, j_full, branch_matrix(2 * n, m))
         # m > M remainder: per-column mass (1/4n^2)[psi(M+1+d+e) - psi(M+1+c+e)]
         eps = 1.0 / (2 * n)
         psi = digamma(M + 1 + eps + edges)
@@ -253,7 +237,7 @@ class DensityEstimate:
 
     @property
     def mass_upper_half(self) -> float:
-        return self.mass(Fraction(1, 2), Fraction(1))
+        return self.mass(*PartitionCell("half").endpoints)
 
     def l1_distance(self, other: "DensityEstimate") -> float:
         """L1 distance between the two step densities; grids must nest."""
@@ -399,27 +383,26 @@ def integral_log_norm(density: DensityEstimate) -> float:
     exact bin-overlap masses; the unenumerated remainder is bounded by the
     max density times the Lebesgue series tail, which keeps the estimate on
     the conservative side.  Cells are enumerated to K = 4 * bins.  Half cells
-    contribute nothing.
-
-    Cell endpoints enter `_cell_mass` as integers (odd k: 1/(2k+2), 1/(2k+1);
-    even (n, m): m/(2nm+1), (m+1)/(2n(m+1)+1)), so no Fraction is built, and
-    the terms are added one by one in enumeration order, so the result has
-    the bits of the exact-Fraction masses.
+    contribute nothing.  Cell endpoints enter `_cell_mass` as integers, so no
+    Fraction is built, and the terms are added one by one in enumeration
+    order, so the result has the bits of the exact-Fraction masses.
     """
     B = density.bins
     K = 4 * B
     v = density.values.tolist()
     total = 0.0
+    # an odd cell is psi(1/2, 1), an even cell psi(0, 1) (see PartitionCell)
     for k in range(1, K + 1):
+        a, b, c, d = branch_matrix(2 * k + 1)
         lam = k + math.sqrt(k * k + 1.0)
-        total += math.log(lam) * _cell_mass(v, B, 1, 2 * k + 2, 1, 2 * k + 1)
+        total += math.log(lam) * _cell_mass(v, B, a + 2 * b, c + 2 * d, a + b, c + d)
     for n in range(1, K // 2 + 1):
         M = max(1, K // (2 * n))
         for m in range(1, M + 1):
-            T = 2 * n * m + 2
+            a, b, c, d = branch_matrix(2 * n, m)
+            T = a + d
             lam = 0.5 * (T + math.sqrt(T * T - 4.0))
-            mass = _cell_mass(v, B, m, T - 1, m + 1, T + 2 * n - 1)
-            total += math.log(lam) * mass
+            total += math.log(lam) * _cell_mass(v, B, b, d, a + b, c + d)
     tail = _odd_tail(K)
     ns = np.arange(1, K // 2 + 1)
     tail += float(_even_m_tail(ns, np.maximum(1, K // (2 * ns))).sum())

@@ -139,8 +139,12 @@ class PairSurd:
         return self._cmp_sign(other) >= 0
 
     def __float__(self) -> float:
-        lo, _ = pair_fraction_bounds(self, 96)
-        return float(lo)
+        prec = 96
+        while True:
+            lo, hi = pair_fraction_bounds(self, prec)
+            if float(lo) == float(hi):
+                return float(lo)
+            prec *= 2
 
     def __repr__(self):
         return f"Surd({self.a!r}, {self.b!r}, {self.d})"

@@ -10,6 +10,7 @@ from gaprenorm.cf import (
     CellBoundaryError,
     ExpansionExhaustedError,
     PartitionCell,
+    branch_matrix,
     cf_normalize,
     cf_value,
     classify_cell,
@@ -22,7 +23,7 @@ from gaprenorm.cf import (
     rational_to_cf,
     sample_theta,
 )
-from gaprenorm.exact import ExactReal, Surd, exact_floor
+from gaprenorm.exact import ExactReal, Surd, exact_floor, mobius
 
 from surds import make_surd
 
@@ -335,6 +336,33 @@ def test_delta_squared_inverts_the_gap_slope():
         for step in gap_trajectory(theta, 59).steps:
             cell = classify_cell(step, step.value)
             assert step.delta ** 2 * gap_derivative(step.value, cell) == 1
+
+
+def test_branch_matrices_are_unimodular():
+    for a1 in range(1, 80):
+        for a2 in range(1, 40):
+            entries = branch_matrix(a1, a2)
+            assert all(type(e) is int for e in entries)
+            a, b, c, d = entries
+            assert a * d - b * c in (1, -1)
+
+
+def test_branch_cocycle():
+    # M_n, the product of the branch matrices of levels 0 .. n-1, maps theta_n
+    # to theta_0, and delta_0 * ... * delta_{n-1} = 1/|c_n theta_n + d_n|
+    rng = random.Random(61)
+    thetas = [parse_theta_spec(spec)
+              for spec in ("cfper:[][2]", "cfper:[][2,5]", "cfper:[1][3,7,2]",
+                           "cfper:[3][1,4,2]")]
+    thetas += [sample_theta(rng, bits=700) for _ in range(40)]
+    for theta in thetas:
+        traj = gap_trajectory(theta, 40)
+        a, b, c, d = 1, 0, 0, 1
+        for step in traj.steps:
+            assert mobius(a, b, c, d, step.value) == traj.theta_value
+            assert traj.delta_product(step.level) * (c * step.value + d) in (1, -1)
+            e, f, g, h = branch_matrix(step.a1, 0 if step.a1 % 2 else step.quotient(2))
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
 def _cell_or_error(cf, *value):

@@ -83,6 +83,20 @@ def test_rho_json(capsys):
         assert row["rho"] == row["halfsum"] + row["xi"]
 
 
+def test_rho_prints_levels_reached_before_exhaustion(capsys):
+    # rat:89/233 runs out of quotients after 6 steps: --level 20 prints the
+    # rows of --level 6, then the exhaustion, in both formats
+    for fmt in ((), ("--json",)):
+        code, out, err = run(capsys, "rho", "--theta", "rat:89/233", "--level", "20",
+                             *fmt)
+        assert code == 1
+        assert err == ("error: trajectory exhausted after 6 steps: gap map exhausted"
+                       " the expansion (odd a1)\n")
+        code, level_6_out, _ = run(capsys, "rho", "--theta", "rat:89/233", "--level",
+                                   "6", *fmt)
+        assert code == 0 and out == level_6_out
+
+
 def test_matrix_json(capsys):
     code, out, _ = run(capsys, "matrix", "--theta", "cfper:[][2]", "--level", "3",
                        "--json")

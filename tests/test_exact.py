@@ -8,13 +8,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gaprenorm.exact import (
     Surd,
     exact_floor,
     exact_log,
     fraction_bounds,
+    mobius,
     squarefree_split,
 )
 
@@ -177,6 +178,38 @@ def test_float_matches_numeric():
                             rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_float_of_a_cancelling_surd():
+    # p and q*sqrt(d) agree to 31 digits, so a 96-bit enclosure is wider than
+    # the value; float once returned its lower end, -1.0289 here
+    x = Surd(Fraction(120969780042405945158031563360986, 5),
+             Fraction(-7993908074498274771327931431667, 5), 229)
+    assert x > 0
+    assert float(x) == 0.8634502302502994
+    # the same cancellation in a product of deltas: about 1.03e-16, once
+    # -1.23e-16
+    from gaprenorm.cf import gap_trajectory, parse_theta_spec
+
+    product = gap_trajectory(parse_theta_spec("cfper:[3][1,4,2]"), 36).delta_product(36)
+    assert math.isclose(float(product), math.exp(exact_log(product)), rel_tol=1e-12)
+
+
+def test_mobius_matches_plain_arithmetic():
+    rng = random.Random(12)
+    for _ in range(200):
+        a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
+        x = make_surd(Fraction(rng.randint(-50, 50), rng.randint(1, 50)),
+                      Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 50)),
+                      rng.choice([2, 3, 12, 229]))
+        for y in (x, Fraction(rng.randint(-50, 50), rng.randint(1, 50)),
+                  rng.randint(-5, 5)):
+            if c * y + d == 0:
+                continue
+            # Fraction(a) keeps an int y out of float division
+            want = (Fraction(a) * y + b) / (Fraction(c) * y + d)
+            got = mobius(a, b, c, d, y)
+            assert got == want and type(got) is type(want)
+
+
 def test_comparison_randomized():
     rng = random.Random(10)
     for _ in range(300):
@@ -230,6 +263,28 @@ def test_order_agrees_with_enclosures(data, d, prec):
         assert x < y and y > x and not x >= y
     if hi_y < lo_x:
         assert x > y and y < x and not x <= y
+
+
+@st.composite
+def cancelling_surds(draw):
+    """(p + q*sqrt(d))/r with p within a few units of -q*sqrt(d)."""
+    d = draw(st.sampled_from((2, 3, 5, 229)))
+    q = draw(st.integers(1, 1 << 120)) * draw(st.sampled_from((1, -1)))
+    root = math.isqrt(q * q * d) * (1 if q > 0 else -1)
+    p = -root + draw(st.integers(-3, 3))
+    r = draw(st.integers(1, 1 << 40))
+    return Surd(Fraction(p, r), Fraction(q, r), d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(cancelling_surds(),
+                   st.builds(Surd, COEFF, COEFF.filter(bool), st.sampled_from(FIELDS))))
+def test_float_is_correctly_rounded(x):
+    # rounding is monotone, so when both ends of a 1024-bit enclosure round to
+    # one float, that float is the correctly rounded value
+    lo, hi = pair_fraction_bounds(PairSurd(x.a, x.b, x.d), 1024)
+    assume(float(lo) == float(hi))
+    assert float(x) == float(lo)
 
 
 # each field in its squarefree form and in one with a square factor:

@@ -18,12 +18,12 @@ from gaprenorm.cf import (
     rational_to_cf,
     sample_theta,
 )
+from gaprenorm.exact import mobius
 from gaprenorm.measure import (
     THRESHOLD_FAMILIES,
     build_ulam,
     correlation_decay,
     integral_log_norm,
-    inverse_branch,
     khinchin_experiment,
     khinchin_experiments,
     series_bound,
@@ -33,6 +33,23 @@ from gaprenorm.measure import (
 
 # ---------------------------------------------------------------------------
 # branches
+
+# cell endpoints written out by hand, an oracle independent of the branch table
+def odd_endpoints(k):
+    return Fraction(1, 2 * k + 2), Fraction(1, 2 * k + 1)
+
+
+def even_endpoints(n, m):
+    return Fraction(m, 2 * n * m + 1), Fraction(m + 1, 2 * n * (m + 1) + 1)
+
+
+def test_endpoints_match_hand_formulas():
+    assert PartitionCell("half").endpoints == (Fraction(1, 2), Fraction(1))
+    for k in range(1, 61):
+        assert PartitionCell("odd", k=k).endpoints == odd_endpoints(k)
+    for n in range(1, 26):
+        for m in range(1, 26):
+            assert PartitionCell("even", n=n, m=m).endpoints == even_endpoints(n, m)
 
 
 def test_branch_round_trip():
@@ -46,7 +63,7 @@ def test_branch_round_trip():
             x = lo + (hi - lo) * t
             y = gap_map_value(x, rational_to_cf(x))
             assert 0 < y < 1
-            assert inverse_branch(y, cell) == x
+            assert mobius(*cell.matrix, y) == x
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +198,19 @@ def _density(bins):
 
 
 def _fraction_integral(density):
-    """integral_log_norm over PartitionCell endpoints and Fraction masses."""
+    """integral_log_norm over hand-written endpoints and Fraction masses."""
     K = 4 * density.bins
     total = 0.0
     for k in range(1, K + 1):
         lam = k + math.sqrt(k * k + 1.0)
-        lo, hi = PartitionCell("odd", k=k).endpoints
+        lo, hi = odd_endpoints(k)
         total += math.log(lam) * _fraction_mass(density.values, lo, hi)
     for n in range(1, K // 2 + 1):
         M = max(1, K // (2 * n))
         for m in range(1, M + 1):
             T = 2 * n * m + 2
             lam = 0.5 * (T + math.sqrt(T * T - 4.0))
-            lo, hi = PartitionCell("even", n=n, m=m).endpoints
+            lo, hi = even_endpoints(n, m)
             total += math.log(lam) * _fraction_mass(density.values, lo, hi)
     tail = measure._odd_tail(K)
     ns = np.arange(1, K // 2 + 1)
