@@ -234,12 +234,14 @@ def gap_map(cf: CFExpansion) -> CFExpansion:
 def _level_expansion(theta: CFExpansion, head: int, i: int) -> CFExpansion:
     """[head, q[i], q[i + 1], ...] over the 0-based quotients q of theta.
 
-    The head takes the place of q[i - 1].  Past the preperiod, where that is
-    period entry s, a head equal to it starts the period rotated to s, and
-    any other head precedes the period rotated to s + 1, as gap_map gives it.
+    The head takes the place of q[i - 1].  Once q[i] lies in the period, let
+    q[i - 1] be period entry s (s = -1 for the last preperiod entry): a head
+    equal to entry s starts the period rotated to s, and any other head
+    precedes the period rotated to s + 1.  The result is canonical, as
+    `cf_normalize` writes it.
     """
     pre, per = theta.preperiod, theta.period
-    if i <= len(pre):
+    if i < len(pre) or not per:
         return CFExpansion((head,) + pre[i:], per)
     s = (i - 1 - len(pre)) % len(per)
     if head == per[s]:
@@ -287,10 +289,12 @@ def gap_map_value(value: ExactReal, cf: CFExpansion | TrajectoryStep) -> ExactRe
 
 @dataclass(frozen=True)
 class PartitionCell:
-    """One cell of the Markov partition for the gap map.
+    """One cell of the Markov partition for the gap map, named by its quotients.
 
-    kind is 'half' for (1/2, 1), 'odd' for the cell with a1 = 2k + 1, and
-    'even' for the cell with a1 = 2n, a2 = m.  g maps Half onto (0, 1/2),
+    The quotients that pick a cell name it: PartitionCell(1) is Half, the
+    interval (1/2, 1), PartitionCell(2k + 1) is Odd(k) and PartitionCell(2n, m)
+    is Even(n, m).  a2 >= 1 exactly when a1 is even, so each cell has one
+    name; any other (a1, a2) raises ValueError.  g maps Half onto (0, 1/2),
     Odd onto (1/2, 1) and Even onto (0, 1); its inverse psi(y) =
     (a*y + b)/(c*y + d) on the cell is the integer matrix `branch_matrix`:
 
@@ -307,33 +311,23 @@ class PartitionCell:
     = 1/|c_n*theta_n + d_n|.
     """
 
-    kind: str
-    k: int = 0
-    n: int = 0
-    m: int = 0
-    _TARGET = {"half": (0, 1), "odd": (1, 2), "even": (0, 2)}  # in halves
+    a1: int
+    a2: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("half", "odd", "even"):
-            raise ValueError(f"unknown cell kind {self.kind!r}")
-        if self.kind == "odd" and self.k < 1:
-            raise ValueError("odd cells need k >= 1")
-        if self.kind == "even" and (self.n < 1 or self.m < 1):
-            raise ValueError("even cells need n, m >= 1")
+        if self.a1 < 1 or self.a2 < 0 or (self.a2 >= 1) != (self.a1 % 2 == 0):
+            raise ValueError(f"no such cell: {self!r}")
 
     @property
     def matrix(self) -> tuple[int, int, int, int]:
-        if self.kind == "half":
-            return branch_matrix(1)
-        if self.kind == "odd":
-            return branch_matrix(2 * self.k + 1)
-        return branch_matrix(2 * self.n, self.m)
+        return branch_matrix(self.a1, self.a2)
 
     @property
     def endpoints(self) -> tuple[Fraction, Fraction]:
         """psi at the target's ends u/2; Half's psi, of determinant -1, swaps them."""
         a, b, c, d = self.matrix
-        ends = [Fraction(a * u + 2 * b, c * u + 2 * d) for u in self._TARGET[self.kind]]
+        target = (self.a1 % 2, 2) if self.a1 > 1 else (0, 1)  # in halves
+        ends = [Fraction(a * u + 2 * b, c * u + 2 * d) for u in target]
         return tuple(ends) if a * d > b * c else tuple(ends[::-1])
 
     def contains(self, x: ExactReal) -> bool:
@@ -341,11 +335,11 @@ class PartitionCell:
         return lo < x < hi
 
     def __str__(self):
-        if self.kind == "half":
+        if self.a1 == 1:
             return "Half"
-        if self.kind == "odd":
-            return f"Odd({self.k})"
-        return f"Even({self.n},{self.m})"
+        if self.a1 % 2:
+            return f"Odd({self.a1 // 2})"
+        return f"Even({self.a1 // 2},{self.a2})"
 
 
 def classify_cell(cf: CFExpansion, value: Optional[ExactReal] = None) -> PartitionCell:
@@ -355,16 +349,11 @@ def classify_cell(cf: CFExpansion, value: Optional[ExactReal] = None) -> Partiti
     quotient accessors; `value`, when the caller holds it, saves recomputing it.
     """
     a1 = cf.head
-    if a1 == 1:
-        cell = PartitionCell("half")
-    elif a1 % 2 == 1:
-        cell = PartitionCell("odd", k=(a1 - 1) // 2)
-    else:
-        if not cf.available(2):
-            raise ExpansionExhaustedError(
-                "even leading quotient needs a second quotient to pick a cell"
-            )
-        cell = PartitionCell("even", n=a1 // 2, m=cf.quotient(2))
+    if a1 % 2 == 0 and not cf.available(2):
+        raise ExpansionExhaustedError(
+            "even leading quotient needs a second quotient to pick a cell"
+        )
+    cell = PartitionCell(a1, 0 if a1 % 2 else cf.quotient(2))
     if value is None:
         value = cf_value(cf)
     if not cell.contains(value):

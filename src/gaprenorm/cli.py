@@ -27,7 +27,7 @@ from .cf import (
     parse_theta_spec,
 )
 from .exact import exact_str
-from .substitution import A, ReturnMatrix, expand_word, levels, return_matrix
+from .substitution import A, expand_word, levels, return_matrix
 
 
 def _resolve_theta_spec(spec: str, den_bound: int | None) -> str:
@@ -215,27 +215,28 @@ def cmd_rho(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    rules = levels(_parse_theta(args), args.level).rules
-    prod = ReturnMatrix.identity()
+    lv, exhausted = _reached(levels, _parse_theta(args), args.level)
+    a, b, c, d = 1, 0, 0, 1
     rows = []
-    for n, rule in enumerate(rules, start=1):
-        m = return_matrix(rule)
-        prod = m @ prod
-        (a, b), (c, d) = prod.rows()
+    for n, rule in enumerate(lv.rules, start=1):
+        p, q, r, s = return_matrix(rule)
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        t = a + d
         rows.append(
             {
                 "n": n,
-                "step": list(map(list, m.rows())),
+                "step": [[p, q], [r, s]],
                 "product": [[a, b], [c, d]],
-                "lengths": list(prod.apply((1, 1))),
-                "top_eigenvalue": prod.top_eigenvalue(),
+                "lengths": [a + b, c + d],
+                "top_eigenvalue": (t + math.sqrt(t * t - 4 * (a * d - b * c))) / 2,
             }
         )
     return _print_levels(
         args, rows, None,
         lambda r: (f"n={r['n']:>2}  step={r['step']}  product="
                    f"{str(r['product']).replace(' ', '')}  lengths={tuple(r['lengths'])}"
-                   f"  top~{r['top_eigenvalue']:.4f}"))
+                   f"  top~{r['top_eigenvalue']:.4f}"),
+        exhausted)
 
 
 def cmd_ulam(args) -> int:

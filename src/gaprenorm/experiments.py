@@ -260,6 +260,8 @@ def run_trimmed_sums(
         raise ValueError("need at least 30 samples")
     if cfg.depth < 200:
         raise ValueError("need depth >= 200")
+    if any(c < 2 for c in checkpoints):
+        raise ValueError("checkpoints must be >= 2: n log n is 0 at n = 1")
     marks = sorted(set(c for c in checkpoints if c <= cfg.depth))
     records = []
     for sid in range(cfg.samples):

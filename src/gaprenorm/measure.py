@@ -237,7 +237,7 @@ class DensityEstimate:
 
     @property
     def mass_upper_half(self) -> float:
-        return self.mass(*PartitionCell("half").endpoints)
+        return self.mass(*PartitionCell(1).endpoints)
 
     def l1_distance(self, other: "DensityEstimate") -> float:
         """L1 distance between the two step densities; grids must nest."""

@@ -11,9 +11,10 @@ The letter weights are +1 for A and -1 for B and C; `rho` of a word is
 1 + (max prefix sum) - (min prefix sum), the spread of its half-discrepancy
 walk.
 
-`_fold_rule` is the one definition of the images, one fold per rule kind.
-Each level computes the block X = A^k B^(k-1) once and builds every image
-from it with a few concatenations, naming
+`_fold_rule` is the one definition of the images.  A level with a1 = 1
+substitutes nothing; every other level, with k = a1 // 2, computes the block
+X = A^k B^(k-1) once and builds every image from it with a few
+concatenations, naming
 
     lead = A X C,   fill = X C,   bal = X B C:
 
@@ -34,7 +35,6 @@ derivation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -129,24 +129,21 @@ def _repeat(s: Stats, count: int) -> Stats:
 class SubstitutionRule:
     """The letter substitution induced by one renormalization level.
 
-    kind 'identity' covers a1 = 1, 'odd' covers a1 = 2k + 1, and 'even'
-    covers a1 = 2k with second quotient a2; `next_one` distinguishes the
-    even subcase where the following quotient is 1.  `_fold_rule` builds
+    A rule is named by its level's quotients, like its `PartitionCell`: a1
+    alone when a1 is odd (a1 = 1 substitutes nothing), and (a1, a2 >= 1,
+    next_one) when a1 is even, where `next_one` says whether a3 is 1.  Any
+    other name raises ValueError, so each rule has one.  `_fold_rule` builds
     the images.
     """
 
-    kind: str
-    k: int = 0
+    a1: int
     a2: int = 0
     next_one: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("identity", "odd", "even"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind == "odd" and self.k < 1:
-            raise ValueError("odd rules need k >= 1")
-        if self.kind == "even" and (self.k < 1 or self.a2 < 1):
-            raise ValueError("even rules need k >= 1 and a2 >= 1")
+        even = self.a1 % 2 == 0
+        if self.a1 < 1 or self.a2 < 0 or (self.a2 >= 1) != even or self.next_one > even:
+            raise ValueError(f"no such rule: {self!r}")
 
 
 _LETTER_STATS = tuple((1, WEIGHT[ch], WEIGHT[ch], WEIGHT[ch]) for ch in LETTERS)
@@ -160,16 +157,16 @@ def _fold_rule(rule: SubstitutionRule, a, b, c, cat=_concat, rep=_repeat):
     images are built from the shared block X = A^k B^(k-1) as the module
     docstring lays out.
     """
-    if rule.kind == "identity":
+    if rule.a1 == 1:
         return a, b, c
-    k = rule.k
+    k = rule.a1 // 2
     x = rep(a, k)
     if k > 1:
         x = cat(x, rep(b, k - 1))
     fill = cat(x, c)
     lead = cat(a, fill)
     bal = cat(cat(x, b), c)
-    if rule.kind == "odd":
+    if rule.a1 % 2:
         return bal, lead, a
     if rule.next_one:
         a_img = cat(bal, rep(fill, rule.a2))
@@ -187,17 +184,13 @@ def build_rule(cf: CFExpansion | TrajectoryStep) -> SubstitutionRule:
     A trajectory step serves as well: a1, a2 and a3 are read from its view.
     """
     a1 = cf.head
-    if a1 == 1:
-        return SubstitutionRule("identity")
-    if a1 % 2 == 1:
-        return SubstitutionRule("odd", k=(a1 - 1) // 2)
+    if a1 % 2:
+        return SubstitutionRule(a1)
     if not cf.available(3):
         raise ExpansionExhaustedError(
             "even-level rule needs quotients a2 and a3"
         )
-    return SubstitutionRule(
-        "even", k=a1 // 2, a2=cf.quotient(2), next_one=cf.quotient(3) == 1
-    )
+    return SubstitutionRule(a1, cf.quotient(2), cf.quotient(3) == 1)
 
 
 def rules_along(theta: CFExpansion, n: int) -> list[SubstitutionRule]:
@@ -216,7 +209,7 @@ def stats_by_level(rules: Sequence[SubstitutionRule]) -> list[dict[str, WordStat
     cur = _LETTER_STATS
     out = [checked(*cur)]
     for rule in rules:
-        if rule.kind == "identity":
+        if rule.a1 == 1:
             out.append(out[-1])
         else:
             cur = _fold_rule(rule, *cur)
@@ -245,70 +238,36 @@ def expand_word(rules: Sequence[SubstitutionRule], letter: str = A,
     return word
 
 
-@dataclass(frozen=True)
-class ReturnMatrix:
-    """2x2 integer matrix acting on the (|A-word|, |C-word|) length pair."""
+def return_matrix(rule: SubstitutionRule) -> tuple[int, int, int, int]:
+    """(a, b, c, d): the rule's matrix on (|A-word|, |C-word|), row 2 for C.
 
-    a: int
-    b: int
-    c: int
-    d: int
+    With k = a1 // 2 and base = (2k - 1)*a2, every entry is non-negative:
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.c, self.d) < 0:
-            raise ValueError("return matrices are nonnegative")
-        if abs(self.det) != 1:
-            raise ValueError(f"return matrices are unimodular, got det {self.det}")
-
-    @classmethod
-    def identity(cls) -> "ReturnMatrix":
-        return cls(1, 0, 0, 1)
-
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, u: tuple[int, int]) -> tuple[int, int]:
-        x, y = u
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
-
-    def __matmul__(self, other: "ReturnMatrix") -> "ReturnMatrix":
-        return ReturnMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
-
-    def top_eigenvalue(self) -> float:
-        """Largest eigenvalue (meant for single-level matrices)."""
-        t = self.a + self.d
-        return (t + math.sqrt(t * t - 4 * self.det)) / 2
-
-
-def return_matrix(rule: SubstitutionRule) -> ReturnMatrix:
-    """Length-transport matrix of a rule: row 1 for the A/B word, row 2 for C."""
-    if rule.kind == "identity":
-        return ReturnMatrix.identity()
-    if rule.kind == "odd":
-        return ReturnMatrix(2 * rule.k, 1, 1, 0)
-    k, a2 = rule.k, rule.a2
-    base = (2 * k - 1) * a2
+        a1 = 1        [[1, 0], [0, 1]]                       det 1
+        a1 = 2k + 1   [[2k, 1], [1, 0]]                      det -1
+        a1 = 2k       [[base + 1, a2], [base + 2k, a2 + 1]]  det 1, as
+                      (base + 1)(a2 + 1) - a2*(base + 2k) = base + 1 - (2k - 1)*a2;
+                      next_one (a3 = 1) swaps the rows       det -1
+    """
+    a1, a2 = rule.a1, rule.a2
+    if a1 == 1:
+        return 1, 0, 0, 1
+    if a1 % 2:
+        return a1 - 1, 1, 1, 0
+    base = (a1 - 1) * a2
     if not rule.next_one:
-        return ReturnMatrix(base + 1, a2, base + 2 * k, a2 + 1)
-    return ReturnMatrix(base + 2 * k, a2 + 1, base + 1, a2)
+        return base + 1, a2, base + a1, a2 + 1
+    return base + a1, a2 + 1, base + 1, a2
 
 
 def lengths_by_level(rules: Sequence[SubstitutionRule]) -> list[tuple[int, int]]:
     """(|A-word|, |C-word|) after 0, 1, ..., len(rules) levels."""
-    u = (1, 1)
-    out = [u]
+    x = y = 1
+    out = [(x, y)]
     for rule in rules:
-        u = return_matrix(rule).apply(u)
-        out.append(u)
+        a, b, c, d = return_matrix(rule)
+        x, y = a * x + b * y, c * x + d * y
+        out.append((x, y))
     return out
 
 

@@ -40,18 +40,18 @@ def classify_value(x: ExactReal) -> PartitionCell:
     if x == half:
         raise CellBoundaryError("1/2 is a cell boundary")
     if x > half:
-        return PartitionCell("half")
+        return PartitionCell(1)
     r = 1 / x
     a1 = exact_floor(r)
     if r == a1:
         raise CellBoundaryError(f"{x} is the endpoint 1/{a1}")
     if a1 % 2 == 1:
-        return PartitionCell("odd", k=(a1 - 1) // 2)
+        return PartitionCell(a1)
     y = r - a1
     m = exact_floor(1 / y)
     if 1 / y == m:
         raise CellBoundaryError(f"{x} is an even-cell endpoint")
-    cell = PartitionCell("even", n=a1 // 2, m=m)
+    cell = PartitionCell(a1, m)
     if not cell.contains(x):
         raise CellBoundaryError(f"{x} sits on the boundary of {cell}")
     return cell
@@ -179,6 +179,7 @@ def test_gap_map_on_periodic_expansions():
         "cfper:[][2]": ((), (2,)),  # even: [a3, a4, ...]
         "cfper:[][2,5]": ((), (2, 5)),
         "cfper:[4][6,1]": ((), (1, 6)),
+        "cfper:[3][2,1]": ((), (1, 2)),  # the head 1 ends the period, canonically
     }
     for spec, (pre, per) in cases.items():
         cf = parse_theta_spec(spec)
@@ -455,13 +456,13 @@ def test_sample_theta_contract():
 
 
 def test_cell_endpoints():
-    assert PartitionCell("half").endpoints == (Fraction(1, 2), Fraction(1))
-    assert PartitionCell("odd", k=1).endpoints == (Fraction(1, 4), Fraction(1, 3))
-    assert PartitionCell("even", n=1, m=2).endpoints == (Fraction(2, 5), Fraction(3, 7))
+    assert PartitionCell(1).endpoints == (Fraction(1, 2), Fraction(1))
+    assert PartitionCell(3).endpoints == (Fraction(1, 4), Fraction(1, 3))
+    assert PartitionCell(2, 2).endpoints == (Fraction(2, 5), Fraction(3, 7))
     with pytest.raises(ValueError):
-        PartitionCell("odd", k=0)
+        PartitionCell(0)
     with pytest.raises(ValueError):
-        PartitionCell("weird")
+        PartitionCell(2, 0)
 
 
 def test_classify_partitions_interval():
@@ -508,7 +509,7 @@ def test_classify_cell_matches_value():
 def test_classify_surd():
     silver = cf_value(parse_theta_spec("cfper:[][2]"))
     cell = classify_value(silver)
-    assert cell == PartitionCell("even", n=1, m=2)
+    assert cell == PartitionCell(2, 2)
     assert isinstance(silver, Surd)
 
 
@@ -531,9 +532,90 @@ def test_two_step_expansivity():
 
 
 def test_gap_derivative_values():
-    assert gap_derivative(Fraction(3, 4), PartitionCell("half")) == 1
+    assert gap_derivative(Fraction(3, 4), PartitionCell(1)) == 1
     # odd branch x / (1 - 2kx): slope (1 - 2kx)^-2
     x = Fraction(3, 10)
-    assert gap_derivative(x, PartitionCell("odd", k=1)) == Fraction(25, 4)
+    assert gap_derivative(x, PartitionCell(3)) == Fraction(25, 4)
     with pytest.raises(CellBoundaryError):
-        gap_derivative(Fraction(3, 4), PartitionCell("odd", k=1))
+        gap_derivative(Fraction(3, 4), PartitionCell(3))
+
+
+def test_each_cell_has_one_name():
+    # a2 >= 1 exactly when a1 is even; every other name raises
+    cells = []
+    for a1 in range(-2, 40):
+        for a2 in range(-2, 20):
+            valid = a1 >= 1 and (a2 >= 1 if a1 % 2 == 0 else a2 == 0)
+            try:
+                cells.append(PartitionCell(a1, a2))
+            except ValueError:
+                assert not valid
+            else:
+                assert valid
+    # distinct names are distinct cells: no two share their endpoints
+    assert len({cell.endpoints for cell in cells}) == len(cells) == 20 + 19 * 19
+
+
+def _cell_names_digest() -> str:
+    rng = random.Random(11)
+    thetas = [parse_theta_spec(spec)
+              for spec in ("cfper:[][2]", "cfper:[][2,5]", "cfper:[1][3,7,2]",
+                           "cfper:[3][1,4,2]")]
+    thetas += [rational_to_cf(Fraction(p, q)) for q in range(2, 60) for p in range(1, q)
+               if math.gcd(p, q) == 1]
+    thetas += [sample_theta(rng, bits=128, min_quotients=48) for _ in range(200)]
+    h = hashlib.sha256()
+    for theta in thetas:
+        try:
+            steps = gap_trajectory(theta, 20).steps
+        except ExpansionExhaustedError as exc:
+            steps = gap_trajectory(theta, exc.steps_completed).steps
+        except CellBoundaryError:
+            continue
+        for step in steps:
+            try:
+                h.update(f"{classify_cell(step, step.value)}\n".encode())
+            except CellBoundaryError as exc:
+                h.update(f"{exc}\n".encode())
+    return h.hexdigest()
+
+
+def test_cell_names_are_unchanged():
+    # sha256 of the cell (Half, Odd(k), Even(n,m)) or endpoint error printed
+    # at levels <= 20 of the golden periodic theta, the rationals p/q with
+    # q < 60 and 200 random rationals; taken when cells were named by kind
+    assert _cell_names_digest() == (
+        "4e2c065953a0f75e8836411fedc56894faa222975cf145203f949f68558a0708")
+
+
+def _assert_canonical(x):
+    assert x == cf_normalize(x.preperiod, x.period)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pre=st.lists(st.integers(1, 6), max_size=5),
+    per=st.lists(st.integers(1, 6), max_size=4),
+    depth=st.integers(1, 30),
+)
+def test_level_expansions_are_canonical(pre, per, depth):
+    # gap_map and each trajectory level give the form cf_normalize writes
+    try:
+        theta = cf_normalize(pre, per)
+    except ValueError:
+        assume(False)
+    cf = theta
+    for _ in range(depth):
+        try:
+            cf = gap_map(cf)
+        except ExpansionExhaustedError:
+            break
+        _assert_canonical(cf)
+    try:
+        traj = gap_trajectory(theta, depth)
+    except ExpansionExhaustedError as exc:
+        traj = gap_trajectory(theta, exc.steps_completed)
+    except CellBoundaryError:
+        return
+    for step in traj.steps:
+        _assert_canonical(step.cf)

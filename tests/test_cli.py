@@ -97,6 +97,21 @@ def test_rho_prints_levels_reached_before_exhaustion(capsys):
         assert code == 0 and out == level_6_out
 
 
+def test_matrix_prints_levels_reached_before_exhaustion(capsys):
+    # as rho: --level 20 on rat:89/233 prints the rows of --level 6, then the
+    # exhaustion, in both formats
+    for fmt in ((), ("--json",)):
+        code, out, err = run(capsys, "matrix", "--theta", "rat:89/233", "--level",
+                             "20", *fmt)
+        assert code == 1
+        assert err == ("error: trajectory exhausted after 6 steps: gap map exhausted"
+                       " the expansion (odd a1)\n")
+        code, level_6_out, _ = run(capsys, "matrix", "--theta", "rat:89/233",
+                                   "--level", "6", *fmt)
+        assert code == 0 and out == level_6_out
+        assert len(json.loads(out)["levels"] if fmt else out.splitlines()) == 6
+
+
 def test_matrix_json(capsys):
     code, out, _ = run(capsys, "matrix", "--theta", "cfper:[][2]", "--level", "3",
                        "--json")
@@ -228,6 +243,8 @@ BAD_RUNS = [
     ("boundedpq", "--orbit-length", "100000000"),
     ("limsup", "--samples", "2", "--depth", "20", "--fmt", "plot", "--out",
      "x.dat", "--plot-fields", "nope,rho"),
+    ("trimmed", "--depth", "200", "--checkpoints", "1"),
+    ("trimmed", "--depth", "200", "--checkpoints", "0,25"),
 ]
 
 

@@ -44,17 +44,16 @@ def even_endpoints(n, m):
 
 
 def test_endpoints_match_hand_formulas():
-    assert PartitionCell("half").endpoints == (Fraction(1, 2), Fraction(1))
+    assert PartitionCell(1).endpoints == (Fraction(1, 2), Fraction(1))
     for k in range(1, 61):
-        assert PartitionCell("odd", k=k).endpoints == odd_endpoints(k)
+        assert PartitionCell(2 * k + 1).endpoints == odd_endpoints(k)
     for n in range(1, 26):
         for m in range(1, 26):
-            assert PartitionCell("even", n=n, m=m).endpoints == even_endpoints(n, m)
+            assert PartitionCell(2 * n, m).endpoints == even_endpoints(n, m)
 
 
 def test_branch_round_trip():
-    cells = [PartitionCell("half"), PartitionCell("odd", k=2),
-             PartitionCell("even", n=1, m=3), PartitionCell("even", n=4, m=2)]
+    cells = [PartitionCell(1), PartitionCell(5), PartitionCell(2, 3), PartitionCell(8, 2)]
     rng = random.Random(40)
     for cell in cells:
         lo, hi = cell.endpoints

@@ -20,7 +20,6 @@ from gaprenorm.substitution import (
     C,
     LETTERS,
     Levels,
-    ReturnMatrix,
     SpreadBoundError,
     SubstitutionRule,
     WordBudgetError,
@@ -129,10 +128,10 @@ def _image_segments(rule: SubstitutionRule, letter: str):
     Each segment (runs, repeat) stands for its runs of letters written
     `repeat` times, so the table stays small for large quotients.
     """
-    k, a2 = rule.k, rule.a2
-    if rule.kind == "identity":
+    k, a2 = rule.a1 // 2, rule.a2
+    if rule.a1 == 1:
         return ((_runs((letter, 1)), 1),)
-    if rule.kind == "odd":
+    if rule.a1 % 2:
         if letter == A:
             return ((_runs((A, k), (B, k), (C, 1)), 1),)
         if letter == B:
@@ -160,10 +159,10 @@ def _image_word(rule: SubstitutionRule, letter: str) -> str:
 
 
 # identity, odd k <= 8, and even k, a2 <= 8 with next_one both ways
-SMALL_RULES = [SubstitutionRule("identity")]
-SMALL_RULES += [SubstitutionRule("odd", k=k) for k in range(1, 9)]
+SMALL_RULES = [SubstitutionRule(1)]
+SMALL_RULES += [SubstitutionRule(2 * k + 1) for k in range(1, 9)]
 SMALL_RULES += [
-    SubstitutionRule("even", k=k, a2=a2, next_one=flag)
+    SubstitutionRule(2 * k, a2, flag)
     for k in range(1, 9)
     for a2 in range(1, 9)
     for flag in (False, True)
@@ -180,16 +179,16 @@ def test_rule_images_small_cases():
     def images(rule):
         return {L: expand_word([rule], L) for L in LETTERS}
 
-    assert images(SubstitutionRule("odd", k=1)) == {A: "ABC", B: "AAC", C: "A"}
-    even = SubstitutionRule("even", k=1, a2=1)
+    assert images(SubstitutionRule(3)) == {A: "ABC", B: "AAC", C: "A"}
+    even = SubstitutionRule(2, 1)
     assert images(even) == {A: "AAC", B: "ABC", C: "ABCAC"}
-    even1 = SubstitutionRule("even", k=1, a2=1, next_one=True)
+    even1 = SubstitutionRule(2, 1, next_one=True)
     assert images(even1) == {A: "ABCAC", B: "AACAC", C: "AAC"}
-    assert images(SubstitutionRule("identity")) == {L: L for L in LETTERS}
+    assert images(SubstitutionRule(1)) == {L: L for L in LETTERS}
     with pytest.raises(ValueError):
-        SubstitutionRule("odd", k=0)
+        SubstitutionRule(0)
     with pytest.raises(ValueError):
-        SubstitutionRule("even", k=1, a2=0)
+        SubstitutionRule(2, 0)
 
 
 def test_image_stats_match_words():
@@ -222,10 +221,10 @@ def letter_stats(draw):
 
 SMALL_OR_LARGE = st.one_of(st.integers(1, 4), st.integers(1, 10**12))
 RULES = st.one_of(
-    st.just(SubstitutionRule("identity")),
-    st.builds(SubstitutionRule, st.just("odd"), k=SMALL_OR_LARGE),
-    st.builds(SubstitutionRule, st.just("even"), k=SMALL_OR_LARGE,
-              a2=SMALL_OR_LARGE, next_one=st.booleans()),
+    st.just(SubstitutionRule(1)),
+    st.builds(lambda k: SubstitutionRule(2 * k + 1), SMALL_OR_LARGE),
+    st.builds(lambda k, a2, flag: SubstitutionRule(2 * k, a2, flag),
+              SMALL_OR_LARGE, SMALL_OR_LARGE, st.booleans()),
 )
 
 
@@ -267,13 +266,10 @@ def test_a_and_b_images_share_length():
 
 
 def test_build_rule_reads_the_expansion():
-    assert build_rule(parse_theta_spec("cf:[1,5,2]")).kind == "identity"
-    r = build_rule(parse_theta_spec("cf:[5,2,3]"))
-    assert r.kind == "odd" and r.k == 2
-    r = build_rule(parse_theta_spec("cf:[4,3,1,2]"))
-    assert r.kind == "even" and (r.k, r.a2, r.next_one) == (2, 3, True)
-    r = build_rule(parse_theta_spec("cfper:[][2]"))
-    assert (r.kind, r.k, r.a2, r.next_one) == ("even", 1, 2, False)
+    assert build_rule(parse_theta_spec("cf:[1,5,2]")) == SubstitutionRule(1)
+    assert build_rule(parse_theta_spec("cf:[5,2,3]")) == SubstitutionRule(5)
+    assert build_rule(parse_theta_spec("cf:[4,3,1,2]")) == SubstitutionRule(4, 3, True)
+    assert build_rule(parse_theta_spec("cfper:[][2]")) == SubstitutionRule(2, 2, False)
 
 
 def test_compose_matches_expansion():
@@ -328,20 +324,60 @@ def test_matrices_track_lengths():
         assert levels(theta, 12).lengths[12] == lens[12]
 
 
+def _times(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _det(m):
+    a, b, c, d = m
+    return a * d - b * c
+
+
 def test_matrix_algebra():
-    m = return_matrix(SubstitutionRule("odd", k=1))
-    assert m.rows() == ((2, 1), (1, 0))
-    assert m.det == -1
-    e = return_matrix(SubstitutionRule("even", k=1, a2=2))
-    assert e.rows() == ((3, 2), (4, 3)) and e.det == 1
-    assert (m @ ReturnMatrix.identity()).rows() == m.rows()
-    assert m.apply((1, 1)) == (3, 1)
+    m = return_matrix(SubstitutionRule(3))
+    assert m == (2, 1, 1, 0)
+    assert _det(m) == -1
+    e = return_matrix(SubstitutionRule(2, 2))
+    assert e == (3, 2, 4, 3) and _det(e) == 1
+    assert return_matrix(SubstitutionRule(1)) == (1, 0, 0, 1)
+    assert lengths_by_level([SubstitutionRule(3)])[1] == (3, 1)
     lv = levels(parse_theta_spec("cfper:[][2]"), 5)
-    prod = ReturnMatrix.identity()
+    prod = return_matrix(SubstitutionRule(1))
     for rule in lv.rules:
-        prod = return_matrix(rule) @ prod
-    assert prod.apply((1, 1)) == lv.lengths[5]
-    assert abs(prod.det) == 1
+        prod = _times(return_matrix(rule), prod)
+    a, b, c, d = prod
+    assert (a + b, c + d) == lv.lengths[5]
+    assert abs(_det(prod)) == 1
+
+
+def test_return_matrices_are_unimodular():
+    rules = [SubstitutionRule(a1) for a1 in range(1, 80, 2)]
+    rules += [SubstitutionRule(a1, a2, flag) for a1 in range(2, 80, 2)
+              for a2 in range(1, 40) for flag in (False, True)]
+    for rule in rules:
+        m = return_matrix(rule)
+        assert all(type(e) is int and e >= 0 for e in m)
+        assert _det(m) in (1, -1)
+
+
+def test_each_rule_has_one_name():
+    # a2 >= 1 exactly when a1 is even, and next_one only for an even a1;
+    # every other name raises
+    for a1 in range(-2, 12):
+        for a2 in range(-2, 6):
+            for flag in (False, True):
+                valid = a1 >= 1 and (a2 >= 1 if a1 % 2 == 0 else a2 == 0 and not flag)
+                try:
+                    SubstitutionRule(a1, a2, flag)
+                except ValueError:
+                    assert not valid
+                else:
+                    assert valid
+    # no two names give the same images
+    images = {tuple(expand_word([rule], L) for L in LETTERS) for rule in SMALL_RULES}
+    assert len(images) == len(set(SMALL_RULES)) == len(SMALL_RULES)
 
 
 def test_growth_and_lyapunov_silver():
