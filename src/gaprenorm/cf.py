@@ -65,9 +65,9 @@ class CFExpansion:
 
     Direct construction takes canonical quotients as given: integers >= 1,
     not empty, and a finite expansion neither [1] nor ending in 1.  Raw input
-    is validated once, by `cf_normalize` (which `parse_theta_spec`,
-    `rational_to_cf` and `sample_theta` go through); `gap_map` derives
-    valid expansions from valid ones without checking again.
+    is validated once, by `cf_normalize` (`parse_theta_spec`, `sample_theta`);
+    `rational_to_cf` takes Euclid's quotients, which are canonical, and
+    `gap_map` derives valid expansions from valid ones; neither checks again.
     """
 
     preperiod: tuple[int, ...]
@@ -153,7 +153,7 @@ def rational_to_cf(value: Fraction) -> CFExpansion:
         a, r = divmod(q, p)
         quotients.append(a)
         q, p = p, r
-    return cf_normalize(quotients)
+    return CFExpansion(tuple(quotients))  # canonical: p < q, so the last is >= 2
 
 
 def _continuants(quotients: Iterable[int]) -> tuple[int, int, int, int]:

@@ -262,7 +262,9 @@ def run_trimmed_sums(
         raise ValueError("need depth >= 200")
     if any(c < 2 for c in checkpoints):
         raise ValueError("checkpoints must be >= 2: n log n is 0 at n = 1")
-    marks = sorted(set(c for c in checkpoints if c <= cfg.depth))
+    if any(c > cfg.depth for c in checkpoints):
+        raise ValueError(f"checkpoints must be <= depth ({cfg.depth})")
+    marks = sorted(set(checkpoints))
     records = []
     for sid in range(cfg.samples):
         rng = random.Random(cfg.seed ^ sid)
@@ -270,12 +272,10 @@ def run_trimmed_sums(
         traj = gap_trajectory(theta, cfg.depth)
         half = 0
         halfmax = 0
-        marks_left = list(marks)
         for i, step in enumerate(traj.steps[: cfg.depth], start=1):
             half += step.e // 2
             halfmax = max(halfmax, step.e // 2)
-            if marks_left and i == marks_left[0]:
-                marks_left.pop(0)
+            if i in marks:
                 records.append(
                     TrimmedRecord(
                         sample_id=sid,

@@ -94,14 +94,13 @@ def _scatter_increasing(P: np.ndarray, bins: int, j: np.ndarray, branch) -> None
 def _even_fit_m(bins: int, n: int) -> tuple[int, int]:
     # Smallest M such that the whole m > M remainder of the a1 = 2n strip,
     # the interval ((M+1)/(2n(M+1)+1), 1/(2n)), sits inside one source bin,
-    # i_star, the last bin that starts below 1/(2n)
+    # i_star = i, the last bin that starts below 1/(2n).  With bins = 2n*i + r,
+    # 1 <= r <= 2n, Even(n, M+1) starts below i + r/(2n) <= i + 1 bins, and at
+    # i bins or more exactly when (M+1)*bins >= i*(2n(M+1) + 1), that is when
+    # (M+1)*r >= i; so M = max(0, ceil(i/r) - 1)
     i_star = (bins - 1) // (2 * n)
-    M = 0
-    while True:
-        _, b, _, d = branch_matrix(2 * n, M + 1)  # Even(n, M+1) starts at b/d
-        if b * bins // d == i_star:
-            return M, i_star
-        M += 1
+    r = bins - 2 * n * i_star
+    return max(0, -(-i_star // r) - 1), i_star
 
 
 @dataclass(frozen=True)
@@ -429,11 +428,9 @@ def correlation_decay(
     g_bins,
     op: UlamOperator,
     n_max: int,
-    density: DensityEstimate | None = None,
+    density: DensityEstimate,
 ) -> np.ndarray:
     """|cov(f, g after n steps)| for indicator observables on bin sets."""
-    if density is None:
-        density = stationary_density(op)
     f = _observable(op.bins, f_bins)
     g = _observable(op.bins, g_bins)
     pi = density.values / op.bins

@@ -25,9 +25,10 @@ concatenations, naming
         a3 == 1:       A -> bal fill^a2,   C -> lead fill^(a2-1),
                        B -> lead fill^a2 = (image of C) fill
 
-The fold only concatenates and repeats, so it runs over any monoid: on stats
-tuples, where fill^m is repeated in closed form, it gives `stats_by_level`,
-and on strings it gives the images that `expand_word` substitutes.
+The fold only concatenates and repeats, so it runs over any monoid: on
+(length, total, max, min) tuples, where fill^m is repeated in closed form,
+it gives `stats_by_level`, which names each result a `WordStats`, and on
+strings it gives the images that `expand_word` substitutes.
 `return_matrix` counts the same images' letters by hand rather than through
 the fold, so the stats lengths checked against it meet an independent
 derivation.
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cf import (
     CFExpansion,
@@ -52,20 +53,23 @@ A, B, C = "A", "B", "C"
 LETTERS = (A, B, C)
 WEIGHT = {A: 1, B: -1, C: -1}
 
-Stats = tuple[int, int, int, int]  # WordStats fields, as a plain tuple
-
 
 class WordBudgetError(ValueError):
     """A word expansion would exceed the caller's length budget."""
 
 
-@dataclass(frozen=True)
-class WordStats:
+class WordStats(NamedTuple):
     """Length, weight sum and prefix-sum extrema of a word over {A, B, C}.
 
     The empty word is the monoid identity (all fields zero); for nonempty
     words the extrema run over the prefixes of length 1..length, so
     max_prefix can be negative and min_prefix positive.
+
+    A nonempty word has min_prefix <= total <= max_prefix, and the fold
+    keeps it: `_concat` takes max(s.max, s.total + t.max) >= s.total + t.total,
+    and `_repeat` takes hi + (c - 1)*total >= c*total when total >= 0 and
+    hi >= total >= c*total otherwise; the min side is the mirror image.  So
+    no stats the fold builds can break it, and nothing checks it here.
     """
 
     length: int
@@ -73,24 +77,12 @@ class WordStats:
     max_prefix: int
     min_prefix: int
 
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("negative length")
-        if self.length > 0 and not (
-            self.min_prefix <= self.total <= self.max_prefix
-        ):
-            raise ValueError("inconsistent prefix extrema")
-
-    @classmethod
-    def empty(cls) -> "WordStats":
-        return cls(0, 0, 0, 0)
-
     @classmethod
     def of_word(cls, word: str) -> "WordStats":
         """Direct single pass over the letters."""
         sums = list(accumulate(WEIGHT[ch] for ch in word))
         if not sums:
-            return cls.empty()
+            return cls(0, 0, 0, 0)
         return cls(len(word), sums[-1], max(sums), min(sums))
 
     @property
@@ -101,7 +93,7 @@ class WordStats:
         return 1 + self.max_prefix - self.min_prefix
 
 
-def _concat(s: Stats, t: Stats) -> Stats:
+def _concat(s: tuple, t: tuple) -> tuple:
     """Stats of the concatenation, on (length, total, max, min) tuples."""
     if not s[0]:
         return t
@@ -112,7 +104,7 @@ def _concat(s: Stats, t: Stats) -> Stats:
             min(s[3], total + t[3]))
 
 
-def _repeat(s: Stats, count: int) -> Stats:
+def _repeat(s: tuple, count: int) -> tuple:
     """Stats of the word repeated count >= 1 times.
 
     Copy j shifts every prefix sum by j * total, so the maximum sits in the
@@ -203,17 +195,14 @@ def stats_by_level(rules: Sequence[SubstitutionRule]) -> list[dict[str, WordStat
 
     An identity level shares the previous level's dict.
     """
-    def checked(a, b, c):
-        return {A: WordStats(*a), B: WordStats(*b), C: WordStats(*c)}
-
     cur = _LETTER_STATS
-    out = [checked(*cur)]
+    out = [dict(zip(LETTERS, map(WordStats._make, cur)))]
     for rule in rules:
         if rule.a1 == 1:
             out.append(out[-1])
         else:
             cur = _fold_rule(rule, *cur)
-            out.append(checked(*cur))
+            out.append(dict(zip(LETTERS, map(WordStats._make, cur))))
     return out
 
 

@@ -132,6 +132,16 @@ def test_rational_round_trip():
             assert cf.preperiod[-1] != 1  # canonical form
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(2, 200), st.integers(2, 10**40)), st.data())
+def test_rational_to_cf_is_canonical(q, data):
+    # Euclid's quotients need no cf_normalize pass: it leaves them as they are
+    v = Fraction(data.draw(st.integers(1, q - 1)), q)
+    cf = rational_to_cf(v)
+    assert cf == cf_normalize(list(cf.preperiod))
+    assert cf_value(cf) == v
+
+
 def test_quadratic_values():
     assert cf_value(parse_theta_spec("cfper:[][2]")) == make_surd(0, 1, 2) - 1
     assert cf_value(parse_theta_spec("cfper:[][1]")) == (make_surd(0, 1, 5) - 1) / 2

@@ -245,6 +245,7 @@ BAD_RUNS = [
      "x.dat", "--plot-fields", "nope,rho"),
     ("trimmed", "--depth", "200", "--checkpoints", "1"),
     ("trimmed", "--depth", "200", "--checkpoints", "0,25"),
+    ("trimmed", "--depth", "200", "--checkpoints", "25,300"),
 ]
 
 

@@ -76,6 +76,24 @@ def test_build_ulam_validation():
         build_ulam(0)
 
 
+def _even_fit_m_by_search(bins, n):
+    """Oracle: the smallest M whose cell Even(n, M + 1) starts in bin i_star."""
+    i_star = (bins - 1) // (2 * n)
+    M = 0
+    while True:
+        _, b, _, d = cf.branch_matrix(2 * n, M + 1)  # Even(n, M+1) starts at b/d
+        if b * bins // d == i_star:
+            return M, i_star
+        M += 1
+
+
+def test_even_fit_m_matches_search():
+    # every n that build_ulam enumerates, n <= max(bins, 256)
+    for bins in [*range(2, 513, 2), 1024, 2048, 4096, 8192]:
+        for n in range(1, max(bins, 256) + 1):
+            assert measure._even_fit_m(bins, n) == _even_fit_m_by_search(bins, n)
+
+
 def test_two_bin_operator():
     op = build_ulam(2)
     # the upper half maps onto the lower half by the isometry 1 - x

@@ -1,14 +1,17 @@
-"""The README's library quick start runs as shown and names the public API."""
+"""The README's library quick start runs as shown and names the public API;
+its command lines parse as shown."""
 
 import ast
 import io
 import re
+import shlex
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import gaprenorm
+from gaprenorm import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,6 +20,30 @@ def _quick_start() -> str:
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     return blocks[0]
+
+
+def command_lines() -> list[list[str]]:
+    """The arguments of each distinct `gaprenorm ...` line in the README's sh
+    blocks, with `\\` continuations joined and comments dropped."""
+    argvs = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["gaprenorm"] and argv[1:] not in argvs:
+                argvs.append(argv[1:])
+    return argvs
+
+
+def test_command_lines_parse():
+    # a renamed or removed flag fails here; nothing is run
+    lines = command_lines()
+    assert len(lines) >= 11
+    for argv in lines:
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: gaprenorm {' '.join(argv)}")
+        assert args.verb == argv[0] and callable(args.fn)
 
 
 def test_quick_start_runs_as_documented():

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-from dataclasses import astuple
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -42,9 +41,9 @@ def random_word(rng, max_len=60) -> str:
     return "".join(rng.choice(LETTERS) for _ in range(rng.randint(0, max_len)))
 
 
-def stats_of(word: str) -> tuple[int, int, int, int]:
-    """Stats of a word as the tuple that `_concat` and `_repeat` fold."""
-    return astuple(WordStats.of_word(word))
+def stats_of(word: str) -> WordStats:
+    """Stats of a word: a tuple, which `_concat` and `_repeat` fold."""
+    return WordStats.of_word(word)
 
 
 EMPTY = stats_of("")
@@ -57,13 +56,14 @@ EMPTY = stats_of("")
 def test_stats_hand_values():
     s = WordStats.of_word("AACAC")
     assert (s.length, s.total, s.max_prefix, s.min_prefix) == (5, 1, 2, 1)
+    assert repr(s) == "WordStats(length=5, total=1, max_prefix=2, min_prefix=1)"
     assert s.rho == 2
     t = WordStats.of_word("CCA")
     assert (t.total, t.max_prefix, t.min_prefix) == (-1, -1, -2)
     assert t.rho == 2
-    assert WordStats.empty().length == 0
+    assert EMPTY == (0, 0, 0, 0) and EMPTY.length == 0
     with pytest.raises(ValueError):
-        WordStats.empty().rho
+        EMPTY.rho
 
 
 def test_concat_is_the_word_homomorphism():
@@ -107,7 +107,7 @@ def test_rho_subadditive_and_factor_monotone():
         if not u or not v:
             continue
         su, sv = WordStats.of_word(u), WordStats.of_word(v)
-        assert WordStats(*_concat(astuple(su), astuple(sv))).rho <= su.rho + sv.rho
+        assert WordStats._make(_concat(su, sv)).rho <= su.rho + sv.rho
         w = u + v
         i = rng.randrange(len(w))
         j = rng.randint(i + 1, len(w))
@@ -211,12 +211,12 @@ def _fold_segments(segments, letter_stats: dict):
 
 @st.composite
 def letter_stats(draw):
-    """Stats that pass WordStats' check, of length >= 2 and any total sign."""
+    """Stats with min <= total <= max, of length >= 2 and any total sign."""
     length = draw(st.integers(2, 10**30))
     total = draw(st.one_of(st.just(0), st.integers(-length, length)))
     hi = draw(st.integers(total, length))
     lo = draw(st.integers(-length, total))
-    return astuple(WordStats(length, total, hi, lo))
+    return length, total, hi, lo
 
 
 SMALL_OR_LARGE = st.one_of(st.integers(1, 4), st.integers(1, 10**12))
@@ -234,6 +234,22 @@ def test_fold_per_kind_matches_segment_fold(rule, a, b, c):
     stats = {A: a, B: b, C: c}
     expected = tuple(_fold_segments(_image_segments(rule, L), stats) for L in LETTERS)
     assert _fold_rule(rule, a, b, c) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RULES, max_size=8))
+def test_stats_by_level_keep_the_prefix_invariant(rules):
+    # min_prefix <= total <= max_prefix holds at every level, as the WordStats
+    # docstring argues.  A wrong max or min can keep it, so each level is also
+    # compared with the fold that repeats by doubling
+    cur = [stats_of(L) for L in LETTERS]
+    for v, level in enumerate(stats_by_level(rules)):
+        assert [level[L] for L in LETTERS] == list(cur)
+        for s in level.values():
+            assert type(s) is WordStats
+            assert s.length > 0 and s.min_prefix <= s.total <= s.max_prefix
+        if v < len(rules):
+            cur = _fold_rule(rules[v], *cur, rep=_binary_repeat)
 
 
 # quotients 1..4, and every third one a scrambled value up to 10^9: by depth
