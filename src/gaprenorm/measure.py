@@ -26,7 +26,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from typing import Callable, Sequence
 
@@ -91,6 +90,57 @@ def _scatter_increasing(P: np.ndarray, bins: int, j: np.ndarray, branch) -> None
         np.add.at(P, (i1[split], cols[split]), (right[split] - edge) * bins)
 
 
+# branches (or strip remainders) per block: blocks of 64 or 256 were no
+# faster, and they raised the peak memory of a 512-bin build by 0.9 or 3 MB
+RUN_MAX = 16
+
+
+def _add_rows(row: np.ndarray, block: np.ndarray) -> None:
+    # one addition per cell per block row, in row order; np.add.reduce would
+    # regroup the sum (pairwise) and change the bits
+    for v in block:
+        row += v
+
+
+def _scatter_branches(P: np.ndarray, bins: int, j: np.ndarray, mats: np.ndarray) -> None:
+    # `_scatter_increasing` for each branch (a row a, b, c, d of `mats`) in
+    # order.  A branch is increasing, so its edges' rows lie between the
+    # exact floors r0 at j[0] and r1 at j[-1]; when r0 == r1 each column j
+    # adds (x[j+1] - x[j]) * bins to row r0 and nothing else.  Consecutive
+    # such branches of one row are computed as a block with the same int64
+    # numerators, denominators and float division, then added row by row, so
+    # each cell gets the same float additions in the same order.
+    a, b, c, d = (mats[:, i : i + 1] for i in range(4))
+    ends = j[[0, -1]]
+    r0, r1 = ((a * ends + b * bins) * bins // (c * ends + d * bins)).T.tolist()
+    cols = slice(int(j[0]), int(j[-1]))
+    s = 0
+    while s < len(mats):
+        if r0[s] != r1[s]:
+            _scatter_increasing(P, bins, j, mats[s].tolist())
+            s += 1
+            continue
+        e = s + 1
+        while e < len(mats) and e - s < RUN_MAX and r0[e] == r1[e] == r0[s]:
+            e += 1
+        x = (a[s:e] * j + b[s:e] * bins) / (c[s:e] * j + d[s:e] * bins)
+        _add_rows(P[r0[s], cols], (x[:, 1:] - x[:, :-1]) * bins)
+        s = e
+
+
+def _add_strip_tails(row: np.ndarray, bins: int, edges: np.ndarray, tails) -> None:
+    # the m > M remainders of the a1 = 2n strips in `tails` (pairs (n, M), in
+    # n order), all in this source row: per column (1/4n^2)[psi(M+1+d+e) -
+    # psi(M+1+c+e)] with e = 1/(2n); digamma is elementwise, so one 2-D call
+    # gives each row the bits of its own call
+    from scipy.special import digamma
+
+    shift = np.array([M + 1 + 1.0 / (2 * n) for n, M in tails])
+    scale = np.array([bins / (4.0 * n * n) for n, _ in tails])
+    psi = digamma(shift[:, None] + edges)
+    _add_rows(row, (psi[:, 1:] - psi[:, :-1]) * scale[:, None])
+
+
 def _even_fit_m(bins: int, n: int) -> tuple[int, int]:
     # Smallest M such that the whole m > M remainder of the a1 = 2n strip,
     # the interval ((M+1)/(2n(M+1)+1), 1/(2n)), sits inside one source bin,
@@ -124,6 +174,18 @@ def build_ulam(bins: int) -> UlamOperator:
     with integer endpoint arithmetic; everything beyond is added analytically
     (the tail cells all land in a single known source bin).  Rows are checked
     against ROW_DEFECT_LIMIT before the final renormalization.
+
+    Most branches (and most strip remainders) land in a single source row,
+    and consecutive ones of one row are added as a block of at most RUN_MAX
+    rows (`_scatter_branches`, `_add_strip_tails`).  The block holds the
+    same elementwise values as the per-branch calls, and its rows are added
+    into the matrix row one at a time in enumeration order, so every cell
+    receives the same float additions in the same order and the matrix has
+    the bits of branch-by-branch assembly.  Summing a block with
+    np.add.reduce(axis=0) instead would not: numpy adds narrow rows
+    pairwise, which changes the bits (it does at 2 bins).  Only branches
+    whose image crosses a bin edge go through `_scatter_increasing` one by
+    one.
     """
     if bins < 2 or bins % 2:
         raise ValueError("bins must be even and at least 2")
@@ -140,19 +202,24 @@ def build_ulam(bins: int) -> UlamOperator:
 
     # odd branches have target (1/2, 1), even branches (0, 1)
     j_half = np.arange(B // 2, B + 1, dtype=np.int64)
-    for k in range(1, L + 1):
-        _scatter_increasing(P, B, j_half, branch_matrix(2 * k + 1))
+    odd = [branch_matrix(2 * k + 1) for k in range(1, L + 1)]
+    _scatter_branches(P, B, j_half, np.array(odd, dtype=np.int64))
 
     j_full = np.arange(B + 1, dtype=np.int64)
     edges = j_full / B
+    tails, row = [], 0  # strip remainders not yet added, all in source row `row`
     for n in range(1, L + 1):
         M, i_star = _even_fit_m(B, n)
-        for m in range(1, M + 1):
-            _scatter_increasing(P, B, j_full, branch_matrix(2 * n, m))
-        # m > M remainder: per-column mass (1/4n^2)[psi(M+1+d+e) - psi(M+1+c+e)]
-        eps = 1.0 / (2 * n)
-        psi = digamma(M + 1 + eps + edges)
-        P[i_star, :] += (psi[1:] - psi[:-1]) * (B / (4.0 * n * n))
+        if tails and (M or i_star != row or len(tails) == RUN_MAX):
+            _add_strip_tails(P[row], B, edges, tails)
+            tails = []
+        if M:
+            even = [branch_matrix(2 * n, m) for m in range(1, M + 1)]
+            _scatter_branches(P, B, j_full, np.array(even, dtype=np.int64))
+        # the m > M remainder follows its strip's branches, in n order
+        tails.append((n, M))
+        row = i_star
+    _add_strip_tails(P[row], B, edges, tails)
 
     # odd k > L: cells sit inside (0, 1/(2L+3)), i.e. in bin 0 since L >= B
     arg = L + 1 + B / (2.0 * j_half)
@@ -256,6 +323,7 @@ class DensityEstimate:
 
 
 MAX_POWER_STEPS = 100_000  # power-iteration steps before ConvergenceError
+STALL_STEPS = 1_000  # steps without a new smallest gap before ConvergenceError
 
 
 def stationary_density(op: UlamOperator, tol: float = 1e-10) -> DensityEstimate:
@@ -263,17 +331,28 @@ def stationary_density(op: UlamOperator, tol: float = 1e-10) -> DensityEstimate:
 
     The residual is the L1 distance between the returned density and its
     image, which equals the l1 gap of the underlying probability vectors.
+    The gap falls geometrically to a rounding floor (within a few hundred
+    steps); a tol below that floor raises ConvergenceError once the gap has
+    set no new minimum for STALL_STEPS steps.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     M = op.matrix
     p = np.full(op.bins, 1.0 / op.bins)
-    for _ in range(MAX_POWER_STEPS):
+    floor, floor_step = math.inf, 0
+    for step in range(1, MAX_POWER_STEPS + 1):
         q = p @ M
         gap = float(np.abs(q - p).sum())
         p = q
         if gap <= tol:
             break
+        if gap < floor:
+            floor, floor_step = gap, step
+        elif step - floor_step >= STALL_STEPS:
+            raise ConvergenceError(
+                f"no fixed point to {tol:.1e}: the L1 gap stalled at its floor"
+                f" {floor:.1e} from step {floor_step} to step {step}"
+            )
     else:
         raise ConvergenceError(
             f"no fixed point to {tol:.1e} in {MAX_POWER_STEPS} steps"
@@ -327,31 +406,30 @@ def _even_m_tail(n, M):
     return bracket / (4.0 * n * n)
 
 
-@lru_cache(maxsize=None)
-def _g_constants() -> tuple[float, float]:
-    # G(e) = sum_m log(m+2e)/((m+e)(m+1+e)); values G(0) and G'(0).
-    # The G'(0) tail past the cutoff is ~1e-12 and enters weighted by a
-    # zeta(3) factor, so it is dropped.
-    m = np.arange(1, 2_000_001, dtype=np.float64)
-    g0 = float((np.log(m) / (m * (m + 1))).sum())
-    g0 += float(_log_uu1_tail(2e6 + 0.5))
-    g1 = float(
-        (2.0 / (m * m * (m + 1)) - np.log(m) * (2 * m + 1) / (m * (m + 1)) ** 2).sum()
-    )
-    return g0, g1
+# G(e) = sum_{m >= 1} log(m+2e)/((m+e)(m+1+e)); G_0 = G(0) and G_1 = G'(0).
+# Each is the float64 numpy sum (one array, pairwise order) of its terms for
+# m <= 2*10^6: log(m)/(m(m+1)) for G_0, plus the closed-form rest
+# _log_uu1_tail(2e6 + 0.5); 2/(m^2(m+1)) - log(m)(2m+1)/(m(m+1))^2 for G_1,
+# whose tail past the cutoff is ~1e-12 and enters weighted by a zeta(3)
+# factor, so it is dropped.  tests/test_measure.py recomputes both sums.
+G_0 = 0.7885305659115088
+G_1 = 1.0271437628028277
 
 
 def _even_n_tail(N: int) -> float:
     # sum over n > N of the full a1 = 2n strip: the log(2n) part telescopes
     # to log(2n)/(2n(2n+1)) exactly; the rest is G(1/(2n))/(4n^2) with G
     # expanded to first order (the N^-3 remainder is far below tolerance)
-    n = np.arange(N + 1, N + 1_000_001, dtype=np.float64)
-    t1 = float((np.log(2 * n) / (2 * n * (2 * n + 1))).sum())
+    u = np.arange(2 * N + 2, 2 * N + 2_000_002, 2, dtype=np.float64)  # u = 2n
+    den = u + 1
+    den *= u
+    t = np.log(u)
+    t /= den
+    t1 = float(t.sum())
     t1 += 0.5 * float(_log_uu1_tail(2.0 * (N + 1_000_000) + 1.0))
-    g0, g1 = _g_constants()
     from scipy.special import zeta
 
-    return t1 + g0 * zeta(2, N + 1) / 4.0 + g1 * zeta(3, N + 1) / 8.0
+    return t1 + G_0 * zeta(2, N + 1) / 4.0 + G_1 * zeta(3, N + 1) / 8.0
 
 
 def series_bound(n_cut: int = 2000, m_cut: int = 4096, k_cut: int = 200_000) -> float:

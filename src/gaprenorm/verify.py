@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .cf import CFExpansion, cf_normalize, gap_trajectory, sample_theta
@@ -173,11 +174,16 @@ def check_lyapunov_floor() -> tuple[bool, str]:
     return True, f"30 estimates, smallest {low:.4f} vs floor {floor:.4f}"
 
 
+@lru_cache(maxsize=None)
+def _density_512():
+    # checks 8 and 9 read the same 512-bin density: it is computed once
+    return stationary_density(build_ulam(512), tol=1e-10)
+
+
 def check_density() -> tuple[bool, str]:
     """8: stationary density residual, positivity, upper-half mass, stability."""
     start = time.monotonic()
-    op512 = build_ulam(512)
-    d512 = stationary_density(op512, tol=1e-10)
+    d512 = _density_512()
     d1024 = stationary_density(build_ulam(1024), tol=1e-10)
     elapsed = time.monotonic() - start
     bound = 0.5 + 2.0 / 512
@@ -202,7 +208,7 @@ def check_integrability() -> tuple[bool, str]:
     s2 = series_bound(n_cut=4000, m_cut=8192, k_cut=400_000)
     if not (math.isfinite(s1) and abs(s1 - s2) <= 1e-6 * s1):
         return False, f"series bound unstable: {s1!r} vs {s2!r}"
-    density = stationary_density(build_ulam(512), tol=1e-10)
+    density = _density_512()
     integral = integral_log_norm(density)
     cap = density.max_density * s1
     if not integral <= cap:

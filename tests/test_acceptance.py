@@ -8,6 +8,7 @@ verify` runs the identical code.
 
 import pytest
 
+from gaprenorm.measure import build_ulam
 from gaprenorm.verify import CHECKS, check_exceedances, run_one
 
 _IDS = [f"c{num:02d}-{name}" for num, name, _ in CHECKS]
@@ -25,3 +26,22 @@ def test_criterion(number, name, fn, request):
         f"{verdict.details} ({verdict.seconds:.1f}s)"
     )
     assert verdict.passed, f"criterion {number} ({name}): {verdict.details}"
+
+
+def test_density_checks_share_one_512_bin_density(monkeypatch):
+    from gaprenorm import verify
+
+    built = []
+
+    def counting_build_ulam(bins):
+        built.append(bins)
+        return build_ulam(bins)
+
+    monkeypatch.setattr(verify, "build_ulam", counting_build_ulam)
+    monkeypatch.setattr(verify, "series_bound", lambda **cutoffs: 1.170637384)
+    verify._density_512.cache_clear()
+    try:
+        assert verify.check_density()[0] and verify.check_integrability()[0]
+    finally:
+        verify._density_512.cache_clear()
+    assert sorted(built) == [512, 1024]

@@ -239,6 +239,7 @@ BAD_RUNS = [
     ("khinchin", "--samples", "0"),
     ("ulam", "--tol", "-1", "--bins", "64"),
     ("ulam", "--bins", "8194"),
+    ("ulam", "--bins", "512", "--tol", "1e-300"),
     ("khinchin", "--n-max", "200000000", "--samples", "1"),
     ("boundedpq", "--orbit-length", "100000000"),
     ("limsup", "--samples", "2", "--depth", "20", "--fmt", "plot", "--out",

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -94,6 +95,76 @@ def test_even_fit_m_matches_search():
             assert measure._even_fit_m(bins, n) == _even_fit_m_by_search(bins, n)
 
 
+def _build_ulam_by_branch(bins):
+    """Oracle: the Ulam matrix assembled one branch and one strip tail at a time."""
+    from scipy.special import digamma, polygamma, zeta
+
+    B = bins
+    L = max(B, 256)
+    P = np.zeros((B, B))
+    P[np.arange(B - 1, B // 2 - 1, -1), np.arange(B // 2)] += 1.0
+    j_half = np.arange(B // 2, B + 1, dtype=np.int64)
+    for k in range(1, L + 1):
+        measure._scatter_increasing(P, B, j_half, cf.branch_matrix(2 * k + 1))
+    j_full = np.arange(B + 1, dtype=np.int64)
+    edges = j_full / B
+    for n in range(1, L + 1):
+        M, i_star = measure._even_fit_m(B, n)
+        for m in range(1, M + 1):
+            measure._scatter_increasing(P, B, j_full, cf.branch_matrix(2 * n, m))
+        eps = 1.0 / (2 * n)
+        psi = digamma(M + 1 + eps + edges)
+        P[i_star, :] += (psi[1:] - psi[:-1]) * (B / (4.0 * n * n))
+    psi = digamma(L + 1 + B / (2.0 * j_half))
+    P[0, B // 2 :] += 0.5 * (psi[:-1] - psi[1:]) * B
+    zs = [zeta(s, L + 1) for s in (2, 3, 4, 5)]
+    vals = (
+        digamma(1 + edges) * zs[0] / 4.0
+        + polygamma(1, 1 + edges) * zs[1] / 8.0
+        + polygamma(2, 1 + edges) * zs[2] / 32.0
+        + polygamma(3, 1 + edges) * zs[3] / 192.0
+    )
+    P[0, :] += (vals[1:] - vals[:-1]) * B
+    rowsums = P.sum(axis=1)
+    P /= rowsums[:, None]
+    return P
+
+
+@pytest.mark.parametrize("bins", [2, 6, 64, 128, 512])
+def test_build_ulam_matches_branch_by_branch(bins):
+    assert build_ulam(bins).matrix.tobytes() == _build_ulam_by_branch(bins).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 128).map(lambda half: 2 * half))
+def test_build_ulam_matches_branch_by_branch_sweep(bins):
+    assert build_ulam(bins).matrix.tobytes() == _build_ulam_by_branch(bins).tobytes()
+
+
+def test_g_constants_match_their_sums():
+    # the float64 sums that the literals G_0 and G_1 record; np.log may round
+    # differently on another CPU, so allow 2 ulp
+    m = np.arange(1, 2_000_001, dtype=np.float64)
+    g0 = float((np.log(m) / (m * (m + 1))).sum())
+    g0 += float(measure._log_uu1_tail(2e6 + 0.5))
+    g1 = float(
+        (2.0 / (m * m * (m + 1)) - np.log(m) * (2 * m + 1) / (m * (m + 1)) ** 2).sum()
+    )
+    assert abs(measure.G_0 - g0) <= 2 * math.ulp(g0)
+    assert abs(measure.G_1 - g1) <= 2 * math.ulp(g1)
+
+
+@pytest.mark.parametrize("N", [512, 1024, 2000, 2048, 4000, 4096])
+def test_even_n_tail_matches_per_n_form(N):
+    from scipy.special import zeta
+
+    n = np.arange(N + 1, N + 1_000_001, dtype=np.float64)
+    t1 = float((np.log(2 * n) / (2 * n * (2 * n + 1))).sum())
+    t1 += 0.5 * float(measure._log_uu1_tail(2.0 * (N + 1_000_000) + 1.0))
+    want = t1 + measure.G_0 * zeta(2, N + 1) / 4.0 + measure.G_1 * zeta(3, N + 1) / 8.0
+    assert measure._even_n_tail(N).hex() == want.hex()
+
+
 def test_two_bin_operator():
     op = build_ulam(2)
     # the upper half maps onto the lower half by the isometry 1 - x
@@ -121,6 +192,16 @@ def test_stationary_density_properties():
     # overlap weights are exact even when the cut is inside a bin
     third = dens.mass(0, Fraction(1, 3))
     assert 0 < third < 1
+
+
+def test_tol_below_the_gap_floor_stops_after_the_stall_window():
+    # at 512 bins the L1 gap bottoms out near 5e-18 within a few hundred steps
+    with pytest.raises(measure.ConvergenceError) as info:
+        stationary_density(build_ulam(512), tol=1e-300)
+    found = re.search(r"from step (\d+) to step (\d+)", str(info.value))
+    floor_step, stop = map(int, found.groups())
+    assert floor_step < measure.STALL_STEPS
+    assert stop == floor_step + measure.STALL_STEPS
 
 
 def _fraction_mass(values, lo, hi):
