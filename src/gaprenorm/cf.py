@@ -309,6 +309,11 @@ class PartitionCell:
     By the chain rule the product [[a_n, b_n], [c_n, d_n]] of the matrices of
     levels 0 .. n-1 maps theta_n to theta_0, and delta_0 * ... * delta_{n-1}
     = 1/|c_n*theta_n + d_n|.
+
+    The value [a1, a2, ...] is psi(y) for y = t/(1 + t) on Half, 1/(1 + t) on
+    Odd and t on Even, t the rest [a2, ...] or (even a1) [a3, ...]; y covers
+    the target's closure as t covers [0, 1].  So the value is interior exactly
+    when 0 < t < 1, and t = 0 gives psi(0) (Half, Even) or psi(1) (Odd).
     """
 
     a1: int
@@ -342,21 +347,22 @@ class PartitionCell:
         return f"Even({self.a1 // 2},{self.a2})"
 
 
-def classify_cell(cf: CFExpansion, value: Optional[ExactReal] = None) -> PartitionCell:
-    """Partition cell of the expansion's value; endpoint hits are an error.
+def classify_cell(cf: CFExpansion | TrajectoryStep) -> PartitionCell:
+    """Partition cell of the expansion's value; an endpoint hit is an error.
 
-    `cf` may also be a TrajectoryStep, read through the same head/available/
-    quotient accessors; `value`, when the caller holds it, saves recomputing it.
+    The cell is read off the quotients: the value is interior exactly when its
+    rest t has 0 < t < 1 (see `PartitionCell`), when the gap map can step.  A
+    canonical t is never 1; t = 0 is [a1] = 1/a1 or [a1, a2] = a2/(a1*a2 + 1).
     """
     a1 = cf.head
     if a1 % 2 == 0 and not cf.available(2):
         raise ExpansionExhaustedError(
             "even leading quotient needs a second quotient to pick a cell"
         )
-    cell = PartitionCell(a1, 0 if a1 % 2 else cf.quotient(2))
-    if value is None:
-        value = cf_value(cf)
-    if not cell.contains(value):
+    a2 = 0 if a1 % 2 else cf.quotient(2)
+    cell = PartitionCell(a1, a2)
+    if not cf.available(_gap_need(a1)):
+        value = Fraction(a2, a1 * a2 + 1) if a2 else Fraction(1, a1)
         raise CellBoundaryError(f"{value} sits on the boundary of {cell}")
     return cell
 

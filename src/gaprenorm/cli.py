@@ -161,7 +161,7 @@ def cmd_traj(args) -> int:
     rows, boundary = [], None
     for n, step in enumerate(traj.steps):
         try:
-            cell = str(classify_cell(step, step.value))
+            cell = str(classify_cell(step))
         except CellBoundaryError as exc:
             # a rational's last level may sit on a cell endpoint: print it,
             # then report the error

@@ -329,7 +329,7 @@ def run_bounded_pq_check(
             f"orbit length {marks[-1]} exceeds the budget of {ORBIT_LENGTH_MAX}"
         )
     enc = encode_orbit(x0, value, marks[-1])
-    prof = discrepancy_profile(enc)
+    prof = discrepancy_profile(enc.symbols)
     records = [
         BoundedPQRecord(
             N=N,

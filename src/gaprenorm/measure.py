@@ -335,8 +335,9 @@ def stationary_density(op: UlamOperator, tol: float = 1e-10) -> DensityEstimate:
     steps); a tol below that floor raises ConvergenceError once the gap has
     set no new minimum for STALL_STEPS steps.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < math.inf:
+        need = "finite" if tol > 0 else "positive"
+        raise ValueError(f"tol must be {need}, got {tol!r}")
     M = op.matrix
     p = np.full(op.bins, 1.0 / op.bins)
     floor, floor_step = math.inf, 0
@@ -493,11 +494,7 @@ def integral_log_norm(density: DensityEstimate) -> float:
 
 def _observable(bins: int, spec) -> np.ndarray:
     arr = np.zeros(bins)
-    idx = np.asarray(spec)
-    if idx.dtype == bool:
-        arr[idx] = 1.0
-    else:
-        arr[idx.astype(np.intp)] = 1.0
+    arr[np.asarray(spec)] = 1.0
     return arr
 
 

@@ -152,26 +152,12 @@ def encode_orbit(x0: ExactReal, theta: ExactReal, length: int) -> OrbitEncoding:
     )
 
 
-def word_weights(word: str) -> np.ndarray:
-    """+1/-1 letter weights of a word as an int64 array."""
-    raw = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
-    return np.where(raw == ord(A), 1, -1).astype(np.int64)
-
-
 @dataclass
 class DiscrepancyProfile:
     """Prefix sums S_1..S_N of the letter weights and the running spread rho."""
 
     sums: np.ndarray
     rho: np.ndarray
-
-    @classmethod
-    def from_symbols(cls, word: str) -> "DiscrepancyProfile":
-        w = word_weights(word)
-        sums = np.cumsum(w)
-        highs = np.maximum.accumulate(sums)
-        lows = np.minimum.accumulate(sums)
-        return cls(sums=sums, rho=1 + highs - lows)
 
     def __len__(self) -> int:
         return len(self.sums)
@@ -183,8 +169,12 @@ class DiscrepancyProfile:
         return int(self.rho[n - 1])
 
 
-def discrepancy_profile(enc: OrbitEncoding) -> DiscrepancyProfile:
-    return DiscrepancyProfile.from_symbols(enc.symbols)
+def discrepancy_profile(symbols: str) -> DiscrepancyProfile:
+    """Profile of a word whose letter A weighs +1 and B and C weigh -1."""
+    raw = np.frombuffer(symbols.encode("ascii"), dtype=np.uint8)
+    sums = np.cumsum(np.where(raw == ord(A), 1, -1).astype(np.int64))
+    rho = 1 + np.maximum.accumulate(sums) - np.minimum.accumulate(sums)
+    return DiscrepancyProfile(sums=sums, rho=rho)
 
 
 @dataclass
@@ -283,7 +273,7 @@ def sandwich_levels_sweep(y: ExactReal, lv: Levels,
     if not 1 <= n_max <= len(lv.rules):
         raise ValueError(f"n_max must lie in 1..{len(lv.rules)}")
     need = 2 * max(lv.lengths[n_max])
-    profile = discrepancy_profile(encode_orbit(y, lv.traj.theta_value, need))
+    profile = discrepancy_profile(encode_orbit(y, lv.traj.theta_value, need).symbols)
     out = []
     for n in range(1, n_max + 1):
         rho_prev, rho_level = lv.stats[n - 1][A].rho, lv.stats[n][A].rho

@@ -198,7 +198,7 @@ def check_density() -> tuple[bool, str]:
     return ok, (
         f"residual {d512.residual:.2e}, min density {d512.min_density:.3f}, "
         f"upper-half mass {d512.mass_upper_half:.4f} <= {bound:.4f}, "
-        f"L1(512, 1024) = {l1:.2e}, {elapsed:.1f}s"
+        f"L1(512, 1024) = {l1:.2e}"
     )
 
 

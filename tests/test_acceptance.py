@@ -6,6 +6,8 @@ checks themselves live in gaprenorm.verify so the command line `gaprenorm
 verify` runs the identical code.
 """
 
+import re
+
 import pytest
 
 from gaprenorm.measure import build_ulam
@@ -45,3 +47,13 @@ def test_density_checks_share_one_512_bin_density(monkeypatch):
     finally:
         verify._density_512.cache_clear()
     assert sorted(built) == [512, 1024]
+
+
+def test_density_check_details_carry_no_seconds():
+    # the details hold seeded figures only, so every run prints them alike;
+    # the verdict times the check
+    from gaprenorm import verify
+
+    ok, details = verify.check_density()
+    assert ok and details.startswith("residual ")
+    assert not re.search(r"\d\s*s\b", details), details

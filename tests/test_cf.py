@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gaprenorm.cf import (
+    CFExpansion,
     CellBoundaryError,
     ExpansionExhaustedError,
     PartitionCell,
@@ -140,6 +141,24 @@ def test_rational_to_cf_is_canonical(q, data):
     cf = rational_to_cf(v)
     assert cf == cf_normalize(list(cf.preperiod))
     assert cf_value(cf) == v
+
+
+def test_convergents_are_pell_ratios():
+    # the depth-n convergent of sqrt(2) - 1 = [2, 2, 2, ...] is P_n / P_{n+1}
+    # over the Pell numbers 0, 1, 2, 5, 12, 29, ...
+    silver = parse_theta_spec("cfper:[][2]")
+    pell = [0, 1]
+    for n in range(1, 40):
+        pell.append(2 * pell[-1] + pell[-2])
+        assert cf_value(silver, n) == Fraction(pell[n], pell[n + 1])
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            cf_value(silver, depth)
+    three_sevenths = rational_to_cf(Fraction(3, 7))  # [2, 3]
+    assert cf_value(three_sevenths, 2) == Fraction(3, 7)
+    assert cf_value(three_sevenths, 1) == Fraction(1, 2)
+    with pytest.raises(ExpansionExhaustedError):
+        cf_value(three_sevenths, 3)
 
 
 def test_quadratic_values():
@@ -345,7 +364,7 @@ def test_delta_squared_inverts_the_gap_slope():
     thetas += [sample_theta(rng, bits=256) for _ in range(20)]
     for theta in thetas:
         for step in gap_trajectory(theta, 59).steps:
-            cell = classify_cell(step, step.value)
+            cell = classify_cell(step)
             assert step.delta ** 2 * gap_derivative(step.value, cell) == 1
 
 
@@ -376,16 +395,87 @@ def test_branch_cocycle():
             a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-def _cell_or_error(cf, *value):
+def _cell_or_error(cf):
     try:
-        return classify_cell(cf, *value)
+        return classify_cell(cf)
     except (CellBoundaryError, ExpansionExhaustedError) as exc:
         return type(exc), str(exc)
 
 
+def _cell_or_error_by_value(step):
+    """`classify_value` of a step's exact value, an endpoint in classify_cell's
+    words; an endpoint must be one of the cell's that the quotients name."""
+    value = step.value
+    try:
+        return classify_value(value)
+    except CellBoundaryError:
+        cell = PartitionCell(step.a1, 0 if step.a1 % 2 else step.quotient(2))
+        assert value in cell.endpoints
+        return CellBoundaryError, f"{value} sits on the boundary of {cell}"
+
+
+def _every_step(theta):
+    """Every level of theta's trajectory: to exhaustion or the level before a
+    [2k] one for a rational, to level 40 for a periodic theta."""
+    if not theta.is_finite:
+        return gap_trajectory(theta, 40).steps
+    chain = [theta]
+    while chain[-1].available(2 if chain[-1].head % 2 else 3):
+        chain.append(gap_map(chain[-1]))
+    if len(chain[-1]) == 1 and chain[-1].head % 2 == 0:
+        chain.pop()  # [2k] is a cell endpoint: the trajectory stops before it
+    return gap_trajectory(theta, len(chain) - 1).steps if chain else ()
+
+
+def test_classify_cell_matches_the_value_oracle_at_every_level():
+    # the cell read off the quotients is the cell, or the endpoint error, that
+    # the exact value gives, at every level of every p/q with q < 200 and of
+    # 200 random periodic theta
+    rng = random.Random(17)
+    thetas = [rational_to_cf(Fraction(p, q)) for q in range(2, 200) for p in range(1, q)
+              if math.gcd(p, q) == 1]
+    thetas += [cf_normalize([rng.randint(1, 9) for _ in range(rng.randint(0, 3))],
+                            [rng.randint(1, 9) for _ in range(rng.randint(1, 4))])
+               for _ in range(200)]
+    outcomes = {"cell": 0, "endpoint": 0}
+    for theta in thetas:
+        for step in _every_step(theta):
+            got = _cell_or_error(step)
+            assert got == _cell_or_error_by_value(step)
+            outcomes["endpoint" if type(got) is tuple else "cell"] += 1
+    assert min(outcomes.values()) > 1000
+
+
+def test_classify_cell_reads_no_value(monkeypatch):
+    # the cell comes from the quotients alone: with the exact value and the
+    # endpoint comparison both failing, every outcome is unchanged
+    import gaprenorm.cf as cf_module
+
+    rng = random.Random(19)
+    thetas = [rational_to_cf(Fraction(p, q)) for q in range(2, 40) for p in range(1, q)
+              if math.gcd(p, q) == 1]
+    thetas += [cf_normalize([rng.randint(1, 7)], [rng.randint(1, 7) for _ in range(3)])
+               for _ in range(30)]
+    steps = [step for theta in thetas for step in _every_step(theta)]
+    expected = [_cell_or_error(step.cf) for step in steps]
+    expected += [_cell_or_error(theta) for theta in thetas]
+
+    def fail(*args):
+        raise AssertionError("classify_cell read a value")
+
+    monkeypatch.setattr(cf_module, "cf_value", fail)
+    monkeypatch.setattr(PartitionCell, "contains", fail)
+    assert [_cell_or_error(cf) for cf in steps + thetas] == expected
+    assert {type(got) is tuple and got[0] for got in expected} == {
+        False, CellBoundaryError, ExpansionExhaustedError}
+    # a non-canonical [1] is Half's endpoint 1
+    assert _cell_or_error(CFExpansion((1,))) == (
+        CellBoundaryError, "1 sits on the boundary of Half")
+
+
 def test_classify_cell_reads_trajectory_steps():
-    # a step and its held value classify as the step's rebuilt expansion does,
-    # endpoint errors included
+    # a step classifies as the step's rebuilt expansion does, endpoint errors
+    # included
     rng = random.Random(13)
     thetas = [rational_to_cf(Fraction(p, q)) for q in range(2, 60) for p in range(1, q)
               if math.gcd(p, q) == 1]
@@ -398,7 +488,7 @@ def test_classify_cell_reads_trajectory_steps():
         except (CellBoundaryError, ExpansionExhaustedError):
             continue
         for step in steps:
-            got = _cell_or_error(step, step.value)
+            got = _cell_or_error(step)
             assert got == _cell_or_error(step.cf)
             outcomes.add(type(got) is tuple and got[0])
     assert {False, CellBoundaryError} <= outcomes
@@ -584,7 +674,7 @@ def _cell_names_digest() -> str:
             continue
         for step in steps:
             try:
-                h.update(f"{classify_cell(step, step.value)}\n".encode())
+                h.update(f"{classify_cell(step)}\n".encode())
             except CellBoundaryError as exc:
                 h.update(f"{exc}\n".encode())
     return h.hexdigest()

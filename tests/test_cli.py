@@ -238,6 +238,7 @@ BAD_RUNS = [
     ("limsup", "--samples", "0"),
     ("khinchin", "--samples", "0"),
     ("ulam", "--tol", "-1", "--bins", "64"),
+    ("ulam", "--bins", "64", "--tol", "inf"),
     ("ulam", "--bins", "8194"),
     ("ulam", "--bins", "512", "--tol", "1e-300"),
     ("khinchin", "--n-max", "200000000", "--samples", "1"),

@@ -345,6 +345,9 @@ def test_correlation_decay():
     dens = stationary_density(op, tol=1e-10)
     f = np.arange(128) >= 64  # indicator of the upper half
     cov = correlation_decay(f, f, op, 40, density=dens)
+    # an index array, as the benchmark passes its bin sets, reads as the mask
+    idx = np.arange(64, 128)
+    assert correlation_decay(idx, idx, op, 40, density=dens).tobytes() == cov.tobytes()
     mu = dens.mass_upper_half
     assert math.isclose(cov[0], mu * (1 - mu), abs_tol=1e-9)
     assert cov[40] < 1e-8

@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,14 +13,12 @@ from gaprenorm.cf import (
 from gaprenorm.exact import Surd, _sign_triplet, exact_floor
 from gaprenorm.orbit import (
     _Orbits,
-    DiscrepancyProfile,
     EncodingSearchError,
     discrepancy_profile,
     encode_orbit,
     sandwich_levels_sweep,
     sandwich_sweep,
     verify_encoding,
-    word_weights,
 )
 from gaprenorm.substitution import A, B, C, expand_word, levels, rules_along
 
@@ -72,9 +71,11 @@ def test_surd_agrees_with_close_rational():
 
 
 def test_word_weights_and_profile():
-    w = word_weights("AACAC")
-    assert w.tolist() == [1, 1, -1, 1, -1]
-    prof = DiscrepancyProfile.from_symbols("AACACAAC")
+    # A weighs +1, B and C weigh -1
+    sums = discrepancy_profile("AACAC").sums
+    assert sums.dtype == np.int64 and sums.tolist() == [1, 2, 1, 2, 1]
+    assert discrepancy_profile("ABCBA").sums.tolist() == [1, 0, -1, -2, -1]
+    prof = discrepancy_profile("AACACAAC")
     assert prof.sums.tolist() == [1, 2, 1, 2, 1, 2, 3, 2]
     assert prof.rho.tolist() == [1, 2, 2, 2, 2, 2, 3, 3]
     assert prof.rho_at(1) == 1 and prof.rho_at(8) == 3
@@ -86,7 +87,7 @@ def test_word_weights_and_profile():
 
 def test_profile_of_encoding():
     enc = encode_orbit(Fraction(0), SILVER, 500)
-    prof = discrepancy_profile(enc)
+    prof = discrepancy_profile(enc.symbols)
     assert len(prof) == 500
     # the spread of a rotation word over {A} vs {B, C} grows without bound
     # but very slowly; at 500 symbols it is still in single digits
