@@ -3,7 +3,7 @@
 A rotation by theta < 1/2 partitions the circle into A = [0, 1/2),
 B = [1/2, 1 - theta) and C = [1 - theta, 1); the encoding of an orbit is the
 letter sequence of x0 + j*theta mod 1.  One vectorized kernel decides the
-letters of a block of start points x steps, exactly:
+letters of an orbit a block of steps at a time, exactly:
 
 * a rational orbit whose common-denominator lattice fits int64 runs on that
   lattice, so every endpoint hit is an integer equality;
@@ -15,6 +15,12 @@ letters of a block of start points x steps, exactly:
   x0 and theta as given (Fractions or Surds).  An endpoint hit lies on a
   boundary, so every hit is recorded, in step order, rather than guessed
   around.
+
+The encoding search compares a level word with the orbits of a whole grid of
+start points.  Each letter's start points at a given step form one arc of
+the circle, so the mismatches of every grid point are counted at once, in
+one pass over the word, and only the ambiguous steps next to an arc's end
+are decided one at a time.
 
 This module is the ground truth the symbolic machinery is checked against.
 """
@@ -47,7 +53,7 @@ class OrbitEncoding:
     period_wrapped: bool = False
 
 
-_BLOCK = 1 << 16  # positions (start points x steps) decided per numpy block
+_BLOCK = 1 << 16  # steps decided per numpy block
 _ONE = 1 << 64  # the circle in 64-bit fixed point
 _HALF = np.uint64(1 << 63)
 _ABC = np.frombuffer((A + B + C).encode("ascii"), dtype=np.uint8)
@@ -79,8 +85,9 @@ class _Orbits:
             self.lattice = lat * min(steps + 1, self.period) < 1 << 63
         if self.lattice:
             self.lat, self.step = lat, theta.numerator * (lat // theta.denominator)
-            r = np.arange(grid, dtype=np.int64)
-            self.pos0 = (x0.numerator + r * x0.denominator) * (lat // xden)
+            # row r starts at pos0 + r * spacing on the lattice
+            self.pos0 = x0.numerator * (lat // xden)
+            self.spacing = lat // grid
             return
         self.T = exact_floor(theta * _ONE)
         # X_r = floor((x0 + r) * 2^64 / grid), exact in uint64 for grid < 2^32
@@ -90,32 +97,36 @@ class _Orbits:
         self.X = (r * np.uint64(q % _ONE) + np.uint64(q0)
                   + (r * np.uint64(rem) + np.uint64(rem0)) // np.uint64(grid))
 
-    def letters(self, rows: np.ndarray, j0: int, j1: int,
+    def letters(self, row: int, j0: int, j1: int,
                 hits: Optional[list] = None) -> np.ndarray:
-        """ASCII letters of the given rows at steps j0 .. j1-1, one row each.
+        """ASCII letters of one row at steps j0 .. j1-1.
 
-        A one-row call appends its endpoint hits to `hits` as (step, name).
+        Endpoint hits are appended to `hits` as (step, name).
         """
         if self.lattice:
             lat, ct = self.lat, self.lat - self.step  # ct: the point 1 - theta
             j = np.arange(j0, j1, dtype=np.int64)
-            pos = (self.pos0[rows, None] + j % self.period * self.step) % lat
+            pos = (self.pos0 + row * self.spacing + j % self.period * self.step) % lat
             out = _ABC[(pos >= lat - pos) + (pos >= ct).astype(np.intp)]
             if hits is not None:
                 kind = (pos == 0) + 2 * (pos == lat - pos) + 3 * (pos == ct)
-                k = np.flatnonzero(kind[0])
-                names = [_HIT_NAMES[i - 1] for i in kind[0, k].tolist()]
+                k = np.flatnonzero(kind)
+                names = [_HIT_NAMES[i - 1] for i in kind[k].tolist()]
                 hits.extend(zip((j0 + k).tolist(), names))
             return out
-        c = np.uint64(_ONE - self.T - 1)  # (1 - theta) * 2^64 lies in (c, c + 1]
         j = np.arange(j0, j1, dtype=np.uint64)
-        p = self.X[rows, None] + j * np.uint64(self.T)
-        out = _ABC[(p >= _HALF) + (p > c).astype(np.intp)]
-        # a boundary in [p, p + j] (p + j + 1 for 1 - theta), or a wrap past 0
-        ambiguous = (-p <= j) | (_HALF - p <= j) | (c - p + 1 <= j + 1)
-        for r, k in zip(*np.nonzero(ambiguous)):
-            out[r, k] = ord(self._exact(int(rows[r]), j0 + int(k), hits))
+        out, ambiguous = self._fast(self.X[row] + j * np.uint64(self.T), j)
+        for k in np.flatnonzero(ambiguous).tolist():
+            out[k] = ord(self._exact(row, j0 + k, hits))
         return out
+
+    def _fast(self, p: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fixed-point letters of positions p at steps j, and which are
+        ambiguous: a boundary in [p, p + j] (p + j + 1 for 1 - theta), or a
+        wrap past 0."""
+        c = np.uint64(_ONE - self.T - 1)  # (1 - theta) * 2^64 lies in (c, c + 1]
+        out = _ABC[(p >= _HALF) + (p > c).astype(np.intp)]
+        return out, (-p <= j) | (_HALF - p <= j) | (c - p + 1 <= j + 1)
 
     def _exact(self, r: int, j: int, hits: Optional[list]) -> str:
         """Letter of row r at step j, decided in exact arithmetic."""
@@ -126,6 +137,61 @@ class _Orbits:
             hits.extend((j, name) for name, point in zip(_HIT_NAMES, (0, half, at_c))
                         if pos == point)
         return A if pos < half else B if pos < at_c else C
+
+    def mismatches(self, word: np.ndarray) -> np.ndarray:
+        """Per row, the steps 0 .. len(word)-1 whose letter differs from the
+        ASCII `word` (letters A, B, C), counted without simulating a row.
+
+        The starts x_r increase with r and stay in [0, 1), so at step j the
+        rows reading A, B or C form three cyclic ranges of r.  Their ends are
+        the ranks (rows below) of the cuts: the boundaries 0, 1/2 and
+        1 - theta shifted back by j*theta.  Each step adds the range of its
+        word letter to a cyclic difference array.
+
+        In fixed point a fast letter is wrong only where a boundary lies in
+        (P_j, P_j + j + 1], so only the last row before each cut can hold a
+        wrong one: a window of j + 1 units holds one start when
+        grid * (J + 3) < 2^64.  Those rows' ambiguous steps are decided
+        exactly.
+        """
+        J, G = len(word), self.grid
+        j = np.arange(J)
+        if self.lattice:
+            keys = np.array([0, (self.lat + 1) // 2, self.lat - self.step])
+            cut = (keys[:, None] - j % self.period * self.step) % self.lat
+            rank = np.clip(-((self.pos0 - cut) // self.spacing), 0, G)
+        else:
+            T, steps = np.uint64(self.T), j.astype(np.uint64)
+            keys = np.array([0, 1 << 63, (_ONE - self.T) % _ONE], dtype=np.uint64)
+            cut = keys[:, None] - steps * T
+            # with y = cut * G / 2^64 the rank is floor(y) or floor(y) + 1;
+            # floor(y) in two 32-bit halves of cut, then one exact step up
+            w, g = np.uint64(32), np.uint64(G)
+            low = cut & np.uint64(0xFFFFFFFF)
+            rank = (((cut >> w) * g + (low * g >> w)) >> w).astype(np.intp)
+            # X between its last start, one turn back, and 2^64 - 1
+            ring = np.concatenate([self.X[-1:], self.X, [np.uint64(_ONE - 1)]])
+            rank += np.take(ring, rank + 1) < cut
+        letter = word.astype(np.intp) - ord(A)
+        # the word letter's arc runs from its own cut to the next letter's
+        start, end = letter * J + j, (letter + 1) % 3 * J + j
+        matched = (np.bincount(np.take(rank, start), minlength=G + 1)
+                   - np.bincount(np.take(rank, end), minlength=G + 1))
+        # an arc whose start cut lies above its end cut wraps round to row 0
+        matched[0] += np.count_nonzero(np.take(cut, start) > np.take(cut, end))
+        bad = J - np.cumsum(matched[:G])
+        if self.lattice:
+            return bad
+        # the last row before each cut, if within j + 1 of it
+        near = np.flatnonzero(cut - np.take(ring, rank) <= steps + np.uint64(1))
+        # each (row, step) once: cuts closer than a step share their last row
+        rows, at = np.divmod(np.unique((np.take(rank, near) - 1) % G * J + near % J), J)
+        fast, ambiguous = self._fast(self.X[rows] + steps[at] * T, steps[at])
+        for r, s, f in zip(rows[ambiguous].tolist(), at[ambiguous].tolist(),
+                           fast[ambiguous].tolist()):
+            want = int(word[s])
+            bad[r] += (ord(self._exact(r, s, None)) != want) - (f != want)
+        return bad
 
 
 def encode_orbit(x0: ExactReal, theta: ExactReal, length: int) -> OrbitEncoding:
@@ -141,9 +207,9 @@ def encode_orbit(x0: ExactReal, theta: ExactReal, length: int) -> OrbitEncoding:
     if not (0 <= x0 and x0 < 1):
         raise ValueError("starting point must lie in [0, 1)")
     orbits = _Orbits(x0, theta, 1, length)
-    row, hits = np.zeros(1, dtype=np.intp), []
+    hits = []
     symbols = "".join(
-        orbits.letters(row, j, min(j + _BLOCK, length), hits).tobytes().decode("ascii")
+        orbits.letters(0, j, min(j + _BLOCK, length), hits).tobytes().decode("ascii")
         for j in range(0, length, _BLOCK)
     )
     return OrbitEncoding(
@@ -187,15 +253,21 @@ class EncodingMatch:
 
 
 ENCODING_WORD_MAX = 100_000  # longest level word the grid search expands
+# most grid points the search counts.  A grid runs 2-3 times its word's
+# length, up to about 300,000 points at ENCODING_WORD_MAX; the cap keeps
+# grid * (ENCODING_WORD_MAX + 3) < 2^64, as `_Orbits.mismatches` needs.
+GRID_MAX = 1 << 20
 
 
 def verify_encoding(theta: CFExpansion, n: int, budget: int = 2) -> EncodingMatch:
-    """Search a fine grid for a point whose direct orbit encoding matches
-    the level-n substitution word up to `budget` mismatches.
+    """Find the first point of a fine grid whose direct orbit encoding
+    matches the level-n substitution word with the fewest mismatches, at
+    most `budget`.
 
     The grid step is finer than half the level-n interval length, so the
-    true base point cannot be skipped; failure to find any candidate raises
-    rather than passing silently.
+    true base point cannot be skipped.  Every grid point's mismatches are
+    counted exactly in one pass over the word (`_Orbits.mismatches`);
+    failure to find any candidate raises rather than passing silently.
     """
     return verify_levels_encoding(level_walk(theta, n), n, budget)
 
@@ -206,22 +278,14 @@ def verify_levels_encoding(lv: Levels, n: int, budget: int = 2) -> EncodingMatch
     if not theta_val < Fraction(1, 2):
         raise ValueError("rotation number must lie below 1/2 for direct encoding")
     word = expand_word(lv.rules[:n], A, max_len=ENCODING_WORD_MAX)
-    span = lv.traj.delta_product(n)
-    grid = exact_floor(2 / span) + 1
+    grid = exact_floor(2 / lv.traj.delta_product(n)) + 1
+    if grid > GRID_MAX:
+        raise EncodingSearchError(
+            f"grid of {grid} points at level {n} exceeds the search budget "
+            f"of {GRID_MAX} points"
+        )
     orbits = _Orbits(Fraction(0), theta_val, grid, len(word))
-    target = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
-    bad = np.zeros(grid, dtype=np.int64)
-    alive = np.arange(grid)
-    j0, width = 0, 8
-    # chunks of doubling length; a grid point over budget drops out
-    while j0 < len(word) and alive.size:
-        j1 = min(len(word), j0 + width)
-        per = max(1, _BLOCK // (j1 - j0))
-        for i in range(0, alive.size, per):
-            rows = alive[i:i + per]
-            bad[rows] += (orbits.letters(rows, j0, j1) != target[j0:j1]).sum(axis=1)
-        alive = alive[bad[alive] <= budget]
-        j0, width = j1, min(2 * width, _BLOCK)
+    bad = orbits.mismatches(np.frombuffer(word.encode("ascii"), dtype=np.uint8))
     scores = np.minimum(bad, budget + 1)
     t = int(np.argmin(scores))  # the first grid point with the fewest mismatches
     if scores[t] > budget:

@@ -11,6 +11,7 @@ from gaprenorm.cf import (
     cf_value, gap_trajectory, parse_theta_spec, rational_to_cf, sample_theta,
 )
 from gaprenorm.exact import Surd, _sign_triplet, exact_floor
+from gaprenorm import orbit
 from gaprenorm.orbit import (
     _Orbits,
     EncodingSearchError,
@@ -385,3 +386,90 @@ def test_verify_encoding_error_message():
         verify_encoding(theta, 3, budget=-1)
     assert str(err.value) == (f"no grid point within -1 mismatches at level 3 "
                               f"(grid {grid}, word length {word_length})")
+
+
+def _letter_counts(orbits, word):
+    """Per-row mismatches read off the letter kernel, one row at a time."""
+    return np.array([np.count_nonzero(orbits.letters(r, 0, len(word)) != word)
+                     for r in range(orbits.grid)])
+
+
+@st.composite
+def _grid_case(draw, theta):
+    """(x0, grid, word): a start point of any kind, or one planting an
+    endpoint hit: (x0 + r)/grid + k*theta lands on 0, 1/2 or 1 - theta for
+    the row r = floor(grid * frac(target - k*theta)).  The word is a row's
+    own letters with a few changed, so a wrongly decided step shows."""
+    grid = draw(st.integers(1, 40))
+    length = draw(st.integers(0, 1500))
+    kind = draw(st.sampled_from(["0", "fraction", "hit"]))
+    row = draw(st.integers(0, grid - 1))
+    if kind == "0":
+        x0 = Fraction(0)
+    elif kind == "fraction":
+        q = draw(st.integers(1, 1 << 80))
+        x0 = Fraction(draw(st.integers(0, q - 1)), q)
+    else:
+        target = draw(st.sampled_from([Fraction(0), Fraction(1, 2), 1 - theta]))
+        spot = grid * _frac(target - draw(st.integers(0, max(length - 1, 0))) * theta)
+        x0, row = _frac(spot), exact_floor(spot)
+    word = _Orbits(x0, theta, grid, length).letters(row, 0, length).copy()
+    for j in draw(st.lists(st.integers(0, max(length - 1, 0)), max_size=5)):
+        if length:
+            word[j] = ord(draw(st.sampled_from([A, B, C])))
+    return x0, grid, word
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), theta=THETAS)
+def test_mismatches_count_every_row(data, theta):
+    # THETAS: lattice rationals, rationals too wide for the lattice, surds
+    x0, grid, word = data.draw(_grid_case(theta))
+    orbits = _Orbits(x0, theta, grid, len(word))
+    assert orbits.mismatches(word).tolist() == _letter_counts(orbits, word).tolist()
+
+
+@pytest.mark.parametrize("theta", [SILVER, Fraction(0x3C6EF372FE94F82B, 1 << 64),
+                                   Fraction(5, 16)], ids=["surd", "wide", "lattice"])
+@pytest.mark.parametrize("target", ["0", "1/2", "1-theta"])
+def test_mismatches_count_planted_hits(theta, target):
+    # a row of a 7-point grid hits the target exactly at step 700; in fixed
+    # point that step is ambiguous, and the count must take its exact letter
+    grid, k, length = 7, 700, 1000
+    point = {"0": Fraction(0), "1/2": Fraction(1, 2), "1-theta": 1 - theta}[target]
+    spot = grid * _frac(point - k * theta)
+    orbits = _Orbits(_frac(spot), theta, grid, length)
+    hits = []
+    word = orbits.letters(exact_floor(spot), 0, length, hits)
+    assert (k, target) in hits
+    counts = orbits.mismatches(word)
+    assert counts[exact_floor(spot)] == 0
+    assert counts.tolist() == _letter_counts(orbits, word).tolist()
+
+
+@pytest.mark.parametrize("theta", [
+    Fraction(3, 1 << 64), Fraction((1 << 63) - 3, 1 << 64),
+    Fraction(1, 2) - Fraction(1, 1 << 70),
+], ids=["near-0", "near-half", "below-half"])
+@pytest.mark.parametrize("grid", [1, 2, 5])
+def test_mismatches_with_boundaries_closer_than_a_step(theta, grid):
+    # two boundaries a few units of 2^-64 apart: one row lies in both of
+    # their windows at once, and each of its ambiguous steps counts once
+    for point in (Fraction(0), Fraction(1, 2), 1 - 40 * theta,
+                  Fraction(1, 2) - 40 * theta):
+        spot = grid * _frac(point)
+        orbits = _Orbits(_frac(spot), theta, grid, 300)
+        word = orbits.letters(exact_floor(spot), 0, 300)
+        assert orbits.mismatches(word).tolist() == _letter_counts(orbits, word).tolist()
+
+
+def test_grid_budget_is_checked_before_the_search(monkeypatch):
+    theta = parse_theta_spec("cfper:[][2]")
+    match = verify_encoding(theta, 3)
+    monkeypatch.setattr(orbit, "GRID_MAX", match.grid_points - 1)
+    monkeypatch.setattr(orbit, "_Orbits", None)  # nothing is allocated
+    with pytest.raises(EncodingSearchError) as err:
+        verify_encoding(theta, 3)
+    assert str(err.value) == (
+        f"grid of {match.grid_points} points at level 3 exceeds the search "
+        f"budget of {match.grid_points - 1} points")
