@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,6 +134,7 @@ class IteratedLogFamily:
     k: int
     epsilon: float = 0.0
     cutoff: float = field(init=False, compare=False, repr=False)
+    integrand: Callable[[float], float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -154,20 +155,23 @@ class IteratedLogFamily:
                     f"use k <= {j}"
                 ) from None
         object.__setattr__(self, "cutoff", c)
+        object.__setattr__(self, "integrand", _integrand(self.k, self.epsilon))
+
+    def __reduce__(self):
+        # the integrand is a closure: pickle the parameters and rebuild it
+        return type(self), (self.k, self.epsilon)
 
     def f(self, x: float) -> float:
         if x <= self.cutoff:
             raise ValueError(f"f undefined at {x} (cutoff {self.cutoff:.6g})")
-        val = x
-        t = x
-        for j in range(1, self.k):
-            t = math.log(t)
-            val *= t ** (1.0 + self.epsilon) if j == self.k - 1 else t
-        return val
+        return self.integrand(x)
 
     def F(self, t: float) -> float:
         """Cumulative integral of f from the cutoff, adaptive to 1e-8.
 
+        quad integrates `integrand`, built once per family: f without the
+        cutoff test, with no loop at k <= 2 and no power at epsilon = 0
+        (t ** 1.0 is t), so it makes f's float operations in f's order.
         Values are cached per process by (family, t), so a repeated t costs a
         lookup; each value keeps the bits of its one quad call.
         """
@@ -176,12 +180,30 @@ class IteratedLogFamily:
         return _integral(self, t)
 
 
+def _integrand(k: int, epsilon: float) -> Callable[[float], float]:
+    """f without its cutoff test, specialised to k and epsilon (see F)."""
+    log, p = math.log, 1.0 + epsilon
+    if k == 1:
+        return lambda x: x
+    if k == 2:
+        return (lambda x: x * log(x) ** p) if epsilon else (lambda x: x * log(x))
+
+    def integrand(x: float) -> float:
+        val = t = x
+        for _ in range(k - 2):
+            t = log(t)
+            val *= t
+        return val * log(t) ** p if epsilon else val * log(t)
+
+    return integrand
+
+
 @cache
 def _integral(family: IteratedLogFamily, t: float) -> float:
-    """Adaptive quad of family.f from just above its cutoff to t."""
+    """Adaptive quad of family.integrand from just above its cutoff to t."""
     from scipy.integrate import quad
 
-    val, _ = quad(family.f, family.cutoff * (1 + 1e-12), t, epsrel=1e-8, limit=200)
+    val, _ = quad(family.integrand, family.cutoff * (1 + 1e-12), t, epsrel=1e-8, limit=200)
     return val
 
 
@@ -189,8 +211,7 @@ def _integral(family: IteratedLogFamily, t: float) -> float:
 # growth experiment (per-level rho against the threshold family)
 
 
-@dataclass(frozen=True)
-class GrowthRecord:
+class GrowthRecord(NamedTuple):
     n: int
     rho_omega: int
     halfsum: int
@@ -225,17 +246,9 @@ def run_growth_experiment(
             big_f_n = family.F(float(n))
         except ValueError:
             f_n, big_f_n = math.nan, math.nan
-        records.append(
-            GrowthRecord(
-                n=n,
-                rho_omega=levels[n][A].rho,
-                halfsum=half,
-                f_of_n=f_n,
-                F_of_n=big_f_n,
-                len_omega=lens[n][0],
-                log_len=math.log(lens[n][0]),
-            )
-        )
+        length = lens[n][0]
+        records.append(GrowthRecord(n, levels[n][A].rho, half, f_n, big_f_n, length,
+                                    math.log(length)))
     return records
 
 
@@ -243,8 +256,7 @@ def run_growth_experiment(
 # trimmed sums
 
 
-@dataclass(frozen=True)
-class TrimmedRecord:
+class TrimmedRecord(NamedTuple):
     sample_id: int
     n: int
     halfsum: int
@@ -295,8 +307,7 @@ def run_trimmed_sums(
 # bounded-partial-quotient log growth
 
 
-@dataclass(frozen=True)
-class BoundedPQRecord:
+class BoundedPQRecord(NamedTuple):
     N: int
     rho: int
     log_N: float
@@ -353,8 +364,7 @@ def run_bounded_pq_check(
 # limsup probe
 
 
-@dataclass(frozen=True)
-class LimsupRecord:
+class LimsupRecord(NamedTuple):
     sample_id: int
     best_n: int
     best_ratio: float
@@ -427,17 +437,19 @@ def emit(
 ) -> Path:
     """Write records to path as csv, json, or two-column plot data.
 
-    CSV puts the echoed meta in '#'-prefixed comment lines, then a header
-    naming the record fields.  Identical (records, meta) yield identical
-    bytes.  An empty table or a plot field that is not a record field is an
-    error and writes nothing.
+    Records are `NamedTuple`s of one type: the first one's `_fields` name
+    the columns, and each row is joined straight from its tuple.  CSV puts
+    the echoed meta in '#'-prefixed comment lines, then a header naming the
+    record fields.  Identical (records, meta) yield identical bytes.  An
+    empty table or a plot field that is not a record field is an error and
+    writes nothing.
     """
     if fmt not in _FORMATS:
         raise EmitError(f"unknown format {fmt!r}; choose from {_FORMATS}")
     if not records:
         raise EmitError("refusing to write an empty table")
     path = Path(path)
-    names = [f.name for f in dataclasses.fields(records[0])]
+    names = list(records[0]._fields)
     for name in plot_fields or ():
         if name not in names:
             raise EmitError(f"unknown plot field {name!r}; choose from {names}")
@@ -448,24 +460,18 @@ def emit(
         if fmt == "csv":
             lines = [f"# {k}: {_cell(meta[k])}" for k in sorted(meta)]
             lines.append(",".join(names))
-            for rec in records:
-                lines.append(",".join(_cell(getattr(rec, nm)) for nm in names))
+            lines += [",".join(map(_cell, rec)) for rec in records]
             path.write_text("\n".join(lines) + "\n")
         elif fmt == "json":
             payload = {
                 "meta": {k: _cell(meta[k]) for k in sorted(meta)},
-                "records": [
-                    {nm: _json_value(getattr(rec, nm)) for nm in names}
-                    for rec in records
-                ],
+                "records": [dict(zip(names, map(_json_value, rec))) for rec in records],
             }
             path.write_text(json.dumps(payload, indent=2) + "\n")
         else:
-            xf, yf = plot_fields if plot_fields is not None else names[:2]
-            lines = [
-                f"{_cell(getattr(rec, xf))} {_cell(getattr(rec, yf))}"
-                for rec in records
-            ]
+            pair = plot_fields if plot_fields is not None else names[:2]
+            xf, yf = map(names.index, pair)
+            lines = [f"{_cell(rec[xf])} {_cell(rec[yf])}" for rec in records]
             path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise EmitError(f"cannot write {path}: {exc}") from exc

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -530,8 +530,7 @@ THRESHOLD_FAMILIES: dict[str, Callable[[int], float]] = {
 }
 
 
-@dataclass(frozen=True)
-class ExceedanceRecord:
+class ExceedanceRecord(NamedTuple):
     sample_id: int
     count: int
     last_index: int

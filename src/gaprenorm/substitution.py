@@ -37,7 +37,7 @@ derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -170,19 +170,26 @@ def _fold_rule(rule: SubstitutionRule, a, b, c, cat=_concat, rep=_repeat):
     return lead, bal, cat(bal, fill)
 
 
+# rules are immutable, so build_rule hands out shared ones; the bound keeps a
+# long sampled run, which meets thousands of distinct rules, in fixed memory
+RULE_CACHE_MAX = 1024
+_shared_rule = lru_cache(maxsize=RULE_CACHE_MAX)(SubstitutionRule)
+
+
 def build_rule(cf: CFExpansion | TrajectoryStep) -> SubstitutionRule:
     """Substitution induced at the level whose expansion is `cf`.
 
     A trajectory step serves as well: a1, a2 and a3 are read from its view.
+    Equal quotients give the same instance, from a cache of RULE_CACHE_MAX.
     """
     a1 = cf.head
     if a1 % 2:
-        return SubstitutionRule(a1)
+        return _shared_rule(a1)
     if not cf.available(3):
         raise ExpansionExhaustedError(
             "even-level rule needs quotients a2 and a3"
         )
-    return SubstitutionRule(a1, cf.quotient(2), cf.quotient(3) == 1)
+    return _shared_rule(a1, cf.quotient(2), cf.quotient(3) == 1)
 
 
 def rules_along(theta: CFExpansion, n: int) -> list[SubstitutionRule]:
@@ -195,14 +202,15 @@ def stats_by_level(rules: Sequence[SubstitutionRule]) -> list[dict[str, WordStat
 
     An identity level shares the previous level's dict.
     """
-    cur = _LETTER_STATS
-    out = [dict(zip(LETTERS, map(WordStats._make, cur)))]
+    make = WordStats._make
+    a, b, c = _LETTER_STATS
+    out = [{A: make(a), B: make(b), C: make(c)}]
     for rule in rules:
         if rule.a1 == 1:
             out.append(out[-1])
         else:
-            cur = _fold_rule(rule, *cur)
-            out.append(dict(zip(LETTERS, map(WordStats._make, cur))))
+            a, b, c = _fold_rule(rule, a, b, c)
+            out.append({A: make(a), B: make(b), C: make(c)})
     return out
 
 

@@ -1,11 +1,12 @@
-import dataclasses
+import hashlib
 import json
 import math
+import pickle
 import subprocess
 
 import pytest
 
-from gaprenorm import experiments
+from gaprenorm import experiments, measure
 from gaprenorm.experiments import (
     EmitError,
     ExperimentConfig,
@@ -22,11 +23,12 @@ SILVER = "cfper:[][2]"
 
 
 def assert_same_records(a, b):
-    """Field-wise equality that treats two nans as equal."""
+    """Same record type and fields, then equal values; two nans are equal."""
     assert len(a) == len(b)
     for x, y in zip(a, b):
-        for fld in dataclasses.fields(x):
-            va, vb = getattr(x, fld.name), getattr(y, fld.name)
+        assert type(x) is type(y)
+        assert x._fields == y._fields
+        for va, vb in zip(x, y):
             if isinstance(va, float) and math.isnan(va):
                 assert math.isnan(vb)
             else:
@@ -120,6 +122,10 @@ F_PINNED = {
                "0x1.c44bdad5f9fa3p+14", "0x1.7fb2a46e874e8p+22"],
     (2, 1.0): ["0x1.c7cefaa3b0ac2p-1", "0x1.d0783b562968ep+13",
                "0x1.4e06439686b24p+16", "0x1.4ce91da38ad1cp+24"],
+    (1, 0.0): ["0x1.ffffffffff732p+1", "0x1.385fffffffffcp+10",
+               "0x1.3877fffffffffp+12", "0x1.ffffdffffffffp+18"],
+    (3, 0.5): ["0x0.0p+0", "0x1.6594bc740ff1bp+12",
+               "0x1.0eb96826fecafp+15", "0x1.06220d324c5f7p+23"],
 }
 
 
@@ -140,6 +146,37 @@ def test_family_integral_cached_by_family_and_t():
     IteratedLogFamily(2, 0.0).F(50.0)  # an equal family shares the entry
     info = experiments._integral.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+
+def loop_f(family, x):
+    """f as one loop over the k - 1 logs per call: the integrand's oracle."""
+    val = x
+    t = x
+    for j in range(1, family.k):
+        t = math.log(t)
+        val *= t ** (1.0 + family.epsilon) if j == family.k - 1 else t
+    return val
+
+
+@pytest.mark.parametrize("k, epsilon", [(1, 0.0)] + [
+    (k, eps) for k in (2, 3, 4) for eps in (0.0, 0.1, 0.5, 1.0)])
+def test_integrand_matches_the_loop_bit_for_bit(k, epsilon):
+    family = IteratedLogFamily(k, epsilon)
+    rebuilt = pickle.loads(pickle.dumps(family))
+    assert rebuilt == family and rebuilt.cutoff == family.cutoff
+    cut = family.cutoff
+    # a log grid from just above the cutoff up to 1e300, 8 points per octave
+    octaves = math.log2(1e300 / cut)
+    grid = [math.nextafter(cut, math.inf), cut * (1 + 1e-12)]
+    grid += [cut * 2 ** (j / 8) for j in range(1, int(8 * octaves))]
+    for x in grid:
+        want = loop_f(family, x).hex()
+        assert family.integrand(x).hex() == want, x
+        assert family.f(x).hex() == want, x
+        assert rebuilt.integrand(x).hex() == want, x
+    for x in (cut, cut / 2):
+        with pytest.raises(ValueError, match="f undefined"):
+            family.f(x)
 
 
 def test_family_epsilon_raises_last_factor():
@@ -308,3 +345,62 @@ def test_emit_refuses_bad_input(tmp_path):
         with pytest.raises(EmitError, match="unknown plot field 'nope'"):
             emit(records, fmt, target, plot_fields=("log_N", "nope"))
         assert not target.exists()
+
+
+def _pinned_tables():
+    """One table per record type, each with the two plot fields to pin."""
+    silver = ExperimentConfig(theta_spec=SILVER, depth=20)
+    deep = ExperimentConfig(depth=120, seed=5, k=3, epsilon=0.5)  # ints to 211 bits
+    yield "growth-k2", run_growth_experiment(silver, IteratedLogFamily(2)), ("n", "F_of_n")
+    yield ("growth-k3", run_growth_experiment(deep, IteratedLogFamily(3, 0.5)),
+           ("log_len", "f_of_n"))
+    # sample 9 climbs in the final third: both bools appear
+    limsup, _ = run_limsup_probe(ExperimentConfig(samples=12, depth=9, seed=1))
+    yield "limsup", limsup, ("best_n", "increased_final_third")
+    trimmed, _ = run_trimmed_sums(ExperimentConfig(samples=30, depth=200, seed=2),
+                                  checkpoints=(50, 200))
+    yield "trimmed", trimmed, ("n", "ratio")
+    yield "boundedpq", _records()[0], ("log_N", "rho")
+    khinchin = measure.khinchin_experiment("linear", samples=3, n_max=300, rng_seed=3)
+    yield "khinchin", khinchin.records, ("count", "last_index")
+
+
+# sha256 of each emitted file, taken when the records were frozen dataclasses
+# and emit read every cell with getattr
+EMIT_SHA256 = {
+    "growth-k2.csv": "ec1bf7080e828b8750926bdc3d4d6f30bcd75e157149648319aeebfb6c70a40a",
+    "growth-k2.json": "58ad1163fd81586b774399a37cb1cdcbeb08d18779bcaf9eaa82d29f815c7173",
+    "growth-k2.plot": "5c6ea66689a9d3a5c818bc93deb39ef5c1224eea5d843ea5a8cc321725b63539",
+    "growth-k2.plot-fields": "e5a5301e61e62ebb3ee0f2d6d9316a856c9270721768faac48c78cce8432fa47",
+    "growth-k3.csv": "64ed2bb97759fc0584b48a6e7fbcd5c239c653fff834e945f3aea4b7a5a9a8a3",
+    "growth-k3.json": "035f007d85666d1bdaacd17c597c2eff1aa1076186b75c75bb9352db56492521",
+    "growth-k3.plot": "e378cde9d0d924dd2f45efed99d7944d11e1e9c49805650d7ef36e8a40d16381",
+    "growth-k3.plot-fields": "8eeb1e79f693d4e566d0f07535423ebcd6e8d17a269121aed59e2353d187a6f9",
+    "limsup.csv": "f99433364cdbdc1467f78bc45b6d3123bb4990dabd17c765b66c9009ae77a49e",
+    "limsup.json": "2cee9aa56685641a48ca29995f4acc5c7374b257811ebdaa51fe3c2b41771d76",
+    "limsup.plot": "0f8124cbef73f37800bb856883df496aaca9df21dd51aed69492c01e7c0eda59",
+    "limsup.plot-fields": "200bd6fcffebf3040620a43526d2f5c87b1509391aa8f6e149e7f2fe60964119",
+    "trimmed.csv": "24fb3cc71733d6a01351ee488ce694b5a30dbcdb22c171aaff60cf67da179a8c",
+    "trimmed.json": "de4888d547c195499811cbf85f49dc534f5889f9fa60454f025a58d73cf09524",
+    "trimmed.plot": "cfd54c10dec3307c5cc27f7c3dd22a62f4890d699a10ba3cf6df751d000697b8",
+    "trimmed.plot-fields": "753a8c18d152b9d5ec6cbba56e3405d0bf65819d17cce9fc2cc1cfffaf5029e2",
+    "boundedpq.csv": "e663334add793d000a1867a0bd40ccc0efdde598044babc67665cb6b800e0e50",
+    "boundedpq.json": "1abbe3856afff1a4cfb47be0a98f39eea59c065e7d2fb1d6b6c53dfd79f60d75",
+    "boundedpq.plot": "0ab7e2cca2bc92a041fdc6f43c1c01c86f7c4646218a6efdd3879014853ca2ea",
+    "boundedpq.plot-fields": "5a35437861a04420483f227969e1905ebc865afc6a2dd3f57bbb43f4ed9ff9b3",
+    "khinchin.csv": "904deaa545e76254d27d48e37f22dd8de9512a51a4f0ab1fb5a616cec68ca40b",
+    "khinchin.json": "070dc06c7c2fe492de7f1955d4185dd76968c5c94108e3ae3a76549c385ebbaf",
+    "khinchin.plot": "608f8a13a4128c73afffdecd0c640f38b6fee7ec1b38847833af2a623650b15f",
+    "khinchin.plot-fields": "0310f74884b11602eeb054ae7e71ce1787041ec6293bd345bf8d38b7adc3d9ef",
+}
+
+
+def test_emit_bytes_are_pinned(tmp_path):
+    got = {}
+    for name, records, fields in _pinned_tables():
+        for fmt, pair in (("csv", None), ("json", None), ("plot", None), ("plot", fields)):
+            key = f"{name}.{fmt}" + ("-fields" if pair else "")
+            path = emit(records, fmt, tmp_path / key, meta={"seed": 1, "version": "pinned"},
+                        plot_fields=pair)
+            got[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == EMIT_SHA256

@@ -288,6 +288,43 @@ def test_build_rule_reads_the_expansion():
     assert build_rule(parse_theta_spec("cfper:[][2]")) == SubstitutionRule(2, 2, False)
 
 
+def test_build_rule_shares_instances():
+    first = build_rule(parse_theta_spec("cf:[4,3,1,2]"))
+    assert build_rule(parse_theta_spec("cf:[4,3,1,7,5]")) is first
+    assert build_rule(parse_theta_spec("cf:[5,2,3]")) is build_rule(parse_theta_spec("cf:[5,9]"))
+    assert build_rule(parse_theta_spec("cf:[4,3,2]")) is not first
+    assert build_rule(parse_theta_spec("cf:[4,3,2]")) == SubstitutionRule(4, 3, False)
+
+
+def test_build_rule_cache_keeps_the_errors():
+    with pytest.raises(ExpansionExhaustedError, match="even-level rule needs"):
+        build_rule(parse_theta_spec("cf:[4,3]"))
+    cached = substitution._shared_rule.cache_info().currsize
+    for bad in ((0,), (2,), (3, 1), (2, 0, True), (3, 0, True), (-1,)):
+        with pytest.raises(ValueError, match="no such rule"):
+            SubstitutionRule(*bad)
+        with pytest.raises(ValueError, match="no such rule"):
+            substitution._shared_rule(*bad)
+    assert substitution._shared_rule.cache_info().currsize == cached
+
+
+def test_build_rule_cache_is_bounded_and_clears():
+    shared = substitution._shared_rule
+    assert shared.cache_info().maxsize == substitution.RULE_CACHE_MAX
+    shared.cache_clear()
+    assert shared.cache_info().currsize == 0
+    kept = build_rule(parse_theta_spec("cf:[2,2,2,2]"))
+    for a1 in range(1, 2 * substitution.RULE_CACHE_MAX + 200, 2):
+        assert build_rule(parse_theta_spec(f"cf:[{a1},5]")).a1 == a1
+    assert shared.cache_info().currsize == substitution.RULE_CACHE_MAX
+    # the first rule was evicted: an equal, new instance comes back
+    again = build_rule(parse_theta_spec("cf:[2,2,2,2]"))
+    assert again == kept and again is not kept
+    shared.cache_clear()
+    assert shared.cache_info().currsize == 0
+    assert build_rule(parse_theta_spec("cf:[2,2,2,2]")) == kept
+
+
 def test_compose_matches_expansion():
     rng = random.Random(23)
     checked = 0
