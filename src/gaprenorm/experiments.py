@@ -134,7 +134,6 @@ class IteratedLogFamily:
     k: int
     epsilon: float = 0.0
     cutoff: float = field(init=False, compare=False, repr=False)
-    integrand: Callable[[float], float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -155,23 +154,18 @@ class IteratedLogFamily:
                     f"use k <= {j}"
                 ) from None
         object.__setattr__(self, "cutoff", c)
-        object.__setattr__(self, "integrand", _integrand(self.k, self.epsilon))
-
-    def __reduce__(self):
-        # the integrand is a closure: pickle the parameters and rebuild it
-        return type(self), (self.k, self.epsilon)
 
     def f(self, x: float) -> float:
         if x <= self.cutoff:
             raise ValueError(f"f undefined at {x} (cutoff {self.cutoff:.6g})")
-        return self.integrand(x)
+        return _integrand(self.k, self.epsilon)(x)
 
     def F(self, t: float) -> float:
         """Cumulative integral of f from the cutoff, adaptive to 1e-8.
 
-        quad integrates `integrand`, built once per family: f without the
-        cutoff test, with no loop at k <= 2 and no power at epsilon = 0
-        (t ** 1.0 is t), so it makes f's float operations in f's order.
+        quad integrates `_integrand(k, epsilon)`, built once per (k, epsilon):
+        f without the cutoff test, with no loop and no power at k <= 2,
+        epsilon = 0, so it makes f's float operations in f's order.
         Values are cached per process by (family, t), so a repeated t costs a
         lookup; each value keeps the bits of its one quad call.
         """
@@ -180,30 +174,32 @@ class IteratedLogFamily:
         return _integral(self, t)
 
 
+@cache
 def _integrand(k: int, epsilon: float) -> Callable[[float], float]:
-    """f without its cutoff test, specialised to k and epsilon (see F)."""
+    """f without its cutoff test, built once per (k, epsilon) (see F)."""
     log, p = math.log, 1.0 + epsilon
     if k == 1:
         return lambda x: x
-    if k == 2:
-        return (lambda x: x * log(x) ** p) if epsilon else (lambda x: x * log(x))
+    if k == 2 and not epsilon:
+        return lambda x: x * log(x)
 
     def integrand(x: float) -> float:
         val = t = x
         for _ in range(k - 2):
             t = log(t)
             val *= t
-        return val * log(t) ** p if epsilon else val * log(t)
+        return val * log(t) ** p
 
     return integrand
 
 
 @cache
 def _integral(family: IteratedLogFamily, t: float) -> float:
-    """Adaptive quad of family.integrand from just above its cutoff to t."""
+    """Adaptive quad of the family's integrand from just above its cutoff to t."""
     from scipy.integrate import quad
 
-    val, _ = quad(family.integrand, family.cutoff * (1 + 1e-12), t, epsrel=1e-8, limit=200)
+    integrand = _integrand(family.k, family.epsilon)
+    val, _ = quad(integrand, family.cutoff * (1 + 1e-12), t, epsrel=1e-8, limit=200)
     return val
 
 
