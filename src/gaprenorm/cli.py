@@ -63,16 +63,15 @@ def _add_theta(parser: argparse.ArgumentParser, required: bool = True) -> None:
     )
 
 
-def _add_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="JSON file of config fields")
-    parser.add_argument("--depth", type=int, default=None)
-    parser.add_argument("--orbit-length", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--k", type=int, default=None, help="threshold family depth")
-    parser.add_argument(
-        "--epsilon", type=float, default=None, help="threshold family exponent bump"
-    )
+def _add_config(parser: argparse.ArgumentParser, *fields: str) -> None:
+    """One flag per config field in `fields`, the ones the verb's driver reads."""
+    helps = {"k": "threshold family depth",
+             "epsilon": "threshold family exponent bump"}
+    for name in fields:
+        parser.add_argument("--" + name.replace("_", "-"), default=None,
+                            type=float if name == "epsilon" else int,
+                            help=helps.get(name))
+    parser.set_defaults(config_fields=fields)
 
 
 def _add_emit(parser: argparse.ArgumentParser) -> None:
@@ -86,25 +85,10 @@ def _add_emit(parser: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace):
     from .experiments import ExperimentConfig
 
-    merged = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError("--config wants a JSON object of config fields")
-        bad = set(loaded) - {f.name for f in dataclasses.fields(ExperimentConfig)}
-        if bad:
-            raise ValueError(f"unknown config fields: {sorted(bad)}")
-        merged.update(loaded)
-    for name in ("depth", "orbit_length", "samples", "seed", "k", "epsilon"):
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
+    merged = {name: getattr(args, name) for name in args.config_fields
+              if getattr(args, name) is not None}
     if getattr(args, "theta", None) is not None:
-        merged["theta_spec"] = args.theta
-    spec = merged.get("theta_spec")
-    if isinstance(spec, str):  # ExperimentConfig rejects any other type
-        merged["theta_spec"] = _resolve_theta_spec(spec, getattr(args, "den_bound", None))
+        merged["theta_spec"] = _resolve_theta_spec(args.theta, args.den_bound)
     return ExperimentConfig(**merged)
 
 
@@ -486,31 +470,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threshold family; a wrong name lists the choices")
     p.add_argument("--n-max", type=int, default=5000)
     p.add_argument("--window", default=None, help="lo,hi window of orbit steps")
-    _add_config(p)
+    _add_config(p, "samples", "seed")
     _add_emit(p)
     p.set_defaults(fn=cmd_khinchin)
 
     p = sub.add_parser("growth", help="per-level spread against a threshold family")
     _add_theta(p, required=False)
-    _add_config(p)
+    _add_config(p, "depth", "seed", "k", "epsilon")
     _add_emit(p)
     p.set_defaults(fn=cmd_growth)
 
     p = sub.add_parser("trimmed", help="half-sums with the largest term removed")
-    _add_config(p)
+    _add_theta(p, required=False)
+    _add_config(p, "samples", "depth", "seed")
     _add_emit(p)
     p.add_argument("--checkpoints", default="25,50,100,200")
     p.set_defaults(fn=cmd_trimmed)
 
     p = sub.add_parser("boundedpq", help="orbit spread over log N, bounded quotients")
     _add_theta(p, required=False)
-    _add_config(p)
+    _add_config(p, "orbit_length")
     _add_emit(p)
     p.add_argument("--x0", default="0", help="orbit base point, as p/q")
     p.set_defaults(fn=cmd_boundedpq)
 
     p = sub.add_parser("limsup", help="running max of the scaled spread per sample")
-    _add_config(p)
+    _add_theta(p, required=False)
+    _add_config(p, "samples", "depth", "seed")
     _add_emit(p)
     p.set_defaults(fn=cmd_limsup)
 

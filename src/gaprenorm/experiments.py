@@ -86,7 +86,8 @@ _FIELD_KINDS = {"theta_spec": (str, type(None)), "epsilon": (int, float)}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knob set; drivers read the fields they need and echo them all."""
+    """Settings of the experiment drivers.  Each driver reads some fields, and
+    its CLI verb sets only those; `to_meta` echoes them all."""
 
     theta_spec: str | None = None
     depth: int = 30
@@ -97,7 +98,7 @@ class ExperimentConfig:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        # a --config file can hold any JSON type; refuse a wrong one here
+        # a library caller can pass any type; refuse a wrong one here
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             kinds = _FIELD_KINDS.get(f.name, int)

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import io
 import json
 import os
@@ -10,8 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaprenorm import measure
-from gaprenorm.cli import main
+from gaprenorm import experiments, measure
+from gaprenorm.cli import build_parser, main
 from gaprenorm.experiments import EmitError, tool_version
 from gaprenorm.measure import ConvergenceError, UlamAssemblyError
 from gaprenorm.orbit import EncodingSearchError
@@ -210,31 +212,11 @@ def test_dec_conversion(capsys):
     assert "Even(1,2)" in out  # 29/70 sits in the silver cell
 
 
-def test_config_file(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"samples": 4, "depth": 30, "seed": 1}))
-    code, out, _ = run(capsys, "limsup", "--config", str(cfg))
-    assert code == 0
-    assert "4 samples at depth 30" in out
-
-
-def test_config_rejects_unknown_field(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    code, _, err = run(capsys, "limsup", "--config", str(cfg))
-    assert code == 1
-    assert "bogus" in err
-
-
 # bad configurations and tolerances: each is a domain error, exit 1, no traceback
 BAD_RUNS = [
     ("growth", "--depth", "0"),
     ("growth", "--depth", "5", "--epsilon", "nan"),
     ("growth", "--depth", "5", "--epsilon", "inf"),
-    ("limsup", "--config", {"depth": "x"}),
-    ("limsup", "--config", {"samples": 2.5}),
-    ("growth", "--config", {"theta_spec": 5}),
-    ("limsup", "--config", 5),
     ("limsup", "--samples", "0"),
     ("khinchin", "--samples", "0"),
     ("ulam", "--tol", "-1", "--bins", "64"),
@@ -251,14 +233,9 @@ BAD_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_RUNS, ids=lambda a: " ".join(map(str, a)))
+@pytest.mark.parametrize("argv", BAD_RUNS, ids=" ".join)
 def test_bad_input_exits_1(capsys, tmp_path, argv):
-    cfg = tmp_path / "cfg.json"
-    argv = [json.dumps(a) if not isinstance(a, str) else a for a in argv]
-    if "--config" in argv:
-        i = argv.index("--config") + 1
-        cfg.write_text(argv[i])
-        argv[i] = str(cfg)
+    argv = list(argv)
     out = None
     if "--out" in argv:
         i = argv.index("--out") + 1
@@ -297,10 +274,58 @@ def test_emit_error_exits_1_in_a_fresh_process(tmp_path):
 def test_zero_sizes_still_run(capsys):
     # these ran before the configuration checks and must keep running
     for argv in (("limsup", "--depth", "0", "--samples", "2"),
-                 ("khinchin", "--depth", "0", "--samples", "2", "--n-max", "200"),
+                 ("khinchin", "--samples", "2", "--n-max", "200"),
                  ("boundedpq", "--orbit-length", "0")):
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+# the settings each experiment verb takes, one flag each: the ExperimentConfig
+# fields its driver reads, and --theta/--den-bound for theta_spec
+SETTINGS = {
+    "khinchin": {"--samples", "--seed"},
+    "growth": {"--theta", "--den-bound", "--depth", "--seed", "--k", "--epsilon"},
+    "trimmed": {"--theta", "--den-bound", "--samples", "--depth", "--seed"},
+    "boundedpq": {"--theta", "--den-bound", "--orbit-length"},
+    "limsup": {"--theta", "--den-bound", "--samples", "--depth", "--seed"},
+}
+OTHER_FLAGS = {
+    "khinchin": {"--family", "--n-max", "--window"},
+    "trimmed": {"--checkpoints"},
+    "boundedpq": {"--x0"},
+}
+CONFIG_FLAGS = {"--config", "--depth", "--orbit-length", "--samples", "--seed",
+                "--k", "--epsilon"}
+
+
+def test_experiment_verbs_take_only_the_settings_their_drivers_read():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for verb, settings in SETTINGS.items():
+        options = {s for a in sub.choices[verb]._actions for s in a.option_strings}
+        assert options == settings | OTHER_FLAGS.get(verb, set()) | {
+            "-h", "--help", "--fmt", "--out", "--plot-fields"}, verb
+
+
+@pytest.mark.parametrize("verb", sorted(SETTINGS))
+def test_removed_settings_are_usage_errors(capsys, tmp_path, verb):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bogus": 1}))
+    for flag in sorted(CONFIG_FLAGS - SETTINGS[verb]):
+        value = str(cfg) if flag == "--config" else "7"
+        with pytest.raises(SystemExit) as exc:
+            main([verb, flag, value])
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_trimmed_and_limsup_take_a_theta(capsys, tmp_path):
+    for argv in (("trimmed", "--samples", "30", "--depth", "200"),
+                 ("limsup", "--samples", "1")):
+        out = tmp_path / f"{argv[0]}.csv"
+        code, _, err = run(capsys, *argv, "--theta", "cfper:[][2]", "--out", str(out))
+        assert code == 0, (argv, err)
+        assert "# theta_spec: cfper:[][2]\n" in out.read_text()
 
 
 def test_bad_verb_exits_2(capsys):
@@ -372,3 +397,47 @@ def test_fuzzed_theta_specs_exit_cleanly(spec):
     assert code in (0, 1, 2)
     if code:
         assert err.getvalue() and "Traceback" not in err.getvalue()
+
+
+# the five experiment verbs at small sizes, in CSV and JSON, with a fixed
+# version line: a change to how a verb reads its settings that moves a byte
+# of an emitted file fails here
+GOLDEN_RUNS = {
+    "khinchin": ("khinchin", "--family", "linear", "--samples", "4", "--n-max",
+                 "300", "--seed", "5", "--window", "10,300"),
+    "growth": ("growth", "--theta", "cfper:[][2]", "--depth", "12", "--k", "2"),
+    "growth-sampled": ("growth", "--depth", "20", "--seed", "1", "--k", "3",
+                       "--epsilon", "0.5"),
+    "trimmed": ("trimmed", "--samples", "30", "--depth", "200", "--seed", "2"),
+    "boundedpq": ("boundedpq", "--orbit-length", "10000"),
+    "limsup": ("limsup", "--samples", "4", "--depth", "30", "--seed", "1"),
+}
+GOLDEN_SHA256 = {
+    "khinchin.csv": "017fe854ac6009b1b79d1bf91bb1aafa9a5a64b603829f3a85c668ab743b6cd0",
+    "khinchin.json": "686519c326a3e41ae9476885325ee100861c449fbc8b189c274a51fa1e1fae0e",
+    "growth.csv": "80f1c39b6f1d420a948e657187251a44e85e0361b1d28fe42dea6c5b59c45a48",
+    "growth.json": "01a6537c293e13b2a3ed71a13fc8d854a749d1401d1cb82bf0d0bb6bc0e05db6",
+    "growth-sampled.csv":
+        "e1c1af99e3fa7a755329d5bf49cbfb8f83f6b5fc8d5a1eb948e8dcaa89082dc8",
+    "growth-sampled.json":
+        "bc078f9d1c560b0af122428285deaf6de7d416d2790b61ab8aafa86ddced3ce7",
+    "trimmed.csv": "b07c23a8be7902358dd440932ddf8c280cca47699da55db77e74a8e60a3af07a",
+    "trimmed.json": "f88f119563c3b64f67b16ba3511b4bedd57903a485f1abc58ad707e4b0747533",
+    "boundedpq.csv": "ff2f267c82725cfc8914825297c00f680ab06163f32a92399c239f79e0dedf32",
+    "boundedpq.json":
+        "213907c2b7d3b5523956b8512e464fe1171cbf0e6fa10b56542c7e1030b43670",
+    "limsup.csv": "efea1cbbc5db44a648038b7a45e1661d9d2ecddb89784a60e00449b1eb41aff5",
+    "limsup.json": "94271ab40943f328588a0192a3c5872a6997a7611b105d5903b6b44024c4b2be",
+}
+
+
+def test_experiment_files_are_pinned(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(experiments, "tool_version", lambda: "golden")
+    got = {}
+    for name, argv in GOLDEN_RUNS.items():
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"{name}.{fmt}"
+            code, _, err = run(capsys, *argv, "--fmt", fmt, "--out", str(path))
+            assert code == 0, (argv, err)
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == GOLDEN_SHA256

@@ -70,6 +70,14 @@ def test_config_meta():
     assert meta2["theta_spec"] == SILVER
 
 
+@pytest.mark.parametrize("fields", [{"depth": "x"}, {"samples": 2.5},
+                                    {"theta_spec": 5}], ids=str)
+def test_config_rejects_wrong_types(fields):
+    (name, value), = fields.items()
+    with pytest.raises(ValueError, match=f"field {name} must be .*, got {value!r}"):
+        ExperimentConfig(**fields)
+
+
 # ---------------------------------------------------------------------------
 # the threshold family
 

@@ -66,6 +66,42 @@ def test_branch_round_trip():
             assert mobius(*cell.matrix, y) == x
 
 
+# the invariant density without its constant 1/ln 6, and the transfer
+# identity sum over the branches psi onto y of h(psi(y)) |psi'(y)| = h(y),
+# exact at rational y: the odd sum telescopes over k, the even sum over n,
+# then over m
+def h(x):
+    return 2 / (1 - x * x) if x < Fraction(1, 2) else 1 / x
+
+
+def transfer_term(y, a1, a2=0):
+    a, b, c, d = cf.branch_matrix(a1, a2)
+    x = (a * y + b) / (c * y + d)
+    lo, hi = PartitionCell(a1, a2).endpoints
+    assert lo < x < hi
+    return h(x) / (c * y + d) ** 2
+
+
+@pytest.mark.parametrize("y", [Fraction(1, 7), Fraction(2, 5), Fraction(3, 5),
+                               Fraction(7, 9)], ids=str)
+def test_transfer_identity_is_exact(y):
+    for size in (1, 2, 9):
+        if y < Fraction(1, 2):  # a Half preimage, no Odd one
+            assert transfer_term(y, 1) == 1 / (1 - y)
+            assert 1 / (1 - y) + 1 / (1 + y) == h(y)
+        else:  # an Odd preimage for each k, no Half one
+            odd = sum(transfer_term(y, 2 * k + 1) for k in range(1, size + 1))
+            assert odd == (1 / y) * (1 / (1 + y) - 1 / ((2 * size + 1) * y + 1))
+            assert 1 / (y * (1 + y)) + 1 / (1 + y) == h(y)
+        us = [m + y for m in range(1, size + 1)]
+        even = sum(transfer_term(y, 2 * n, m) for n in range(1, size + 1)
+                   for m in range(1, size + 1))
+        assert even == sum((1 / u) * (1 / (u + 1) - 1 / ((2 * size + 1) * u + 1))
+                           for u in us)
+        # as N grows, the even sum tends to this, and as M grows, to 1/(1 + y)
+        assert sum(1 / (u * (u + 1)) for u in us) == 1 / (1 + y) - 1 / (size + 1 + y)
+
+
 # ---------------------------------------------------------------------------
 # the discretized operator
 
