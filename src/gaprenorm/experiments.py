@@ -265,8 +265,10 @@ def run_trimmed_sums(
     cfg: ExperimentConfig, checkpoints: Sequence[int] = (25, 50, 100, 200)
 ) -> tuple[list[TrimmedRecord], dict]:
     """Half-sums with the single largest term removed, scaled by n log n."""
-    if cfg.samples < 30:
+    if cfg.theta_spec is None and cfg.samples < 30:
         raise ValueError("need at least 30 samples")
+    if cfg.samples < 1:  # a fixed theta gives identical samples: one will do
+        raise ValueError("need at least one sample")
     if cfg.depth < 200:
         raise ValueError("need depth >= 200")
     if any(c < 2 for c in checkpoints):

@@ -3,18 +3,17 @@
 A rotation by theta < 1/2 partitions the circle into A = [0, 1/2),
 B = [1/2, 1 - theta) and C = [1 - theta, 1); the encoding of an orbit is the
 letter sequence of x0 + j*theta mod 1.  One vectorized kernel decides the
-letters of an orbit a block of steps at a time, exactly:
+letters of an orbit a block of steps at a time, exactly, in 64-bit fixed
+point.  With T = floor(theta*2^64) and X = floor(x0*2^64), the position times
+2^64 lies in [P_j, P_j + j + 1) for P_j = X + j*T mod 2^64.  A step whose
+enclosure holds a boundary (0, 1/2 or 1 - theta, a boundary equal to P_j
+included) or wraps past 0 is ambiguous; only those steps are decided again,
+in exact arithmetic on x0 and theta as given (Fractions or Surds).  An
+endpoint hit lies on a boundary, so every hit is recorded, in step order,
+rather than guessed around.
 
-* a rational orbit whose common-denominator lattice fits int64 runs on that
-  lattice, so every endpoint hit is an integer equality;
-* every other orbit runs in 64-bit fixed point.  With T = floor(theta*2^64)
-  and X = floor(x0*2^64), the position times 2^64 lies in [P_j, P_j + j + 1)
-  for P_j = X + j*T mod 2^64.  A step whose enclosure holds a boundary
-  (0, 1/2 or 1 - theta, a boundary equal to P_j included) or wraps past 0 is
-  ambiguous; only those steps are decided again, in exact arithmetic on
-  x0 and theta as given (Fractions or Surds).  An endpoint hit lies on a
-  boundary, so every hit is recorded, in step order, rather than guessed
-  around.
+A rational orbit of theta = p/q repeats after q steps, so only its first
+period is decided; the rest of its letters and hits are copies.
 
 The encoding search compares a level word with the orbits of a whole grid of
 start points.  Each letter's start points at a given step form one arc of
@@ -61,13 +60,9 @@ _HIT_NAMES = ("0", "1/2", "1-theta")
 
 
 class _Orbits:
-    """Exact letters of the orbits of x_r = (x0 + r)/grid, r < grid.
+    """Exact letters of the orbits of x_r = (x0 + r)/grid, r < grid."""
 
-    `steps` bounds the steps that will be asked for; it decides whether a
-    rational orbit fits the int64 lattice.
-    """
-
-    def __init__(self, x0: ExactReal, theta: ExactReal, grid: int, steps: int):
+    def __init__(self, x0: ExactReal, theta: ExactReal, grid: int):
         field = next((v for v in (theta, x0) if isinstance(v, Surd)), None)
         d = field.d if field else 0
         if d and math.isqrt(d) ** 2 == d:
@@ -77,18 +72,8 @@ class _Orbits:
         # an int or a float runs as the Fraction of its value
         x0, theta = (v if isinstance(v, Surd) else Fraction(v) for v in (x0, theta))
         self.x0, self.theta, self.grid = x0, theta, grid
-        self.period, self.lattice = None, False
-        if field is None:
-            self.period = theta.denominator
-            xden = grid * x0.denominator
-            lat = math.lcm(xden, theta.denominator)
-            self.lattice = lat * min(steps + 1, self.period) < 1 << 63
-        if self.lattice:
-            self.lat, self.step = lat, theta.numerator * (lat // theta.denominator)
-            # row r starts at pos0 + r * spacing on the lattice
-            self.pos0 = x0.numerator * (lat // xden)
-            self.spacing = lat // grid
-            return
+        # a rational orbit repeats after theta's denominator of steps
+        self.period = theta.denominator if field is None else None
         self.T = exact_floor(theta * _ONE)
         # X_r = floor((x0 + r) * 2^64 / grid), exact in uint64 for grid < 2^32
         q, rem = divmod(_ONE, grid)
@@ -103,17 +88,6 @@ class _Orbits:
 
         Endpoint hits are appended to `hits` as (step, name).
         """
-        if self.lattice:
-            lat, ct = self.lat, self.lat - self.step  # ct: the point 1 - theta
-            j = np.arange(j0, j1, dtype=np.int64)
-            pos = (self.pos0 + row * self.spacing + j % self.period * self.step) % lat
-            out = _ABC[(pos >= lat - pos) + (pos >= ct).astype(np.intp)]
-            if hits is not None:
-                kind = (pos == 0) + 2 * (pos == lat - pos) + 3 * (pos == ct)
-                k = np.flatnonzero(kind)
-                names = [_HIT_NAMES[i - 1] for i in kind[k].tolist()]
-                hits.extend(zip((j0 + k).tolist(), names))
-            return out
         j = np.arange(j0, j1, dtype=np.uint64)
         out, ambiguous = self._fast(self.X[row] + j * np.uint64(self.T), j)
         for k in np.flatnonzero(ambiguous).tolist():
@@ -156,22 +130,17 @@ class _Orbits:
         """
         J, G = len(word), self.grid
         j = np.arange(J)
-        if self.lattice:
-            keys = np.array([0, (self.lat + 1) // 2, self.lat - self.step])
-            cut = (keys[:, None] - j % self.period * self.step) % self.lat
-            rank = np.clip(-((self.pos0 - cut) // self.spacing), 0, G)
-        else:
-            T, steps = np.uint64(self.T), j.astype(np.uint64)
-            keys = np.array([0, 1 << 63, (_ONE - self.T) % _ONE], dtype=np.uint64)
-            cut = keys[:, None] - steps * T
-            # with y = cut * G / 2^64 the rank is floor(y) or floor(y) + 1;
-            # floor(y) in two 32-bit halves of cut, then one exact step up
-            w, g = np.uint64(32), np.uint64(G)
-            low = cut & np.uint64(0xFFFFFFFF)
-            rank = (((cut >> w) * g + (low * g >> w)) >> w).astype(np.intp)
-            # X between its last start, one turn back, and 2^64 - 1
-            ring = np.concatenate([self.X[-1:], self.X, [np.uint64(_ONE - 1)]])
-            rank += np.take(ring, rank + 1) < cut
+        T, steps = np.uint64(self.T), j.astype(np.uint64)
+        keys = np.array([0, 1 << 63, (_ONE - self.T) % _ONE], dtype=np.uint64)
+        cut = keys[:, None] - steps * T
+        # with y = cut * G / 2^64 the rank is floor(y) or floor(y) + 1;
+        # floor(y) in two 32-bit halves of cut, then one exact step up
+        w, g = np.uint64(32), np.uint64(G)
+        low = cut & np.uint64(0xFFFFFFFF)
+        rank = (((cut >> w) * g + (low * g >> w)) >> w).astype(np.intp)
+        # X between its last start, one turn back, and 2^64 - 1
+        ring = np.concatenate([self.X[-1:], self.X, [np.uint64(_ONE - 1)]])
+        rank += np.take(ring, rank + 1) < cut
         letter = word.astype(np.intp) - ord(A)
         # the word letter's arc runs from its own cut to the next letter's
         start, end = letter * J + j, (letter + 1) % 3 * J + j
@@ -180,8 +149,6 @@ class _Orbits:
         # an arc whose start cut lies above its end cut wraps round to row 0
         matched[0] += np.count_nonzero(np.take(cut, start) > np.take(cut, end))
         bad = J - np.cumsum(matched[:G])
-        if self.lattice:
-            return bad
         # the last row before each cut, if within j + 1 of it
         near = np.flatnonzero(cut - np.take(ring, rank) <= steps + np.uint64(1))
         # each (row, step) once: cuts closer than a step share their last row
@@ -197,8 +164,10 @@ class _Orbits:
 def encode_orbit(x0: ExactReal, theta: ExactReal, length: int) -> OrbitEncoding:
     """Letter sequence of x0, x0 + theta, ... (length symbols), exactly.
 
-    Requires 0 < theta < 1/2 and 0 <= x0 < 1.  A rational theta whose orbit
-    period is shorter than the request wraps silently but flags it.
+    Requires 0 < theta < 1/2 and 0 <= x0 < 1.  The orbit of a rational
+    theta = p/q repeats every q steps, so only its first min(length, q)
+    symbols are decided; the rest, endpoint hits included, are copies of
+    them, and `period_wrapped` flags a request longer than q.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -206,15 +175,20 @@ def encode_orbit(x0: ExactReal, theta: ExactReal, length: int) -> OrbitEncoding:
         raise ValueError("rotation number must lie in (0, 1/2)")
     if not (0 <= x0 and x0 < 1):
         raise ValueError("starting point must lie in [0, 1)")
-    orbits = _Orbits(x0, theta, 1, length)
+    orbits = _Orbits(x0, theta, 1)
+    n = length if orbits.period is None else min(length, orbits.period)
     hits = []
     symbols = "".join(
-        orbits.letters(0, j, min(j + _BLOCK, length), hits).tobytes().decode("ascii")
-        for j in range(0, length, _BLOCK)
+        orbits.letters(0, j, min(j + _BLOCK, n), hits).tobytes().decode("ascii")
+        for j in range(0, n, _BLOCK)
     )
+    if n < length:
+        symbols = symbols * (length // n) + symbols[: length % n]
+        hits = [(j + k, name) for k in range(0, length, n) for j, name in hits
+                if j + k < length]
     return OrbitEncoding(
         x0=x0, theta=theta, symbols=symbols, endpoint_hits=hits,
-        period_wrapped=orbits.period is not None and length > orbits.period,
+        period_wrapped=n < length,
     )
 
 
@@ -284,7 +258,7 @@ def verify_levels_encoding(lv: Levels, n: int, budget: int = 2) -> EncodingMatch
             f"grid of {grid} points at level {n} exceeds the search budget "
             f"of {GRID_MAX} points"
         )
-    orbits = _Orbits(Fraction(0), theta_val, grid, len(word))
+    orbits = _Orbits(Fraction(0), theta_val, grid)
     bad = orbits.mismatches(np.frombuffer(word.encode("ascii"), dtype=np.uint8))
     scores = np.minimum(bad, budget + 1)
     t = int(np.argmin(scores))  # the first grid point with the fewest mismatches

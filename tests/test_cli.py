@@ -161,6 +161,22 @@ def test_trimmed_rejects_small_runs(capsys):
     assert "samples" in err
 
 
+def test_trimmed_with_a_fixed_theta_runs_one_sample(capsys, tmp_path):
+    # a fixed theta gives identical samples, so the 30-sample floor of a
+    # sampled theta does not apply; one sample writes one row per checkpoint
+    out = tmp_path / "trimmed.csv"
+    code, _, err = run(capsys, "trimmed", "--theta", "cfper:[][2]", "--samples", "1",
+                       "--depth", "200", "--out", str(out))
+    assert code == 0, err
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows[0] == "sample_id,n,halfsum,halfmax,ratio"
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        ["0", "25"], ["0", "50"], ["0", "100"], ["0", "200"]]
+    code, _, err = run(capsys, "trimmed", "--theta", "cfper:[][2]", "--samples", "0",
+                       "--depth", "200")
+    assert code == 1 and "sample" in err
+
+
 def test_boundedpq_plot(capsys, tmp_path):
     target = tmp_path / "pq.dat"
     code, out, _ = run(capsys, "boundedpq", "--orbit-length", "10000",

@@ -102,6 +102,39 @@ def test_transfer_identity_is_exact(y):
         assert sum(1 / (u * (u + 1)) for u in us) == 1 / (1 + y) - 1 / (size + 1 + y)
 
 
+# the mass of (lo, hi) under h is ln r(hi) - ln r(lo) below 1/2, with
+# r(x) = (1 + x)/(1 - x) since (ln r)' = 2/(1 - x^2), and ln(hi/lo) above it;
+# each kind's mass is the log of a product of these ratios, exact in Fractions
+def r(x):
+    return (1 + x) / (1 - x)
+
+
+@pytest.mark.parametrize("size", [1, 2, 9, 40])
+def test_kind_masses_are_exact(size):
+    half_lo, half_hi = PartitionCell(1).endpoints
+    assert (half_lo, half_hi) == (Fraction(1, 2), 1)
+    # Odd(k) = (1/(2k + 2), 1/(2k + 1)) and the even strip
+    # (1/(2n + 1), 1/(2n)), the union of Even(n, m) over m, tile (0, 1/2)
+    odd = [PartitionCell(2 * k + 1).endpoints for k in range(1, size + 1)]
+    strips = [(PartitionCell(2 * n, 1).endpoints[0], Fraction(1, 2 * n))
+              for n in range(1, size + 1)]
+    assert strips[0][1] == half_lo
+    for k in range(size):
+        assert odd[k][1] == strips[k][0]
+        if k + 1 < size:
+            assert odd[k][0] == strips[k + 1][1]
+    for n in range(1, size + 1):  # Even(n, m) climbs the strip as m grows
+        cells = [PartitionCell(2 * n, m).endpoints for m in range(1, size + 1)]
+        assert all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
+        assert strips[n - 1][0] == cells[0][0] and cells[-1][1] < strips[n - 1][1]
+    even = math.prod(r(hi) / r(lo) for lo, hi in strips)
+    assert even == Fraction(2 * size + 1, size + 1)  # tends to 2
+    odds = math.prod(r(hi) / r(lo) for lo, hi in odd)
+    assert odds == Fraction(3 * (size + 1), 2 * size + 3)  # tends to 3/2
+    assert half_hi / half_lo == 2
+    # so the masses are ln 2, ln(3/2) and ln 2 over ln 6, and they add to 1
+
+
 # ---------------------------------------------------------------------------
 # the discretized operator
 

@@ -337,6 +337,19 @@ def test_encode_across_block_edges(theta, x0):
         assert repr(enc.endpoint_hits) == repr([h for h in hits if h[0] < length])
 
 
+@pytest.mark.parametrize("target", ["0", "1/2", "1-theta"])
+def test_period_longer_than_a_block_repeats_exactly(target):
+    # a period of 70001 steps spans two blocks; the orbit hits the target at
+    # its last step, q - 1, so the copies must carry that hit across the seam
+    theta = Fraction(30001, 70001)
+    q = theta.denominator
+    assert q > orbit._BLOCK
+    point = {"0": Fraction(0), "1/2": Fraction(1, 2), "1-theta": 1 - theta}[target]
+    x0 = _frac(point - (q - 1) * theta)
+    for length in (q, q + 1, 2 * q + 5):
+        _same_as_reference(x0, theta, length)
+
+
 def _reference_scan(lv, n, budget):
     """The grid scan verify_encoding answers: the first grid point with the
     fewest mismatches, stopping at the first exact match."""
@@ -413,7 +426,7 @@ def _grid_case(draw, theta):
         target = draw(st.sampled_from([Fraction(0), Fraction(1, 2), 1 - theta]))
         spot = grid * _frac(target - draw(st.integers(0, max(length - 1, 0))) * theta)
         x0, row = _frac(spot), exact_floor(spot)
-    word = _Orbits(x0, theta, grid, length).letters(row, 0, length).copy()
+    word = _Orbits(x0, theta, grid).letters(row, 0, length).copy()
     for j in draw(st.lists(st.integers(0, max(length - 1, 0)), max_size=5)):
         if length:
             word[j] = ord(draw(st.sampled_from([A, B, C])))
@@ -423,9 +436,9 @@ def _grid_case(draw, theta):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), theta=THETAS)
 def test_mismatches_count_every_row(data, theta):
-    # THETAS: lattice rationals, rationals too wide for the lattice, surds
+    # THETAS: small rationals, rationals of 64 bits and more, surds
     x0, grid, word = data.draw(_grid_case(theta))
-    orbits = _Orbits(x0, theta, grid, len(word))
+    orbits = _Orbits(x0, theta, grid)
     assert orbits.mismatches(word).tolist() == _letter_counts(orbits, word).tolist()
 
 
@@ -438,7 +451,7 @@ def test_mismatches_count_planted_hits(theta, target):
     grid, k, length = 7, 700, 1000
     point = {"0": Fraction(0), "1/2": Fraction(1, 2), "1-theta": 1 - theta}[target]
     spot = grid * _frac(point - k * theta)
-    orbits = _Orbits(_frac(spot), theta, grid, length)
+    orbits = _Orbits(_frac(spot), theta, grid)
     hits = []
     word = orbits.letters(exact_floor(spot), 0, length, hits)
     assert (k, target) in hits
@@ -458,7 +471,7 @@ def test_mismatches_with_boundaries_closer_than_a_step(theta, grid):
     for point in (Fraction(0), Fraction(1, 2), 1 - 40 * theta,
                   Fraction(1, 2) - 40 * theta):
         spot = grid * _frac(point)
-        orbits = _Orbits(_frac(spot), theta, grid, 300)
+        orbits = _Orbits(_frac(spot), theta, grid)
         word = orbits.letters(exact_floor(spot), 0, 300)
         assert orbits.mismatches(word).tolist() == _letter_counts(orbits, word).tolist()
 
