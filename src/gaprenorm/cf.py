@@ -390,12 +390,12 @@ class TrajectoryStep:
 
     __slots__ = ("traj", "level", "a1", "e", "offset")
 
-    def __init__(self, traj: GapTrajectory, level: int):
+    def __init__(self, traj: GapTrajectory, level: int, a1: int, offset: int):
         self.traj = traj
         self.level = level
-        self.a1 = traj.heads[level]
-        self.e = self.a1 - self.a1 % 2
-        self.offset = traj.offsets[level]
+        self.a1 = a1
+        self.e = a1 - a1 % 2
+        self.offset = offset
 
     @property
     def head(self) -> int:
@@ -430,19 +430,18 @@ class TrajectoryStep:
 class GapTrajectory:
     """Levels theta_0 .. theta_n of the gap dynamics of `theta0`.
 
-    `heads[v]` and `offsets[v]` are the state (a1, offset) of level v and
-    `steps[v]` its view.  `theta_value`, theta_0's exact value, is computed
-    once, on first read, and is also level 0 of the exact values.  `cycle`
-    is (first, length) once the values are read: level v >= first has the
-    value and delta of level first + (v - first) % length.  A trajectory
-    with no repeated state has first = len(steps) and length 0.
+    `steps[v]` is the view of level v, built from its state (a1, offset).
+    `theta_value`, theta_0's exact value, is computed once, on first read,
+    and is also level 0 of the exact values.  `cycle` is (first, length)
+    once the values are read: level v >= first has the value and delta of
+    level first + (v - first) % length.  A trajectory with no repeated state
+    has first = len(steps) and length 0.
     """
 
-    def __init__(self, theta0: CFExpansion, heads: list[int], offsets: list[int]):
+    def __init__(self, theta0: CFExpansion, states: list[tuple[int, int]]):
         self.theta0 = theta0
-        self.heads = heads
-        self.offsets = offsets
-        self.steps = tuple(TrajectoryStep(self, v) for v in range(len(heads)))
+        self.steps = tuple(TrajectoryStep(self, v, a1, offset)
+                           for v, (a1, offset) in enumerate(states))
         self.cycle: Optional[tuple[int, int]] = None
         self._exact: Optional[tuple[list[ExactReal], list[ExactReal]]] = None
 
@@ -518,14 +517,13 @@ def gap_trajectory(theta: CFExpansion, n: int) -> GapTrajectory:
     # of len(pre) always means a head on the last preperiod entry
     q = pre + per * 3
     wrap = len(pre) + len(per)
-    heads, offsets = [], []
+    states = []
     head, i = q[0], 1
     for level in range(n + 1):
         if head % 2 == 0 and not theta.available(i + 1):
             raise CellBoundaryError(
                 f"level {level} value 1/{head} hits a cell endpoint (delta = 0)")
-        heads.append(head)
-        offsets.append(i)
+        states.append((head, i))
         if level == n:
             break
         if not theta.available(i + _gap_need(head) - 1):
@@ -537,7 +535,7 @@ def gap_trajectory(theta: CFExpansion, n: int) -> GapTrajectory:
         head, i = _gap_step(q, head, i)
         if per and i > wrap:
             i = len(pre) + 1 + (i - len(pre) - 1) % len(per)
-    return GapTrajectory(theta, heads, offsets)
+    return GapTrajectory(theta, states)
 
 
 # --- the theta-spec grammar ------------------------------------------------

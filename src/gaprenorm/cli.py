@@ -211,14 +211,14 @@ def cmd_matrix(args) -> int:
                 "n": n,
                 "step": [[p, q], [r, s]],
                 "product": [[a, b], [c, d]],
-                "lengths": [a + b, c + d],
+                "lengths": lv.lengths[n],
                 "top_eigenvalue": (t + math.sqrt(t * t - 4 * (a * d - b * c))) / 2,
             }
         )
     return _print_levels(
         args, rows, None,
         lambda r: (f"n={r['n']:>2}  step={r['step']}  product="
-                   f"{str(r['product']).replace(' ', '')}  lengths={tuple(r['lengths'])}"
+                   f"{str(r['product']).replace(' ', '')}  lengths={r['lengths']}"
                    f"  top~{r['top_eigenvalue']:.4f}"),
         exhausted)
 

@@ -270,19 +270,26 @@ def lengths_by_level(rules: Sequence[SubstitutionRule]) -> list[tuple[int, int]]
 
 @dataclass(frozen=True)
 class Levels:
-    """Levels 0 .. n of one theta, each computed once.
+    """Levels 0 .. n of one theta: a lazy view of its gap trajectory `traj`.
 
-    `traj` holds the trajectory levels 0 .. n and `rules[v]` the substitution
-    at level v < n.  Indexed by v = 0 .. n: `halfsums[v]` adds E(a1)/2 over
-    levels 0 .. v-1, `stats[v]` maps each letter to the stats of its level-v
-    word, and `lengths[v]` is (|A-word|, |C-word|) from the matrix cocycle.
-    The last two are computed on first use and kept; theta's exact value is
-    `traj.theta_value`.
+    Every other part is computed from `traj.steps[:-1]` on first read and
+    kept.  `rules[v]` is the substitution at level v < n.  Indexed by
+    v = 0 .. n: `halfsums[v]` adds E(a1)/2 over levels 0 .. v-1 and builds no
+    rule, `stats[v]` maps each letter to the stats of its level-v word, and
+    `lengths[v]` is (|A-word|, |C-word|) from the matrix cocycle.  theta's
+    exact value is `traj.theta_value`.  Reading a part raises nothing that
+    `gap_trajectory` did not: it checked every quotient a rule reads.
     """
 
     traj: GapTrajectory
-    rules: list[SubstitutionRule]
-    halfsums: list[int]
+
+    @cached_property
+    def rules(self) -> list[SubstitutionRule]:
+        return [build_rule(step) for step in self.traj.steps[:-1]]
+
+    @cached_property
+    def halfsums(self) -> list[int]:
+        return list(accumulate((step.e // 2 for step in self.traj.steps[:-1]), initial=0))
 
     @cached_property
     def stats(self) -> list[dict[str, WordStats]]:
@@ -295,10 +302,7 @@ class Levels:
 
 def levels(theta: CFExpansion, n: int) -> Levels:
     """Walk the gap trajectory of theta once, to level n."""
-    traj = gap_trajectory(theta, n)
-    rules = [build_rule(step) for step in traj.steps[:n]]
-    halfsums = list(accumulate((step.e // 2 for step in traj.steps[:n]), initial=0))
-    return Levels(traj, rules, halfsums)
+    return Levels(gap_trajectory(theta, n))
 
 
 class SpreadBoundError(ValueError):

@@ -11,6 +11,7 @@ import importlib
 from pathlib import Path
 
 import gaprenorm.experiments
+from gaprenorm.experiments import ExperimentConfig, IteratedLogFamily
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -35,6 +36,33 @@ def test_driver_bindings_exist():
     # from run_limsup_probe and run_growth_experiment
     for name in ("gap_trajectory", "stats_by_level", "lengths_by_level"):
         assert callable(getattr(gaprenorm.experiments, name, None)), name
+
+
+def _count_driver_calls(monkeypatch) -> dict:
+    """Shim the bindings as the benchmark does, counting the calls."""
+    calls = dict.fromkeys(("gap_trajectory", "stats_by_level", "lengths_by_level"), 0)
+    for name in calls:
+        fn = getattr(gaprenorm.experiments, name)
+
+        def shim(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(gaprenorm.experiments, name, shim)
+    return calls
+
+
+def test_drivers_make_one_call_per_binding(monkeypatch):
+    # the deep-rational checks expect exactly one captured result of each
+    # binding per item; a driver reading Levels.stats or Levels.lengths
+    # would skip the binding and fail them
+    calls = _count_driver_calls(monkeypatch)
+    gaprenorm.experiments.run_limsup_probe(ExperimentConfig(samples=1, depth=40, seed=3))
+    assert calls == {"gap_trajectory": 1, "stats_by_level": 1, "lengths_by_level": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    gaprenorm.experiments.run_growth_experiment(ExperimentConfig(depth=40, seed=3),
+                                                IteratedLogFamily(2))
+    assert calls == {"gap_trajectory": 1, "stats_by_level": 1, "lengths_by_level": 1}
 
 
 def test_integral_cache_is_cleared_per_pass():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,6 +10,7 @@ from gaprenorm.cf import (
     CellBoundaryError,
     ExpansionExhaustedError,
     cf_normalize,
+    gap_trajectory,
     parse_theta_spec,
     sample_theta,
 )
@@ -473,14 +475,35 @@ def test_levels_fields():
     assert (lv.stats[8][A].rho, lv.halfsums[8]) == (ident.rho, ident.halfsum)
 
 
+def test_halfsums_build_no_rule(monkeypatch):
+    # the half-sums read only each level's E(a1); the rules wait for a caller
+    rng = random.Random(31)
+    thetas = [parse_theta_spec("cfper:[][2]"), parse_theta_spec("cfper:[1][3,7,2]")]
+    thetas += [sample_theta(rng, bits=192, min_quotients=60) for _ in range(5)]
+    trajs = [gap_trajectory(parse_theta_spec("cf:[4,3,1,6,2,2,5,1,8,9,9]"), 4)]
+    trajs += [gap_trajectory(theta, 25) for theta in thetas]
+    expected = [list(accumulate((step.e // 2 for step in traj.steps[:-1]), initial=0))
+                for traj in trajs]
+
+    def refuse(step):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(substitution, "build_rule", refuse)
+    views = [Levels(traj) for traj in trajs]
+    assert [lv.halfsums for lv in views] == expected
+    assert any(h[-1] > len(h) - 1 for h in expected)  # some level has E/2 > 1
+    with pytest.raises(AssertionError, match="a rule was built"):
+        views[0].rules
+
+
 def test_spread_bound_error_is_raised_outside_the_window(monkeypatch):
     theta = parse_theta_spec("cfper:[][2]")
     ident = renorm_identity(theta, 10)
     assert isinstance(ident.xi, int)
     assert SpreadBoundError.__mro__[1] is ValueError
     # lowering every half-sum by 11 lifts xi from [-5, 5] into [6, 16]
-    lv = levels(theta, 10)
-    shifted = Levels(lv.traj, lv.rules, [h - 11 for h in lv.halfsums])
+    shifted = levels(theta, 10)
+    shifted.__dict__["halfsums"] = [h - 11 for h in shifted.halfsums]
     monkeypatch.setattr(substitution, "levels", lambda theta, n: shifted)
     with pytest.raises(SpreadBoundError, match=r"outside \[-5, 5\] at level 10"):
         renorm_identity(theta, 10)
