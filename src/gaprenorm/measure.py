@@ -17,6 +17,12 @@ and the cells of `integral_log_norm`) are computed in integers: each bin
 overlap is a cross-multiplied numerator over denominator, divided once.
 Python's int / int is correctly rounded, as is float(Fraction), so with the
 sum order kept every result has the bits of the exact Fraction computation.
+`integral_log_norm` computes the masses of all cells inside one bin at once
+as int64 quotients, whose operands stay below 2**53 and so round the same
+way; a cell that reaches into a second bin takes the scalar path.  Its
+terms are added left to right with `np.add.accumulate`.  The long sums of
+`series_bound` (up to 10^6 terms) follow numpy's pairwise order, block by
+block (`_pairwise_sum`), so they have the bits of one whole-array `.sum()`.
 """
 
 from __future__ import annotations
@@ -407,6 +413,42 @@ def _even_m_tail(n, M):
     return bracket / (4.0 * n * n)
 
 
+SUM_BLOCK = 1 << 15  # terms per block of `_pairwise_sum`: 256 KiB of float64
+
+
+def _pairwise_sum(terms: Callable[[int, int], np.ndarray], lo: int, hi: int) -> float:
+    """`terms(lo, hi).sum()`, built in blocks of at most SUM_BLOCK terms.
+
+    terms(i, j) is the float64 array of terms i..j-1.  numpy sums a
+    contiguous float64 array pairwise: above 128 terms it splits at n // 2
+    rounded down to a multiple of 8 and adds the sums of the two parts.
+    Taking the same splits down to blocks and summing each block with
+    `.sum()` adds every term in the same order, so the result has the bits
+    of the whole-array sum while only one block is held at a time.
+    """
+    n = hi - lo
+    if n <= SUM_BLOCK:
+        return float(terms(lo, hi).sum())
+    split = lo + n // 2 - n // 2 % 8
+    return _pairwise_sum(terms, lo, split) + _pairwise_sum(terms, split, hi)
+
+
+def _log_ratio_sum(u0: int, count: int) -> float:
+    # sum of log(u)/(u(u+1)) over u = u0, u0 + 2, ..., count terms, with the
+    # bits of numpy's sum over the whole array: u and u + 1 are integers
+    # below 2**53, exact in float64, so each term has the bits it would have
+    # in one whole array
+    def terms(lo: int, hi: int) -> np.ndarray:
+        u = np.arange(u0 + 2 * lo, u0 + 2 * hi, 2, dtype=np.float64)
+        den = u + 1
+        den *= u
+        t = np.log(u)
+        t /= den
+        return t
+
+    return _pairwise_sum(terms, 0, count)
+
+
 # G(e) = sum_{m >= 1} log(m+2e)/((m+e)(m+1+e)); G_0 = G(0) and G_1 = G'(0).
 # Each is the float64 numpy sum (one array, pairwise order) of its terms for
 # m <= 2*10^6: log(m)/(m(m+1)) for G_0, plus the closed-form rest
@@ -420,17 +462,13 @@ G_1 = 1.0271437628028277
 def _even_n_tail(N: int) -> float:
     # sum over n > N of the full a1 = 2n strip: the log(2n) part telescopes
     # to log(2n)/(2n(2n+1)) exactly; the rest is G(1/(2n))/(4n^2) with G
-    # expanded to first order (the N^-3 remainder is far below tolerance)
-    u = np.arange(2 * N + 2, 2 * N + 2_000_002, 2, dtype=np.float64)  # u = 2n
-    den = u + 1
-    den *= u
-    t = np.log(u)
-    t /= den
-    t1 = float(t.sum())
+    # expanded to first order (the N^-3 remainder is far below tolerance).
+    # The log(2n) part is summed directly for 10^6 values of n (u = 2n).
+    t1 = _log_ratio_sum(2 * N + 2, 1_000_000)
     t1 += 0.5 * float(_log_uu1_tail(2.0 * (N + 1_000_000) + 1.0))
     from scipy.special import zeta
 
-    return t1 + G_0 * zeta(2, N + 1) / 4.0 + G_1 * zeta(3, N + 1) / 8.0
+    return float(t1 + G_0 * zeta(2, N + 1) / 4.0 + G_1 * zeta(3, N + 1) / 8.0)
 
 
 def series_bound(n_cut: int = 2000, m_cut: int = 4096, k_cut: int = 200_000) -> float:
@@ -440,17 +478,56 @@ def series_bound(n_cut: int = 2000, m_cut: int = 4096, k_cut: int = 200_000) -> 
     the tails here are closed forms (dilogarithm for each m-tail, digamma
     telescopes and a two-term expansion for the n-tail), so the default
     cutoffs land many digits below the advertised tolerance.
+
+    The odd terms k <= k_cut and the 10^6 directly summed terms of the
+    n-tail are added in numpy's pairwise order, block by block
+    (`_pairwise_sum`).  Each even strip n <= n_cut is one array of m_cut
+    terms, written into buffers allocated once and summed by numpy.  Every
+    factor of a term is an integer below 2**53, exact in float64, so the
+    result has the bits of summing each family as one whole numpy array.
     """
-    k = np.arange(1, k_cut + 1, dtype=np.float64)
-    total = float((np.log(2 * k + 1) / ((2 * k + 1) * (2 * k + 2))).sum())
+    total = _log_ratio_sum(3, k_cut)  # u = 2k + 1
     total += _odd_tail(k_cut)
-    m = np.arange(1, m_cut + 1, dtype=np.float64)
+    # the term of Even(n, m) is log(a_m) / (b_m * b_{m+1}) with b_m = 2nm + 1
+    # and a_m = b_m + 1; both advance by 2m from one n to the next, exactly,
+    # as integers below 2**53
+    step = np.arange(2, 2 * m_cut + 3, 2, dtype=np.float64)  # 2m, m <= m_cut + 1
+    b, a = np.ones(m_cut + 1), np.full(m_cut, 2.0)
+    den, t = np.empty(m_cut), np.empty(m_cut)
     for n in range(1, n_cut + 1):
-        a = 2.0 * n * m + 2.0
-        total += float((np.log(a) / ((a - 1.0) * (a + 2.0 * n - 1.0))).sum())
+        b += step
+        a += step[:-1]
+        np.multiply(b[:-1], b[1:], out=den)
+        np.log(a, out=t)
+        t /= den
+        total += float(t.sum())
     total += float(_even_m_tail(np.arange(1, n_cut + 1), np.full(n_cut, m_cut)).sum())
     total += _even_n_tail(n_cut)
     return total
+
+
+def _log_norm_cells(K: int):
+    # the cells of `integral_log_norm` in its enumeration order, as int64
+    # endpoints p/q < r/s and float eigenvalues: Odd(k) = (1/(2k+2), 1/(2k+1))
+    # for k = 1..K, then Even(n, m) = (m/b, (m+1)/(b+2n)) with b = 2nm+1 for
+    # n = 1..K/2 and m = 1..max(1, K // 2n) (the endpoints of `PartitionCell`)
+    k = np.arange(1, K + 1, dtype=np.int64)
+    ns = np.arange(1, K // 2 + 1, dtype=np.int64)
+    Ms = np.maximum(1, K // (2 * ns))
+    n = np.repeat(ns, Ms)
+    m = np.arange(1, n.size + 1, dtype=np.int64) - np.repeat(np.cumsum(Ms) - Ms, Ms)
+    b = 2 * n * m + 1
+    ones = np.ones_like(k)
+    p = np.concatenate([ones, m])
+    q = np.concatenate([2 * k + 2, b])
+    r = np.concatenate([ones, m + 1])
+    s = np.concatenate([2 * k + 1, b + 2 * n])
+    # odd: k + sqrt(k^2 + 1); even: half of T = 2nm+2 plus sqrt(T^2 - 4).
+    # Each square is an integer below 2**53 and np.sqrt is correctly rounded,
+    # so these are the bits of the same expressions in Python floats
+    T = b + 1
+    lam = np.concatenate([k + np.sqrt(k * k + 1.0), 0.5 * (T + np.sqrt(T * T - 4.0))])
+    return p, q, r, s, lam
 
 
 def integral_log_norm(density: DensityEstimate) -> float:
@@ -461,31 +538,38 @@ def integral_log_norm(density: DensityEstimate) -> float:
     exact bin-overlap masses; the unenumerated remainder is bounded by the
     max density times the Lebesgue series tail, which keeps the estimate on
     the conservative side.  Cells are enumerated to K = 4 * bins.  Half cells
-    contribute nothing.  Cell endpoints enter `_cell_mass` as integers, so no
-    Fraction is built, and the terms are added one by one in enumeration
-    order, so the result has the bits of the exact-Fraction masses.
+    contribute nothing.
+
+    Cell endpoints are int64 arrays, so no Fraction is built.  A cell whose
+    exact bin floors put both ends in one bin (nearly all of them) has mass
+    value * (r*q - p*s) / (q*s), computed for all such cells at once: every
+    product is below 2**53, so the int64 quotient rounds like Python's
+    int / int.  A cell that reaches into a second bin, even only up to its
+    edge, goes through the scalar `_cell_mass`.  Each log is `math.log`, and
+    the terms are added left to right in enumeration order
+    (`np.add.accumulate`), so the result has the bits of the
+    exact-Fraction masses summed one by one.
     """
     B = density.bins
     K = 4 * B
-    v = density.values.tolist()
-    total = 0.0
-    # an odd cell is psi(1/2, 1), an even cell psi(0, 1) (see PartitionCell)
-    for k in range(1, K + 1):
-        a, b, c, d = branch_matrix(2 * k + 1)
-        lam = k + math.sqrt(k * k + 1.0)
-        total += math.log(lam) * _cell_mass(v, B, a + 2 * b, c + 2 * d, a + b, c + d)
-    for n in range(1, K // 2 + 1):
-        M = max(1, K // (2 * n))
-        for m in range(1, M + 1):
-            a, b, c, d = branch_matrix(2 * n, m)
-            T = a + d
-            lam = 0.5 * (T + math.sqrt(T * T - 4.0))
-            total += math.log(lam) * _cell_mass(v, B, b, d, a + b, c + d)
+    v = density.values
+    p, q, r, s, lam = _log_norm_cells(K)
+    first = p * B // q
+    one = first == np.minimum(r * B // s, B - 1)
+    mass = np.empty(lam.size)
+    mass[one] = v[first[one]] * ((r * q - p * s)[one] / (q * s)[one])
+    rest = np.flatnonzero(~one)
+    values = v.tolist()
+    cells = zip(*(e[rest].tolist() for e in (p, q, r, s)))
+    mass[rest] = [_cell_mass(values, B, *cell) for cell in cells]
+    # not np.log: its vectorized log need not round like the C library's
+    logs = np.fromiter(map(math.log, lam.tolist()), np.float64, lam.size)
+    total = np.add.accumulate(logs * mass)[-1]
     tail = _odd_tail(K)
     ns = np.arange(1, K // 2 + 1)
     tail += float(_even_m_tail(ns, np.maximum(1, K // (2 * ns))).sum())
     tail += _even_n_tail(K // 2)
-    return total + density.max_density * tail
+    return float(total + density.max_density * tail)
 
 
 # ---------------------------------------------------------------------------

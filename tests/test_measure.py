@@ -409,6 +409,107 @@ def test_integral_log_norm_builds_no_fraction(monkeypatch):
     assert built
 
 
+# the two estimates as they were written before vectorizing, unchanged apart
+# from module prefixes: whole-array numpy sums and a per-cell scalar loop.
+# series_bound and integral_log_norm must reproduce them bit for bit.
+def _series_bound_whole_array(n_cut=2000, m_cut=4096, k_cut=200_000):
+    k = np.arange(1, k_cut + 1, dtype=np.float64)
+    total = float((np.log(2 * k + 1) / ((2 * k + 1) * (2 * k + 2))).sum())
+    total += measure._odd_tail(k_cut)
+    m = np.arange(1, m_cut + 1, dtype=np.float64)
+    for n in range(1, n_cut + 1):
+        a = 2.0 * n * m + 2.0
+        total += float((np.log(a) / ((a - 1.0) * (a + 2.0 * n - 1.0))).sum())
+    total += float(
+        measure._even_m_tail(np.arange(1, n_cut + 1), np.full(n_cut, m_cut)).sum()
+    )
+    total += measure._even_n_tail(n_cut)
+    return total
+
+
+def _integral_log_norm_scalar_loop(density):
+    B = density.bins
+    K = 4 * B
+    v = density.values.tolist()
+    total = 0.0
+    # an odd cell is psi(1/2, 1), an even cell psi(0, 1) (see PartitionCell)
+    for k in range(1, K + 1):
+        a, b, c, d = cf.branch_matrix(2 * k + 1)
+        lam = k + math.sqrt(k * k + 1.0)
+        total += math.log(lam) * measure._cell_mass(
+            v, B, a + 2 * b, c + 2 * d, a + b, c + d
+        )
+    for n in range(1, K // 2 + 1):
+        M = max(1, K // (2 * n))
+        for m in range(1, M + 1):
+            a, b, c, d = cf.branch_matrix(2 * n, m)
+            T = a + d
+            lam = 0.5 * (T + math.sqrt(T * T - 4.0))
+            total += math.log(lam) * measure._cell_mass(v, B, b, d, a + b, c + d)
+    tail = measure._odd_tail(K)
+    ns = np.arange(1, K // 2 + 1)
+    tail += float(measure._even_m_tail(ns, np.maximum(1, K // (2 * ns))).sum())
+    tail += measure._even_n_tail(K // 2)
+    return total + density.max_density * tail
+
+
+@pytest.mark.parametrize(
+    "cutoffs",
+    [(10, 16, 100), (2000, 4096, 200_000), (2500, 5000, 250_000), (4000, 8192, 400_000)],
+)
+def test_series_bound_matches_whole_array_sums(cutoffs):
+    assert series_bound(*cutoffs).hex() == _series_bound_whole_array(*cutoffs).hex()
+
+
+@pytest.mark.parametrize("bins", [6, 256, 512, 2048])
+def test_integral_log_norm_matches_scalar_loop(bins):
+    dens = _density(bins)
+    assert integral_log_norm(dens).hex() == _integral_log_norm_scalar_loop(dens).hex()
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_floats():
+    # mixed signs over 26 decades, so that any change of summation order
+    # shows in the last bits
+    rng = np.random.default_rng(26)
+    return rng.standard_normal(10**6 + 64) * np.exp(rng.uniform(-30, 30, 10**6 + 64))
+
+
+@pytest.mark.parametrize(
+    "length", [1, 7, 8, 127, 128, 129, 2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 5, 10**6]
+)
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 63))
+def test_pairwise_sum_matches_whole_array_sum(length, offset):
+    data = _wide_floats()
+    blocks = []
+
+    def terms(lo, hi):
+        blocks.append(hi - lo)
+        return data[lo:hi]
+
+    got = measure._pairwise_sum(terms, offset, offset + length)
+    assert got.hex() == float(data[offset : offset + length].sum()).hex()
+    assert max(blocks) <= measure.SUM_BLOCK and sum(blocks) == length
+
+
+def test_log_norm_cell_products_are_exact_in_float():
+    # integral_log_norm divides r*q - p*s by q*s in int64; the quotient
+    # rounds like Python's int / int when both are below 2**53.  The products
+    # grow with the bin count, so check them at the largest one
+    p, q, r, s, _ = measure._log_norm_cells(4 * measure.MAX_BINS)
+    # no int64 product can wrap around
+    assert max(int(p.max()), int(r.max())) * max(int(q.max()), int(s.max())) < 2**63
+    for product in (q * s, r * q, p * s):
+        assert int(product.max()) < 2**53
+
+
+def test_integrability_figures_are_builtin_floats():
+    assert type(series_bound(10, 16, 100)) is float
+    assert type(integral_log_norm(_density(6))) is float
+    assert type(measure._even_n_tail(512)) is float
+
+
 def test_correlation_decay():
     op = build_ulam(128)
     dens = stationary_density(op, tol=1e-10)
