@@ -17,23 +17,21 @@ hard error here, never a silent fallback.
 A gap trajectory holds each level as a state (a1, offset): the level's
 expansion is [a1, q[offset], q[offset + 1], ...] over the quotients q of
 theta_0, and its exact value depends on that state alone.  The trajectory
-owns its states, its steps and their exact values; each step points back at
-it.  It computes theta_0's value once (`theta_value`) and runs the chain of
-values from there.  For a periodic theta_0 the offsets are kept modulo the
-period, so the states are finitely many and a long enough walk re-enters
-one it has seen; from then on every value, and so every delta, repeats the
-cycle between the two visits.  The exact values are computed up to the
-first repeated state and the rest are read off that cycle, and delta
-products are powers of the cycle's product.  The arithmetic is exact and
-its results canonical, so this gives the same numbers, digit for digit, as
-running the chain over every level.  A rational theta_0 never repeats a
-state: its offsets never decrease, and two levels share an offset only
-across an odd head and the head 1 it maps to.
+keeps its steps, theta_0's value (`theta_value`) and one cached chain of
+level values; each step points back at it.  For a periodic theta_0 the
+offsets are kept modulo the period, so a long enough walk re-enters a state
+it has seen; the chain runs up to the first repeated state and the later
+values are read off the cycle.  A rational theta_0 never repeats a state:
+its offsets never decrease, and two levels share an offset only across an
+odd head and the head 1 it maps to.  A delta product needs no level value:
+by the chain rule it is |a - c*theta_0|, read off the product of the
+levels' branch matrices (see `PartitionCell`).  The arithmetic is exact and
+its results canonical, so both give the same numbers, digit for digit, as
+the plain chain and product over every level.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -308,7 +306,8 @@ class PartitionCell:
     delta_v = 1 - E(a1)*theta_v = |a - c*theta_v| equals 1/(c*theta_{v+1} + d).
     By the chain rule the product [[a_n, b_n], [c_n, d_n]] of the matrices of
     levels 0 .. n-1 maps theta_n to theta_0, and delta_0 * ... * delta_{n-1}
-    = 1/|c_n*theta_n + d_n|.
+    = 1/|c_n*theta_n + d_n| = |a_n - c_n*theta_0|, the last form from the
+    first column of the product alone.
 
     The value [a1, a2, ...] is psi(y) for y = t/(1 + t) on Half, 1/(1 + t) on
     Odd and t on Even, t the rest [a2, ...] or (even a1) [a3, ...]; y covers
@@ -383,9 +382,9 @@ class TrajectoryStep:
     the 0-based quotient sequence of theta_0; past the preperiod of a periodic
     theta_0 the offset wraps modulo the period.  `head`, `available` and
     `quotient` read the expansion as a CFExpansion does, without building
-    one; `cf` builds it on read.  `value` and `delta` are exact and are read
-    from `traj`, the trajectory the step belongs to, which computes them for
-    every level on the first read of either.
+    one; `cf` builds it on read.  `value` is exact and is read from the value
+    chain of `traj`, the trajectory the step belongs to; `delta` =
+    1 - E(a1)*value is computed from it on read.
     """
 
     __slots__ = ("traj", "level", "a1", "e", "offset")
@@ -420,84 +419,68 @@ class TrajectoryStep:
 
     @property
     def value(self) -> ExactReal:
-        return self.traj.values_and_deltas()[0][self.level]
+        return self.traj.values[self.level]
 
     @property
     def delta(self) -> ExactReal:
-        return self.traj.values_and_deltas()[1][self.level]
+        return 1 - self.e * self.value
 
 
 class GapTrajectory:
     """Levels theta_0 .. theta_n of the gap dynamics of `theta0`.
 
     `steps[v]` is the view of level v, built from its state (a1, offset).
-    `theta_value`, theta_0's exact value, is computed once, on first read,
-    and is also level 0 of the exact values.  `cycle` is (first, length)
-    once the values are read: level v >= first has the value and delta of
-    level first + (v - first) % length.  A trajectory with no repeated state
-    has first = len(steps) and length 0.
+    `theta_value`, theta_0's exact value, and `values`, the exact value of
+    every level, are each computed once, on first read; the deltas and
+    their products derive from these and the steps.
     """
 
     def __init__(self, theta0: CFExpansion, states: list[tuple[int, int]]):
         self.theta0 = theta0
         self.steps = tuple(TrajectoryStep(self, v, a1, offset)
                            for v, (a1, offset) in enumerate(states))
-        self.cycle: Optional[tuple[int, int]] = None
-        self._exact: Optional[tuple[list[ExactReal], list[ExactReal]]] = None
 
     @cached_property
     def theta_value(self) -> ExactReal:
         return cf_value(self.theta0)
 
-    def values_and_deltas(self) -> tuple[list[ExactReal], list[ExactReal]]:
-        """Exact value and delta of every level.
+    @cached_property
+    def values(self) -> list[ExactReal]:
+        """Exact value of every level, level 0 being `theta_value`.
 
-        The gap_map_value chain runs from `theta_value` up to the first level
-        whose (a1, offset) repeats an earlier level's; the later levels are
-        read off the cycle between the two.  A repeated state has an equal
-        value: the chain's step reads only the head and the quotients from
-        the offset on (`TrajectoryStep.quotient`), so the value of a level is
-        that of [a1, q[offset], ...] whichever level it is.  The delta
-        1 - E(a1)*value is |a - c*value| (see `PartitionCell`).
+        The gap_map_value chain runs up to the first level whose (a1, offset)
+        repeats an earlier level's; the later levels are read off the cycle
+        between the two.  A repeated state has an equal value: the chain's
+        step reads only the head and the quotients from the offset on
+        (`TrajectoryStep.quotient`), so the value of a level is that of
+        [a1, q[offset], ...] whichever level it is.
         """
-        if self._exact is None:
-            values, deltas = [], []
-            seen: dict[tuple[int, int], int] = {}
-            self.cycle = (len(self.steps), 0)
-            for step in self.steps:
-                state = step.a1, step.offset
-                if state in seen:
-                    self.cycle = (seen[state], step.level - seen[state])
-                    break
-                seen[state] = step.level
-                if values:
-                    value = gap_map_value(values[-1], self.steps[step.level - 1])
-                else:
-                    value = self.theta_value
-                values.append(value)
-                deltas.append(1 - step.e * value)
-            length = self.cycle[1]
-            for _ in range(len(values), len(self.steps)):
-                values.append(values[-length])
-                deltas.append(deltas[-length])
-            self._exact = values, deltas
-        return self._exact
+        values: list[ExactReal] = []
+        seen: dict[tuple[int, int], int] = {}
+        for step in self.steps:
+            first = seen.setdefault((step.a1, step.offset), step.level)
+            if first < step.level:
+                break
+            values.append(gap_map_value(values[-1], self.steps[step.level - 1])
+                          if values else self.theta_value)
+        length = len(values) - first  # the cycle's, when the loop broke
+        for _ in range(len(values), len(self.steps)):
+            values.append(values[-length])
+        return values
 
     def delta_product(self, n: Optional[int] = None) -> ExactReal:
         """Product delta_0 * ... * delta_{n-1} (all steps if n is None).
 
-        Past the first cycle of a periodic trajectory the product is the
-        pre-cycle product and a partial cycle times the cycle product to the
-        q-th power; the arithmetic is exact, so this is the plain product.
+        It is |a - c*theta_0|, (a, c) the first column of the product of the
+        branch matrices of levels 0 .. n-1 (see `PartitionCell`), so it reads
+        no level value.
         """
-        n = slice(n).indices(len(self.steps))[1]
-        deltas = self.values_and_deltas()[1]
-        first, length = self.cycle
-        if n <= first + length:
-            return math.prod(deltas[:n], start=Fraction(1))
-        q, r = divmod(n - first, length)
-        cycle = math.prod(deltas[first:first + length], start=Fraction(1))
-        return math.prod(deltas[:first + r], start=Fraction(1)) * cycle ** q
+        a, c = 1, 0
+        for step in reversed(self.steps[:n]):
+            p, q, r, s = branch_matrix(step.a1, 0 if step.a1 % 2 else step.quotient(2))
+            a, c = p * a + q * c, r * a + s * c
+        delta = a - c * self.theta_value
+        return delta if delta > 0 else -delta  # Surd has no __abs__
 
 
 def gap_trajectory(theta: CFExpansion, n: int) -> GapTrajectory:

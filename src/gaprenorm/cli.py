@@ -342,7 +342,10 @@ def cmd_boundedpq(args) -> int:
     from .experiments import run_bounded_pq_check
 
     cfg = _build_config(args)
-    x0 = Fraction(args.x0)
+    try:
+        x0 = Fraction(args.x0)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--x0 wants a fraction p/q, got {args.x0!r}")
     records, summary = run_bounded_pq_check(cfg, x0=x0)
     meta = cfg.to_meta()
     meta["theta_spec"] = summary["theta_spec"]
@@ -385,7 +388,11 @@ def cmd_verify(args) -> int:
 
     numbers = None
     if args.only is not None:
-        numbers = [int(tok) for tok in args.only.split(",")]
+        try:
+            numbers = [int(tok) for tok in args.only.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--only wants comma-separated integers, got {args.only!r}")
     verdicts = verify_mod.run_all(numbers)
     if args.json:
         print(json.dumps([dataclasses.asdict(v) for v in verdicts], indent=2))
@@ -509,6 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # deep lengths pass 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

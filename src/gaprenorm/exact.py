@@ -172,19 +172,6 @@ class Surd:
         return _times(*self._coerce(other), *_inverse(self.p, self.q, self.r, self.d),
                       self.d)
 
-    def __pow__(self, k: int) -> ExactReal:
-        """x ** k for an int k >= 0, by repeated squaring."""
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        result, base = Fraction(1), self
-        while k:
-            if k & 1:
-                result = base * result
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def _cmp_sign(self, other) -> int:
         # both denominators are positive, so the numerator of the
         # difference carries its sign

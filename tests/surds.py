@@ -99,12 +99,6 @@ class PairSurd:
         inv = self._inverse()
         return self._wrap(inv.a * other, inv.b * other, self.d)
 
-    def __pow__(self, k: int):
-        result = Fraction(1)
-        for _ in range(k):
-            result = self * result
-        return result
-
     def _cmp_sign(self, other) -> int:
         oa, ob = self._coerce(other)
         a, b = self.a - oa, self.b - ob

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gaprenorm.cf as cf_module
 from gaprenorm.cf import (
     CFExpansion,
     CellBoundaryError,
@@ -365,7 +366,7 @@ def test_delta_squared_inverts_the_gap_slope():
     for theta in thetas:
         for step in gap_trajectory(theta, 59).steps:
             cell = classify_cell(step)
-            assert step.delta ** 2 * gap_derivative(step.value, cell) == 1
+            assert step.delta * step.delta * gap_derivative(step.value, cell) == 1
 
 
 def test_branch_matrices_are_unimodular():
@@ -393,6 +394,33 @@ def test_branch_cocycle():
             assert traj.delta_product(step.level) * (c * step.value + d) in (1, -1)
             e, f, g, h = branch_matrix(step.a1, 0 if step.a1 % 2 else step.quotient(2))
             a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+@pytest.mark.parametrize("theta, depth", [
+    *((parse_theta_spec(spec), 40) for spec in (
+        "cfper:[][2]", "cfper:[][2,5]", "cfper:[1][3,7,2]", "cfper:[3][1,4,2]")),
+    (parse_theta_spec("rat:89/233"), 3),
+    *((sample_theta(random.Random(seed), bits=400, min_quotients=100), 40)
+      for seed in (67, 71)),
+], ids=["cfper:[][2]", "cfper:[][2,5]", "cfper:[1][3,7,2]", "cfper:[3][1,4,2]",
+        "rat:89/233", "random-67", "random-71"])
+def test_delta_product_reads_no_level_value(monkeypatch, theta, depth):
+    # the product comes off the branch cocycle and theta_0's value alone: with
+    # the gap_map_value chain disabled it still equals the left fold of the
+    # deltas at every n <= depth + 1, and the trajectory builds no level values
+    folds = [Fraction(1)]
+    for step in gap_trajectory(theta, depth).steps:
+        folds.append(folds[-1] * step.delta)
+
+    def no_chain(*args):
+        raise AssertionError("delta_product ran the value chain")
+
+    monkeypatch.setattr(cf_module, "gap_map_value", no_chain)
+    traj = gap_trajectory(theta, depth)
+    for n, want in enumerate(folds):
+        got = traj.delta_product(n)
+        assert got == want and str(got) == str(want)
+    assert "values" not in vars(traj)
 
 
 def _cell_or_error(cf):

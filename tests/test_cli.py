@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaprenorm import experiments, measure
+from gaprenorm.cf import parse_theta_spec
 from gaprenorm.cli import build_parser, main
 from gaprenorm.experiments import EmitError, tool_version
 from gaprenorm.measure import ConvergenceError, UlamAssemblyError
 from gaprenorm.orbit import EncodingSearchError
+from gaprenorm.substitution import levels
 
 
 def run(capsys, *argv):
@@ -97,6 +99,23 @@ def test_rho_prints_levels_reached_before_exhaustion(capsys):
         code, level_6_out, _ = run(capsys, "rho", "--theta", "rat:89/233", "--level",
                                    "6", *fmt)
         assert code == 0 and out == level_6_out
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_rho_prints_lengths_past_the_int_str_limit(capsys):
+    # the length column at level 900 has 689 digits, past 640, the smallest
+    # limit CPython allows; the CLI lifts the limit for its output
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "rho", "--theta", "cfper:[][2]", "--level", "900")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    length = levels(parse_theta_spec("cfper:[][2]"), 900).lengths[900][0]
+    assert (code, err) == (0, "")
+    assert len(str(length)) == 689
+    assert out.splitlines()[-1].split()[-1] == str(length)
 
 
 def test_matrix_prints_levels_reached_before_exhaustion(capsys):
@@ -246,7 +265,16 @@ BAD_RUNS = [
     ("trimmed", "--depth", "200", "--checkpoints", "1"),
     ("trimmed", "--depth", "200", "--checkpoints", "0,25"),
     ("trimmed", "--depth", "200", "--checkpoints", "25,300"),
+    ("verify", "--only", "x"),
+    ("boundedpq", "--x0", "1/0"),
+    ("boundedpq", "--x0", "abc"),
 ]
+# the message of a bad flag value names the flag and the value
+BAD_VALUE_MESSAGES = {
+    ("verify", "--only", "x"): "error: --only wants comma-separated integers, got 'x'",
+    ("boundedpq", "--x0", "1/0"): "error: --x0 wants a fraction p/q, got '1/0'",
+    ("boundedpq", "--x0", "abc"): "error: --x0 wants a fraction p/q, got 'abc'",
+}
 
 
 @pytest.mark.parametrize("argv", BAD_RUNS, ids=" ".join)
@@ -259,6 +287,8 @@ def test_bad_input_exits_1(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+    if tuple(argv) in BAD_VALUE_MESSAGES:
+        assert err == BAD_VALUE_MESSAGES[tuple(argv)] + "\n"
     if out is not None:
         assert not Path(out).exists()  # nothing is written
 
