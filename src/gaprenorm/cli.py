@@ -198,21 +198,46 @@ def cmd_rho(args) -> int:
         exhausted)
 
 
+class FloatRangeError(GaprenormError):
+    """A float column of a level table would leave float range."""
+
+
+def _top_eigenvalue(t: int, disc: int) -> float:
+    """(t + sqrt(disc)) / 2 for integers, as a float.
+
+    While disc converts to a float this is the float expression; past that,
+    the exact root floor joins t in one int/int true division.  OverflowError
+    once the eigenvalue itself is past float range.
+    """
+    try:
+        root = math.sqrt(disc)
+    except OverflowError:
+        return (t + math.isqrt(disc)) / 2
+    return (t + root) / 2
+
+
 def cmd_matrix(args) -> int:
-    lv, exhausted = _reached(levels, _parse_theta(args), args.level)
+    lv, error = _reached(levels, _parse_theta(args), args.level)
     a, b, c, d = 1, 0, 0, 1
     rows = []
     for n, rule in enumerate(lv.rules, start=1):
         p, q, r, s = return_matrix(rule)
         a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
         t = a + d
+        try:
+            top = _top_eigenvalue(t, t * t - 4 * (a * d - b * c))
+        except OverflowError:
+            # print the rows that fit, then this level's error
+            error = FloatRangeError(
+                f"top eigenvalue at level {n} exceeds float range")
+            break
         rows.append(
             {
                 "n": n,
                 "step": [[p, q], [r, s]],
                 "product": [[a, b], [c, d]],
                 "lengths": lv.lengths[n],
-                "top_eigenvalue": (t + math.sqrt(t * t - 4 * (a * d - b * c))) / 2,
+                "top_eigenvalue": top,
             }
         )
     return _print_levels(
@@ -220,7 +245,7 @@ def cmd_matrix(args) -> int:
         lambda r: (f"n={r['n']:>2}  step={r['step']}  product="
                    f"{str(r['product']).replace(' ', '')}  lengths={r['lengths']}"
                    f"  top~{r['top_eigenvalue']:.4f}"),
-        exhausted)
+        error)
 
 
 def cmd_ulam(args) -> int:

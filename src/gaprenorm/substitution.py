@@ -66,10 +66,12 @@ class WordStats(NamedTuple):
     max_prefix can be negative and min_prefix positive.
 
     A nonempty word has min_prefix <= total <= max_prefix, and the fold
-    keeps it: `_concat` takes max(s.max, s.total + t.max) >= s.total + t.total,
-    and `_repeat` takes hi + (c - 1)*total >= c*total when total >= 0 and
-    hi >= total >= c*total otherwise; the min side is the mirror image.  So
-    no stats the fold builds can break it, and nothing checks it here.
+    keeps it.  `_concat` keeps s.max when s.max >= s.total + t.max and takes
+    s.total + t.max otherwise, so its max is >= s.total + t.max >=
+    s.total + t.total.  `_repeat` takes hi + (c - 1)*total >= c*total when
+    total > 0 and keeps hi >= total >= c*total otherwise.  The min side is
+    the mirror image.  So no stats the fold builds can break it, and nothing
+    checks it here.
     """
 
     length: int
@@ -94,27 +96,33 @@ class WordStats(NamedTuple):
 
 
 def _concat(s: tuple, t: tuple) -> tuple:
-    """Stats of the concatenation, on (length, total, max, min) tuples."""
+    """Stats of the concatenation, on (length, total, max, min) tuples.
+
+    The prefixes of t shift by s.total; each extremum is picked with a
+    compare, which costs less than a builtin max/min call on this hot path.
+    """
     if not s[0]:
         return t
     if not t[0]:
         return s
-    total = s[1]
-    return (s[0] + t[0], total + t[1], max(s[2], total + t[2]),
-            min(s[3], total + t[3]))
+    length, total, hi, lo = s
+    t_hi = total + t[2]
+    t_lo = total + t[3]
+    return (length + t[0], total + t[1], hi if hi >= t_hi else t_hi,
+            lo if lo <= t_lo else t_lo)
 
 
 def _repeat(s: tuple, count: int) -> tuple:
     """Stats of the word repeated count >= 1 times.
 
-    Copy j shifts every prefix sum by j * total, so the maximum sits in the
-    last copy when total > 0 and in the first otherwise; the minimum too,
-    the other way round.
+    Copy j shifts every prefix sum by j * total, so when total > 0 the
+    maximum sits in the last copy and the minimum in the first; otherwise
+    the maximum sits in the first copy and the minimum in the last.
     """
     length, total, hi, lo = s
-    more = count - 1
-    return (count * length, count * total, hi + more * max(total, 0),
-            lo + more * min(total, 0))
+    if total > 0:
+        return count * length, count * total, hi + (count - 1) * total, lo
+    return count * length, count * total, hi, lo + (count - 1) * total
 
 
 @dataclass(frozen=True)
@@ -200,17 +208,19 @@ def rules_along(theta: CFExpansion, n: int) -> list[SubstitutionRule]:
 def stats_by_level(rules: Sequence[SubstitutionRule]) -> list[dict[str, WordStats]]:
     """Per-letter stats of the composed substitution after 0, 1, ..., len(rules) levels.
 
-    An identity level shares the previous level's dict.
+    An identity level shares the previous level's dict.  The fold builds only
+    4-tuples, so each is named a `WordStats` with `tuple.__new__`, which
+    skips `_make`'s length check.
     """
-    make = WordStats._make
+    new, cls = tuple.__new__, WordStats
     a, b, c = _LETTER_STATS
-    out = [{A: make(a), B: make(b), C: make(c)}]
+    out = [{A: new(cls, a), B: new(cls, b), C: new(cls, c)}]
     for rule in rules:
         if rule.a1 == 1:
             out.append(out[-1])
         else:
             a, b, c = _fold_rule(rule, a, b, c)
-            out.append({A: make(a), B: make(b), C: make(c)})
+            out.append({A: new(cls, a), B: new(cls, b), C: new(cls, c)})
     return out
 
 

@@ -2,7 +2,9 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaprenorm import experiments, measure
+from gaprenorm import GaprenormError, experiments, measure
 from gaprenorm.cf import parse_theta_spec
 from gaprenorm.cli import build_parser, main
 from gaprenorm.experiments import EmitError, tool_version
@@ -140,6 +142,42 @@ def test_matrix_json(capsys):
     doc = json.loads(out)
     assert doc["levels"][0]["step"] == [[3, 2], [4, 3]]
     assert doc["levels"][0]["lengths"] == [5, 7]
+
+
+# sha256 of `matrix --theta cfper:[][2] --level 201`, table and --json, as
+# printed by the float-only top eigenvalue: its discriminant still converts to
+# a float at every one of these levels
+MATRIX_201_SHA256 = {
+    (): "95990a7387e56340a5305211bec31e86e58e489b352d900007d00ea9032a59b3",
+    ("--json",): "a16a9bcc9b3e8a059ce0a366e7c46d622ff4db5d4ab0281601d240ff21b64f03",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(MATRIX_201_SHA256), ids=["table", "json"])
+def test_matrix_prints_every_level_whose_eigenvalue_is_a_float(capsys, fmt):
+    # past level 201 the discriminant leaves float range and the eigenvalue
+    # comes from its exact root; past level 402 the eigenvalue itself does,
+    # and the rows that fit print before the error
+    code, out, _ = run(capsys, "matrix", "--theta", "cfper:[][2]", "--level", "201",
+                       *fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_201_SHA256[fmt]
+    code, out_402, err = run(capsys, "matrix", "--theta", "cfper:[][2]", "--level",
+                             "402", *fmt)
+    assert (code, err) == (0, "")
+    if fmt:
+        rows = json.loads(out_402)["levels"]
+        assert rows[:201] == json.loads(out)["levels"] and len(rows) == 402
+        for row in rows[201:]:
+            (a, _), (_, d) = row["product"]
+            assert math.isclose(row["top_eigenvalue"], a + d, rel_tol=1e-15)
+    else:
+        assert out_402.startswith(out) and len(out_402.splitlines()) == 402
+    code, out, err = run(capsys, "matrix", "--theta", "cfper:[][2]", "--level", "500",
+                         *fmt)
+    assert code == 1
+    assert err == "error: top eigenvalue at level 403 exceeds float range\n"
+    assert out == out_402
 
 
 def test_ulam_json(capsys, tmp_path):
@@ -443,6 +481,27 @@ def test_fuzzed_theta_specs_exit_cleanly(spec):
     assert code in (0, 1, 2)
     if code:
         assert err.getvalue() and "Traceback" not in err.getvalue()
+
+
+_SWEEP_RNG = random.Random(2000)
+_SWEEP_Q = _SWEEP_RNG.getrandbits(2000) | 1 << 1999
+LEVEL_SWEEP_SPECS = ("cfper:[][2]", f"rat:{_SWEEP_RNG.randrange(1, _SWEEP_Q)}/{_SWEEP_Q}")
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+@pytest.mark.parametrize("spec", LEVEL_SWEEP_SPECS, ids=["silver", "rat-2000-bit"])
+@pytest.mark.parametrize("verb", ["traj", "word", "rho", "matrix"])
+def test_level_verbs_reach_log_spaced_sizes(verb, spec, n):
+    # each run exits 0 or raises an error class of the package, which `main`
+    # reports as exit 1; an error of Python's own (an OverflowError from a
+    # float conversion, say) fails here
+    args = build_parser().parse_args(
+        [verb, "--theta", spec, "--depth" if verb == "traj" else "--level", str(n)])
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert args.fn(args) == 0
+    except (ValueError, ArithmeticError, GaprenormError) as exc:
+        assert type(exc).__module__.startswith("gaprenorm."), repr(exc)
 
 
 # the five experiment verbs at small sizes, in CSV and JSON, with a fixed

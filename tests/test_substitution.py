@@ -102,6 +102,58 @@ def test_repeat_matches_brute_force(w, k, u, v):
     assert _concat(sw, EMPTY) == _concat(EMPTY, sw) == sw
 
 
+def _concat_max_min(s, t):
+    """Reference: `_concat` as builtin max/min calls."""
+    if not s[0]:
+        return t
+    if not t[0]:
+        return s
+    total = s[1]
+    return (s[0] + t[0], total + t[1], max(s[2], total + t[2]),
+            min(s[3], total + t[3]))
+
+
+def _repeat_max_min(s, count: int):
+    """Reference: `_repeat` as builtin max/min calls."""
+    length, total, hi, lo = s
+    more = count - 1
+    return (count * length, count * total, hi + more * max(total, 0),
+            lo + more * min(total, 0))
+
+
+# zero, small and negative totals, and lengths and counts past 2**64
+MAGNITUDES = st.one_of(st.integers(0, 3), st.integers(2**64, 2**70))
+
+
+@st.composite
+def stats_tuples(draw, length=st.one_of(st.just(0), MAGNITUDES.filter(bool))):
+    """(length, total, max, min) with min <= total <= max; all zero when empty."""
+    n = draw(length)
+    if not n:
+        return 0, 0, 0, 0
+    total = draw(st.one_of(st.just(0), st.integers(-n, n)))
+    return (n, total, total + draw(st.one_of(st.just(0), MAGNITUDES)),
+            total - draw(st.one_of(st.just(0), MAGNITUDES)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(stats_tuples(), stats_tuples(), st.booleans(), st.booleans(),
+       st.one_of(st.just(1), MAGNITUDES.filter(bool)))
+def test_compare_monoid_matches_max_min_monoid(s, t, tie_max, tie_min, count):
+    # the tie flags make s.max == s.total + t.max (and s.min == s.total +
+    # t.min) where that keeps min <= total <= max, so both picks meet there
+    length, total, hi, lo = s
+    if length and tie_max and t[2] >= 0:
+        hi = total + t[2]
+    if length and tie_min and t[3] <= 0:
+        lo = total + t[3]
+    s = (length, total, hi, lo)
+    assert _concat(s, t) == _concat_max_min(s, t)
+    assert _concat(t, s) == _concat_max_min(t, s)
+    assert _repeat(s, count) == _repeat_max_min(s, count)
+    assert _repeat(t, count) == _repeat_max_min(t, count)
+
+
 def test_rho_subadditive_and_factor_monotone():
     rng = random.Random(22)
     for _ in range(2000):
