@@ -12,13 +12,18 @@ first-return system and acts on expansions symbolically:
     a1 = 2k       ->  [a3, a4, ...]              (two Gauss steps)
 
 Rationals eventually exhaust their expansion under g; that degeneracy is a
-hard error here, never a silent fallback.
+hard error here, never a silent fallback.  `rational_to_cf` expands a wide
+rational by Lehmer's algorithm, a word of quotients at a time, and a
+narrow one by plain Euclid; the quotients are the same.
 
 A gap trajectory holds each level as a state (a1, offset): the level's
 expansion is [a1, q[offset], q[offset + 1], ...] over the quotients q of
-theta_0, and its exact value depends on that state alone.  The trajectory
-keeps its steps, theta_0's value (`theta_value`) and one cached chain of
-level values; each step points back at it.  For a periodic theta_0 the
+theta_0, and its exact value depends on that state alone.  One kernel,
+`_walk`, steps the states with `_gap_step` for `gap_trajectory` and
+`leading_quotients`, checking offsets against the end of q.  The
+trajectory keeps the states, theta_0's value (`theta_value`) and one
+cached chain of level values; its steps, views that point back at it, are
+built from the states on first read.  For a periodic theta_0 the
 offsets are kept modulo the period, so a long enough walk re-enters a state
 it has seen; the chain runs up to the first repeated state and the later
 values are read off the cycle.  A rational theta_0 never repeats a state:
@@ -33,10 +38,11 @@ the plain chain and product over every level.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exact import ExactReal, Surd, mobius, squarefree_split
 
@@ -140,16 +146,66 @@ def cf_normalize(quotients: Iterable[int], period: Iterable[int] = ()) -> CFExpa
     return CFExpansion(tuple(pre))
 
 
+# the bits a Lehmer run reads off the top of the pair, and the width above
+# which runs pay: a run with its 2x2 update of the full pair costs about as
+# much as the divmods it replaces at 3,000-3,500 bits (2-core host), less above
+LEHMER_WORD = 62
+LEHMER_MIN_BITS = 3500
+
+
 def rational_to_cf(value: Fraction) -> CFExpansion:
-    """Continued fraction of a rational in (0, 1) via the Euclidean algorithm."""
+    """Continued fraction of a rational in (0, 1) via the Euclidean algorithm.
+
+    While the denominator q is wider than LEHMER_MIN_BITS, Lehmer's algorithm
+    with Collins' two-ended test finds the quotients of p/q a word at a time.
+    With qh and ph the top LEHMER_WORD bits of q and p (one shift s), q/p lies
+    strictly between qh/(ph + 1) and (qh + 1)/ph.  The reals whose expansion
+    starts with given quotients and goes on form an interval (a cylinder), so
+    every leading quotient that Euclid on both ends gives, with a nonzero
+    remainder on both, is a quotient of q/p.  The word-sized run keeps the
+    cofactors of those quotients, and one 2x2 update moves the full pair
+    past them; a run that keeps none takes one plain divmod.  The quotients
+    are Euclid's, one for one.
+    """
     value = Fraction(value)
     if not 0 < value < 1:
         raise ValueError(f"value must lie in (0, 1), got {value}")
     p, q = value.numerator, value.denominator
     quotients = []
+    append = quotients.append
+    while q.bit_length() > LEHMER_MIN_BITS:
+        s = q.bit_length() - LEHMER_WORD
+        qh, ph = q >> s, p >> s
+        # Euclid on both ends at once, (u0, v0) on the upper and (u1, v1) on
+        # the lower.  Each half-round divides the larger entry of each pair by
+        # the smaller in place, so the roles alternate instead of swapping;
+        # the entries (x, y) of the full pair stand at x = A*q + B*p and
+        # y = C*q + D*p after the quotients kept so far.
+        u0, v0, u1, v1 = qh + 1, ph, qh, ph + 1
+        A, B, C, D = 1, 0, 0, 1
+        kept = len(quotients)
+        while v0:
+            a, u0 = divmod(u0, v0)
+            u1 -= a * v1
+            if not u0 or not 0 < u1 < v1:
+                q, p = A * q + B * p, C * q + D * p
+                break
+            append(a)
+            A, B = A - a * C, B - a * D
+            a, v0 = divmod(v0, u0)
+            v1 -= a * u1
+            if not v0 or not 0 < v1 < u1:
+                q, p = C * q + D * p, A * q + B * p
+                break
+            append(a)
+            C, D = C - a * A, D - a * B
+        if len(quotients) == kept:  # the run kept no quotient
+            a, r = divmod(q, p)
+            append(a)
+            q, p = p, r
     while p:
         a, r = divmod(q, p)
-        quotients.append(a)
+        append(a)
         q, p = p, r
     return CFExpansion(tuple(quotients))  # canonical: p < q, so the last is >= 2
 
@@ -248,18 +304,55 @@ def _level_expansion(theta: CFExpansion, head: int, i: int) -> CFExpansion:
     return CFExpansion((head,), per[s:] + per[:s])
 
 
-def leading_quotients(quotients: Sequence[int]) -> Iterator[int]:
-    """Leading quotient a1 at each level of the gap orbit of a finite expansion.
+def _walk(q: Sequence[int], n: int, base: int = 0,
+          period: int = 0) -> tuple[list[int], list[int]]:
+    """The states of levels 0 .. n of the gap orbit of [q[0], q[1], ...].
 
-    Walks the quotient sequence by index with the same step as `gap_map`,
-    without copying it or building an expansion per level.  Stops once fewer than three
-    quotients remain, since the even branch consumes two and the remainder
-    must stay a meaningful expansion.
+    Level v's state is (heads[v], offsets[v]): its expansion is [a1, q[offset],
+    q[offset + 1], ...], and each state comes from the one before by
+    `_gap_step`.  The walk stops early at the first state whose step would
+    read past the end of q: an odd head needs q[offset] to be interior and a
+    head 1 reads it, an even head reads q[offset + 1] (`_gap_need`).  With a
+    period, q holds the entries up to `base` and then the period three times;
+    an offset past base + period wraps back into (base, base + period], so
+    the walk never nears the end.  Two flat lists cost less to fill than a
+    tuple per state.
     """
-    head, i = quotients[0], 1
-    while len(quotients) - i >= 2:
-        yield head
-        head, i = _gap_step(quotients, head, i)
+    end = len(q)
+    wrap = base + period if period else end
+    last = end - 1  # any head steps while its offset is below this
+    heads, offsets = [], []
+    add_head, add_offset = heads.append, offsets.append
+    head, i = q[0], 1
+    for _ in range(n):
+        add_head(head)
+        add_offset(i)
+        if i >= last and i + 1 - head % 2 >= end:
+            return heads, offsets
+        head, i = _gap_step(q, head, i)
+        if i > wrap:
+            i = base + 1 + (i - base - 1) % period
+    add_head(head)
+    add_offset(i)
+    return heads, offsets
+
+
+def leading_quotients(quotients: Sequence[int], n: Optional[int] = None) -> list[int]:
+    """Leading quotient a1 at levels 0 .. n of the gap orbit of a finite expansion.
+
+    Walks the quotient sequence with the trajectory's kernel `_walk`, without
+    copying it or building an expansion per level, to level n or, when n is
+    None, as far as it goes.  Stops once fewer than three quotients remain,
+    since the even branch consumes two and the remainder must stay a
+    meaningful expansion.
+    """
+    if n is None:
+        n = 2 * len(quotients)  # two levels consume at least one quotient
+    heads, offsets = _walk(quotients, n)
+    # offsets never decrease, so the levels with two quotients after the head
+    # come first
+    kept = bisect_left(offsets, len(quotients) - 1)
+    return heads[:kept]
 
 
 def branch_matrix(a1: int, a2: int = 0) -> tuple[int, int, int, int]:
@@ -429,16 +522,26 @@ class TrajectoryStep:
 class GapTrajectory:
     """Levels theta_0 .. theta_n of the gap dynamics of `theta0`.
 
-    `steps[v]` is the view of level v, built from its state (a1, offset).
+    Level v's state is (heads[v], offsets[v]) = (a1, offset) over the
+    sequence `quotients`, q: level v's expansion is [a1, q[offset], ...], and
+    q[offset + 1] is in range whenever a1 is even and v < n.  `steps[v]`, the
+    view of level v, is built from its state on first read, as are
     `theta_value`, theta_0's exact value, and `values`, the exact value of
-    every level, are each computed once, on first read; the deltas and
-    their products derive from these and the steps.
+    every level; the deltas and their products derive from these and the
+    steps.
     """
 
-    def __init__(self, theta0: CFExpansion, states: list[tuple[int, int]]):
+    def __init__(self, theta0: CFExpansion, quotients: Sequence[int],
+                 heads: list[int], offsets: list[int]):
         self.theta0 = theta0
-        self.steps = tuple(TrajectoryStep(self, v, a1, offset)
-                           for v, (a1, offset) in enumerate(states))
+        self.quotients = quotients
+        self.heads = heads
+        self.offsets = offsets
+
+    @cached_property
+    def steps(self) -> tuple[TrajectoryStep, ...]:
+        return tuple(TrajectoryStep(self, v, a1, offset)
+                     for v, (a1, offset) in enumerate(zip(self.heads, self.offsets)))
 
     @cached_property
     def theta_value(self) -> ExactReal:
@@ -486,39 +589,33 @@ class GapTrajectory:
 def gap_trajectory(theta: CFExpansion, n: int) -> GapTrajectory:
     """Levels theta_0 .. theta_n of the gap dynamics, in time linear in n.
 
-    Each level is a (head, offset) view into the quotients of theta, walked
-    once with the gap step; exact values and deltas wait until a caller
-    reads them.  Raises CellBoundaryError when a level's expansion is a
-    single even quotient [2k] (value 1/(2k), delta 0), and
-    ExpansionExhaustedError (carrying the step reached) when a rational
-    theta runs out of expansion before level n.
+    Each level is a state (head, offset) into the quotients of theta, walked
+    once by `_walk` with the gap step; the step views, exact values and
+    deltas wait until a caller reads them.  Raises CellBoundaryError when a
+    level's expansion is a single even quotient [2k] (value 1/(2k), delta
+    0), and ExpansionExhaustedError (carrying the step reached) when a
+    rational theta runs out of expansion before level n.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     pre, per = theta.preperiod, theta.period
     # a periodic offset stays in (len(pre), len(pre) + len(per)], so an offset
-    # of len(pre) always means a head on the last preperiod entry
+    # of len(pre) always means a head on the last preperiod entry, and the
+    # walk never reaches the end of q
     q = pre + per * 3
-    wrap = len(pre) + len(per)
-    states = []
-    head, i = q[0], 1
-    for level in range(n + 1):
-        if head % 2 == 0 and not theta.available(i + 1):
-            raise CellBoundaryError(
-                f"level {level} value 1/{head} hits a cell endpoint (delta = 0)")
-        states.append((head, i))
-        if level == n:
-            break
-        if not theta.available(i + _gap_need(head) - 1):
-            exc = _gap_exhausted(head)
-            raise ExpansionExhaustedError(
-                f"trajectory exhausted after {level} steps: {exc}",
-                steps_completed=level,
-            ) from exc
-        head, i = _gap_step(q, head, i)
-        if per and i > wrap:
-            i = len(pre) + 1 + (i - len(pre) - 1) % len(per)
-    return GapTrajectory(theta, states)
+    heads, offsets = _walk(q, n, len(pre), len(per))
+    level = len(heads) - 1
+    head = heads[-1]
+    if head % 2 == 0 and offsets[-1] >= len(q):
+        raise CellBoundaryError(
+            f"level {level} value 1/{head} hits a cell endpoint (delta = 0)")
+    if level < n:
+        exc = _gap_exhausted(head)
+        raise ExpansionExhaustedError(
+            f"trajectory exhausted after {level} steps: {exc}",
+            steps_completed=level,
+        ) from exc
+    return GapTrajectory(theta, q, heads, offsets)
 
 
 # --- the theta-spec grammar ------------------------------------------------
@@ -567,15 +664,37 @@ def format_theta_spec(cf: CFExpansion) -> str:
     return f"cfper:[{pre}][{per}]"
 
 
+# draws sample_theta makes before it gives up on a request it cannot rule out
+# in advance; its callers reject at most about half their draws (lower_half;
+# the deep growth and limsup draws 10-15%), so they run out with probability
+# near 2^-1000
+SAMPLE_THETA_MAX_DRAWS = 1000
+
+
 def sample_theta(rng, bits: int = 256, lower_half: bool = False,
                  min_quotients: int = 1) -> CFExpansion:
     """Uniform random rational theta = p / 2^bits, as an expansion.
 
     Resamples until the expansion has at least `min_quotients` quotients and,
-    if `lower_half`, until theta < 1/2 (leading quotient >= 2).
+    if `lower_half`, until theta < 1/2 (leading quotient >= 2).  A canonical
+    expansion with k quotients has a denominator of at least the Fibonacci
+    number F(k + 2), from [1, ..., 1, 2], so a request with F(k + 2) > 2^bits
+    raises ValueError before the first draw.  One that no draw meets within
+    SAMPLE_THETA_MAX_DRAWS raises ValueError with its own message.
     """
+    if bits < 1:
+        raise ValueError(f"bits must be >= 1, got {bits}")
     den = 1 << bits
-    while True:
+    f, g = 1, 1  # F(j + 1), F(j + 2) after j rounds
+    for _ in range(min_quotients):
+        f, g = g, f + g
+        if g > den:
+            raise ValueError(
+                f"min_quotients {min_quotients} cannot be met with bits {bits}: "
+                f"an expansion with {min_quotients} quotients has a denominator "
+                f"of at least F({min_quotients + 2}), the Fibonacci number, "
+                f"which exceeds 2^{bits}")
+    for _ in range(SAMPLE_THETA_MAX_DRAWS):
         p = rng.randrange(1, den)
         cf = rational_to_cf(Fraction(p, den))
         if lower_half and cf.head == 1:
@@ -583,3 +702,7 @@ def sample_theta(rng, bits: int = 256, lower_half: bool = False,
         if len(cf.preperiod) < min_quotients:
             continue
         return cf
+    half = " and theta < 1/2" if lower_half else ""
+    raise ValueError(
+        f"no draw of {SAMPLE_THETA_MAX_DRAWS} with bits {bits} had "
+        f"{min_quotients} quotients{half}; ask for more bits")

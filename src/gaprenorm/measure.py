@@ -32,7 +32,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -649,7 +648,9 @@ class KhinchinResult:
 
 
 # one float threshold per window index and family, and a draw of about
-# 2.1 n_max bits per sample whose expansion costs time quadratic in n_max
+# 2.1 n_max bits per sample whose expansion costs time quadratic in n_max:
+# at the budget, 210,875 bits take 0.2-0.4 s with Lehmer's algorithm
+# (`rational_to_cf`) and 2.2-2.8 s with plain divmod Euclid on a 2-core host
 MAX_KHINCHIN_N = 100_000
 
 
@@ -704,7 +705,7 @@ def khinchin_experiments(
             if p == 0:
                 continue
             quotients = rational_to_cf(Fraction(p, 1 << bits)).preperiod
-            walk = list(islice(leading_quotients(quotients), w1 + 1))
+            walk = leading_quotients(quotients, w1)
             # a draw is kept once its walk reaches the end of the window
             if len(walk) > w1:
                 break

@@ -188,7 +188,8 @@ def build_rule(cf: CFExpansion | TrajectoryStep) -> SubstitutionRule:
     """Substitution induced at the level whose expansion is `cf`.
 
     A trajectory step serves as well: a1, a2 and a3 are read from its view.
-    Equal quotients give the same instance, from a cache of RULE_CACHE_MAX.
+    Equal quotients give the same instance, from a cache of RULE_CACHE_MAX;
+    `Levels.rules` builds its rules through the same cache.
     """
     a1 = cf.head
     if a1 % 2:
@@ -282,24 +283,31 @@ def lengths_by_level(rules: Sequence[SubstitutionRule]) -> list[tuple[int, int]]
 class Levels:
     """Levels 0 .. n of one theta: a lazy view of its gap trajectory `traj`.
 
-    Every other part is computed from `traj.steps[:-1]` on first read and
-    kept.  `rules[v]` is the substitution at level v < n.  Indexed by
-    v = 0 .. n: `halfsums[v]` adds E(a1)/2 over levels 0 .. v-1 and builds no
-    rule, `stats[v]` maps each letter to the stats of its level-v word, and
-    `lengths[v]` is (|A-word|, |C-word|) from the matrix cocycle.  theta's
-    exact value is `traj.theta_value`.  Reading a part raises nothing that
-    `gap_trajectory` did not: it checked every quotient a rule reads.
+    Every other part is computed from the states (a1, offset) of levels
+    0 .. n-1, `traj.heads[:-1]` and `traj.offsets`, on first read and kept;
+    none builds the trajectory's steps.  `rules[v]` is the substitution at
+    level v < n, from a1 and, for an even a1, the quotients q[offset] and
+    q[offset + 1] of `traj.quotients`, through the cached constructor
+    `build_rule` uses.  Indexed by v = 0 .. n: `halfsums[v]` adds
+    E(a1)/2 = a1 // 2 over levels 0 .. v-1 and builds no rule, `stats[v]`
+    maps each letter to the stats of its level-v word, and `lengths[v]` is
+    (|A-word|, |C-word|) from the matrix cocycle.  theta's exact value is
+    `traj.theta_value`.  Reading a part raises nothing that `gap_trajectory`
+    did not: it checked every quotient a rule reads.
     """
 
     traj: GapTrajectory
 
     @cached_property
     def rules(self) -> list[SubstitutionRule]:
-        return [build_rule(step) for step in self.traj.steps[:-1]]
+        traj, rule = self.traj, _shared_rule
+        q = traj.quotients
+        return [rule(a1) if a1 % 2 else rule(a1, q[i], q[i + 1] == 1)
+                for a1, i in zip(traj.heads[:-1], traj.offsets)]
 
     @cached_property
     def halfsums(self) -> list[int]:
-        return list(accumulate((step.e // 2 for step in self.traj.steps[:-1]), initial=0))
+        return list(accumulate((a1 // 2 for a1 in self.traj.heads[:-1]), initial=0))
 
     @cached_property
     def stats(self) -> list[dict[str, WordStats]]:

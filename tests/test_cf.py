@@ -26,6 +26,7 @@ from gaprenorm.cf import (
     sample_theta,
 )
 from gaprenorm.exact import ExactReal, Surd, exact_floor, mobius
+from gaprenorm.measure import _denominator_bits
 
 from surds import make_surd
 
@@ -142,6 +143,64 @@ def test_rational_to_cf_is_canonical(q, data):
     cf = rational_to_cf(v)
     assert cf == cf_normalize(list(cf.preperiod))
     assert cf_value(cf) == v
+
+
+def _euclid(p: int, q: int) -> tuple[int, ...]:
+    """Quotients of p/q by plain divmod Euclid, the oracle of rational_to_cf."""
+    quotients = []
+    while p:
+        a, r = divmod(q, p)
+        quotients.append(a)
+        q, p = p, r
+    return tuple(quotients)
+
+
+# widths on both sides of the Lehmer cut-over, up to 20,000 bits
+LEHMER_WIDTHS = st.integers(cf_module.LEHMER_MIN_BITS - 600, 20_000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(LEHMER_WIDTHS, st.randoms(use_true_random=False))
+def test_rational_to_cf_matches_euclid_across_the_cut_over(bits, rng):
+    q = rng.getrandbits(bits) | 1 << (bits - 1)
+    p = rng.randrange(1, q)
+    assert rational_to_cf(Fraction(p, q)).preperiod == _euclid(p, q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(800, 10_000), st.integers(0, 2**32))
+def test_rational_to_cf_matches_euclid_on_khinchin_draws(n_max, seed):
+    # p / 2^bits with p from the generator khinchin_experiments seeds
+    bits = _denominator_bits(n_max)
+    p = random.Random(seed).getrandbits(bits) or 1
+    theta = Fraction(p, 1 << bits)
+    assert rational_to_cf(theta).preperiod == _euclid(theta.numerator, theta.denominator)
+
+
+# segments of a built expansion: huge quotients, a long run of 1s, small
+# quotients, and a lone quotient of thousands of bits (p << q when it leads)
+_SEGMENTS = st.one_of(
+    st.lists(st.integers(1, 10**300), min_size=1, max_size=12),
+    st.integers(1, 6000).map(lambda k: [1] * k),
+    st.lists(st.integers(1, 60), min_size=1, max_size=300),
+    st.integers(64, 12_000).map(lambda b: [1 << b]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SEGMENTS, min_size=1, max_size=6), st.integers(2, 10**6),
+       st.integers(0, 2**32))
+def test_rational_to_cf_matches_euclid_on_built_expansions(segments, last, seed):
+    quotients = [a for segment in segments for a in segment]
+    rng = random.Random(seed)
+    # pad with small quotients until the denominator is past the cut-over
+    while cf_module._continuants(quotients + [last])[3].bit_length() <= (
+            cf_module.LEHMER_MIN_BITS + 200):
+        quotients += [rng.randint(1, 9) for _ in range(400)]
+    quotients.append(last)
+    _, num, _, den = cf_module._continuants(quotients)
+    assert _euclid(num, den) == tuple(quotients)
+    assert rational_to_cf(Fraction(num, den)).preperiod == tuple(quotients)
 
 
 def test_convergents_are_pell_ratios():
@@ -571,12 +630,95 @@ def test_trajectory_exhaustion_reports_progress():
     assert 0 <= err.value.steps_completed < 30
 
 
+# a rational run out at each branch of the walk: (theta, n) -> (error class,
+# steps_completed, message).  A canonical expansion never runs out on a head
+# 1 (its last quotient would be 1), so that branch takes a raw CFExpansion.
+EXHAUSTION_CASES = [
+    (CFExpansion((2, 3, 1)), 5, ExpansionExhaustedError, 1,
+     "trajectory exhausted after 1 steps: gap map exhausted the expansion (a1 = 1)"),
+    (CFExpansion((1,)), 3, ExpansionExhaustedError, 0,
+     "trajectory exhausted after 0 steps: gap map exhausted the expansion (a1 = 1)"),
+    ("cf:[1,4,2,6]", 9, ExpansionExhaustedError, 5,
+     "trajectory exhausted after 5 steps: gap map exhausted the expansion (odd a1)"),
+    ("cf:[3,1,4,7,2]", 20, ExpansionExhaustedError, 5,
+     "trajectory exhausted after 5 steps: gap map exhausted the expansion (odd a1)"),
+    ("cf:[1,2]", 9, ExpansionExhaustedError, 1,
+     "trajectory exhausted after 1 steps: gap map exhausted the expansion (odd a1)"),
+    ("cf:[3]", 1, ExpansionExhaustedError, 0,
+     "trajectory exhausted after 0 steps: gap map exhausted the expansion (odd a1)"),
+    ("cf:[4,3]", 9, ExpansionExhaustedError, 0,
+     "trajectory exhausted after 0 steps: gap map exhausted the expansion (even a1)"),
+    ("cf:[2,5,3,1,2]", 9, ExpansionExhaustedError, 3,
+     "trajectory exhausted after 3 steps: gap map exhausted the expansion (even a1)"),
+    ("cf:[5,3,8]", 9, ExpansionExhaustedError, 2,
+     "trajectory exhausted after 2 steps: gap map exhausted the expansion (even a1)"),
+    ("cf:[3,2,5]", 9, CellBoundaryError, None,
+     "level 4 value 1/6 hits a cell endpoint (delta = 0)"),
+    ("cf:[2,1,5,3]", 9, CellBoundaryError, None,
+     "level 3 value 1/4 hits a cell endpoint (delta = 0)"),
+    ("cf:[2,2,4]", 9, CellBoundaryError, None,
+     "level 1 value 1/4 hits a cell endpoint (delta = 0)"),
+]
+
+
+@pytest.mark.parametrize("theta, n, error, steps, message", EXHAUSTION_CASES)
+def test_trajectory_errors_keep_their_messages(theta, n, error, steps, message):
+    if isinstance(theta, str):
+        theta = parse_theta_spec(theta)
+    with pytest.raises(error) as err:
+        gap_trajectory(theta, n)
+    assert str(err.value) == message
+    if steps is not None:
+        assert err.value.steps_completed == steps
+        # every level the walk reached is a trajectory of its own
+        assert len(gap_trajectory(theta, steps).heads) == steps + 1
+
+
 def test_sample_theta_contract():
     rng = random.Random(4)
     for _ in range(20):
         cf = sample_theta(rng, bits=128, lower_half=True, min_quotients=30)
         assert cf.preperiod[0] >= 2
         assert len(cf.preperiod) >= 30
+
+
+def test_sample_theta_refuses_an_unreachable_count():
+    # an expansion with 20 quotients needs a denominator of at least F(22) =
+    # 17711 > 2^8; the request is refused before the first draw
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError) as err:
+        sample_theta(rng, bits=8, min_quotients=20)
+    assert str(err.value) == (
+        "min_quotients 20 cannot be met with bits 8: an expansion with 20 "
+        "quotients has a denominator of at least F(22), the Fibonacci number, "
+        "which exceeds 2^8")
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="F\\(4\\)"):
+        sample_theta(rng, bits=1, min_quotients=2)
+    with pytest.raises(ValueError, match="bits must be >= 1"):
+        sample_theta(rng, bits=0)
+    # the bound is tight: F(6) = 2^3, and 5/8 = [1, 1, 1, 2] is the one 3-bit
+    # draw with 4 quotients, while 5 quotients need F(7) = 13 > 2^3
+    assert sample_theta(rng, bits=3, min_quotients=4).preperiod == (1, 1, 1, 2)
+    with pytest.raises(ValueError, match="F\\(7\\)"):
+        sample_theta(rng, bits=3, min_quotients=5)
+
+
+def test_sample_theta_stops_after_its_draw_budget():
+    # F(13) = 233 <= 2^8, so 11 quotients pass the Fibonacci test, but no
+    # p/256 has that many: the draws run out with their own message
+    rng = random.Random(1)
+    with pytest.raises(ValueError) as err:
+        sample_theta(rng, bits=8, min_quotients=11)
+    assert str(err.value) == (
+        f"no draw of {cf_module.SAMPLE_THETA_MAX_DRAWS} with bits 8 had 11 "
+        "quotients; ask for more bits")
+    assert all(len(rational_to_cf(Fraction(p, 256)).preperiod) < 11
+               for p in range(1, 256))
+    # 1/4 = [4], 1/2 = [2] and 3/4 = [1, 3]: no 2-bit draw below 1/2 has two
+    with pytest.raises(ValueError, match="had 2 quotients and theta < 1/2;"):
+        sample_theta(rng, bits=2, min_quotients=2, lower_half=True)
 
 
 # ---------------------------------------------------------------------------

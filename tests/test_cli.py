@@ -504,6 +504,20 @@ def test_level_verbs_reach_log_spaced_sizes(verb, spec, n):
         assert type(exc).__module__.startswith("gaprenorm."), repr(exc)
 
 
+@pytest.mark.parametrize("n_max", [10**3, 10**4, measure.MAX_KHINCHIN_N])
+def test_khinchin_reaches_log_spaced_sizes(capsys, tmp_path, n_max):
+    # one sample at each size up to the budget exits 0 and writes one row
+    assert measure.MAX_KHINCHIN_N == 10**5
+    target = tmp_path / "khinchin.csv"
+    code, _, err = run(capsys, "khinchin", "--samples", "1", "--n-max", str(n_max),
+                       "--out", str(target))
+    assert code == 0, err
+    rows = [line for line in target.read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == "sample_id,count,last_index"
+    assert len(rows) == 2 and rows[1].startswith("0,")
+
+
 # the five experiment verbs at small sizes, in CSV and JSON, with a fixed
 # version line: a change to how a verb reads its settings that moves a byte
 # of an emitted file fails here

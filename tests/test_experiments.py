@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from gaprenorm import experiments, measure
+from gaprenorm import cf, experiments, measure
 from gaprenorm.experiments import (
     EmitError,
     ExperimentConfig,
@@ -410,3 +410,40 @@ def test_emit_bytes_are_pinned(tmp_path):
                         plot_fields=pair)
             got[key] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == EMIT_SHA256
+
+
+# sha256 of repr(records) for driver runs made before the drivers read the
+# trajectory's states instead of its steps
+DRIVER_RUNS = {
+    "growth-sampled": (
+        lambda: run_growth_experiment(ExperimentConfig(samples=1, depth=300, seed=4),
+                                      IteratedLogFamily(2)),
+        "8deca2e907a1cd7078af074d2fe45b12d22e0463c7cf14bb24b4d4f43092a7f5"),
+    "growth-periodic": (
+        lambda: run_growth_experiment(
+            ExperimentConfig(theta_spec="cfper:[1][3,7,2]", depth=60),
+            IteratedLogFamily(3, 0.5)),
+        "aec6e3d363c9e052eccb00ea15d4b46fc15041709b50e854c71d858650df934c"),
+    "limsup": (
+        lambda: run_limsup_probe(ExperimentConfig(samples=3, depth=400, seed=7)),
+        "ef1d8cd44c59c55de2f6bcac19ce678155c40b805111a508049d64adf6799ee8"),
+    "trimmed": (
+        lambda: run_trimmed_sums(ExperimentConfig(samples=30, depth=200, seed=3)),
+        "730bb73309512b0e523c2c938456a9d101808740d6f38ba27df4fb61a804fb4f"),
+    "trimmed-periodic": (
+        lambda: run_trimmed_sums(
+            ExperimentConfig(theta_spec="cfper:[][2,5]", samples=1, depth=250)),
+        "536e65b45ff99f8d09c6856fa989f619bc135296eab27009b238e961eac12eed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRIVER_RUNS))
+def test_drivers_build_no_trajectory_step(name, monkeypatch):
+    # the growth, limsup and trimmed drivers read every level from the
+    # trajectory's states; a step view built anywhere on their path fails
+    def refuse(self, *args):
+        raise AssertionError("a TrajectoryStep was built")
+
+    monkeypatch.setattr(cf.TrajectoryStep, "__init__", refuse)
+    run, digest = DRIVER_RUNS[name]
+    assert hashlib.sha256(repr(run()).encode()).hexdigest() == digest
