@@ -84,7 +84,8 @@ _FIELD_KINDS = {"theta_spec": (str, type(None)), "epsilon": (int, float)}
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings of the experiment drivers.  Each driver reads some fields, and
-    its CLI verb sets only those; `to_meta` echoes them all."""
+    its CLI verb sets only those; `to_meta` echoes them all (`emit` stamps
+    the version)."""
 
     theta_spec: str | None = None
     depth: int = 30
@@ -104,9 +105,7 @@ class ExperimentConfig:
 
     def to_meta(self) -> dict:
         meta = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        meta = {k: v for k, v in meta.items() if v is not None}
-        meta["version"] = tool_version()
-        return meta
+        return {k: v for k, v in meta.items() if v is not None}
 
 
 def _theta_for(cfg: ExperimentConfig, rng: random.Random, min_quotients: int) -> CFExpansion:

@@ -23,6 +23,10 @@ way; a cell that reaches into a second bin takes the scalar path.  Its
 terms are added left to right with `np.add.accumulate`.  The long sums of
 `series_bound` (up to 10^6 terms) follow numpy's pairwise order, block by
 block (`_pairwise_sum`), so they have the bits of one whole-array `.sum()`.
+Its even strips follow the same order: a strip's sum is the sum of its
+lower half, which is the whole strip at half the cutoff, plus the sum of
+its upper half, so a per-process memo of strip sums lets the doubled-cutoff
+bound reuse the default's strips bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -75,24 +80,35 @@ class ConvergenceError(GaprenormError):
 
 def _scatter_increasing(P: np.ndarray, bins: int, j: np.ndarray, branch) -> None:
     # the branch (a, b, c, d) sends the target bin edge j/bins to
-    # (a*j + b*bins) / (c*j + d*bins); the bin from edge j up is column j
+    # x_j = (a*j + b*bins) / (c*j + d*bins); the bin from edge j up is
+    # column j (edges j are consecutive).  Column j adds its image length to
+    # row i0, the bin of x_j, up to the next bin edge when the image crosses
+    # one (a split column), and the rest of a split column to row i0 + 1.
+    # The branch is increasing, so the columns of one row i0 are a run,
+    # ended by its split column, and each run is added as one slice of its
+    # row.  No cell gets two additions from one branch
     a, b, c, d = branch
-    num, den, cols = a * j + b * bins, c * j + d * bins, j[:-1]
+    num, den = a * j + b * bins, c * j + d * bins
     x = num / den
     ib = (num * bins) // den
-    i0, i1 = ib[:-1], ib[1:]
-    left, right = x[:-1], x[1:]
-    step = i1 - i0
+    step = ib[1:] - ib[:-1]
     if step.size and int(step.max()) > 1:
         raise AssertionError("branch image wider than one bin")
-    same = step == 0
-    if same.any():
-        np.add.at(P, (i0[same], cols[same]), (right[same] - left[same]) * bins)
-    split = ~same
-    if split.any():
-        edge = i1[split] / bins
-        np.add.at(P, (i0[split], cols[split]), (edge - left[split]) * bins)
-        np.add.at(P, (i1[split], cols[split]), (right[split] - edge) * bins)
+    split = np.flatnonzero(step)
+    i1 = ib[1:][split]
+    edge = i1 / bins
+    right = x[1:].copy()
+    right[split] = edge
+    w = (right - x[:-1]) * bins
+    c0 = int(j[0])
+    ends = [*(split + 1).tolist(), w.size]
+    s = 0
+    for e in ends:
+        if e > s:
+            P[ib[s], c0 + s : c0 + e] += w[s:e]
+        s = e
+    if split.size:
+        np.add.at(P, (i1, c0 + split), (x[1:][split] - edge) * bins)
 
 
 # branches (or strip remainders) per block: blocks of 64 or 256 were no
@@ -190,7 +206,10 @@ def build_ulam(bins: int) -> UlamOperator:
     np.add.reduce(axis=0) instead would not: numpy adds narrow rows
     pairwise, which changes the bits (it does at 2 bins).  Only branches
     whose image crosses a bin edge go through `_scatter_increasing` one by
-    one.
+    one; it adds each run of columns that land in one row as one slice of
+    that row, and the parts of the split columns past the row edge by
+    index.  No cell gets two additions from one branch, so this too keeps
+    the bits.
     """
     if bins < 2 or bins % 2:
         raise ValueError("bins must be even and at least 2")
@@ -436,14 +455,20 @@ def _log_ratio_sum(u0: int, count: int) -> float:
     # sum of log(u)/(u(u+1)) over u = u0, u0 + 2, ..., count terms, with the
     # bits of numpy's sum over the whole array: u and u + 1 are integers
     # below 2**53, exact in float64, so each term has the bits it would have
-    # in one whole array
+    # in one whole array.  Every block is written into the same two buffers
+    # (`_pairwise_sum` sums a block before it asks for the next)
+    size = min(count, SUM_BLOCK)
+    evens = np.arange(0, 2 * size, 2, dtype=np.float64)
+    u, t = np.empty(size), np.empty(size)
+
     def terms(lo: int, hi: int) -> np.ndarray:
-        u = np.arange(u0 + 2 * lo, u0 + 2 * hi, 2, dtype=np.float64)
-        den = u + 1
-        den *= u
-        t = np.log(u)
-        t /= den
-        return t
+        x, den = u[: hi - lo], t[: hi - lo]
+        np.add(evens[: hi - lo], u0 + 2 * lo, out=x)
+        np.add(x, 1.0, out=den)
+        den *= x
+        np.log(x, out=x)
+        x /= den
+        return x
 
     return _pairwise_sum(terms, 0, count)
 
@@ -470,6 +495,33 @@ def _even_n_tail(N: int) -> float:
     return float(t1 + G_0 * zeta(2, N + 1) / 4.0 + G_1 * zeta(3, N + 1) / 8.0)
 
 
+@cache
+def _strip_sums(m_cut: int) -> list[float]:
+    # the whole-strip sums of the even family at cutoff m_cut, for n = 1, 2,
+    # ..., as far as any call has needed them; `series_bound` extends it
+    return []
+
+
+def _strip_block_sums(n_lo: int, n_hi: int, m_lo: int, m_cut: int) -> list[float]:
+    # numpy's sum of the terms m = m_lo + 1 .. m_cut of the even strip n, for
+    # n = n_lo .. n_hi.  The term of Even(n, m) is log(a_m) / (b_m * b_{m+1})
+    # with b_m = 2nm + 1 and a_m = b_m + 1; both advance by 2m from one n to
+    # the next, exactly, as integers below 2**53
+    step = np.arange(2 * m_lo + 2, 2 * m_cut + 3, 2, dtype=np.float64)  # 2m
+    b = step * (n_lo - 1) + 1.0
+    a = b[:-1] + 1.0
+    den, t = np.empty(a.size), np.empty(a.size)
+    sums = []
+    for _ in range(n_lo, n_hi + 1):
+        b += step
+        a += step[:-1]
+        np.multiply(b[:-1], b[1:], out=den)
+        np.log(a, out=t)
+        t /= den
+        sums.append(float(t.sum()))
+    return sums
+
+
 def series_bound(n_cut: int = 2000, m_cut: int = 4096, k_cut: int = 200_000) -> float:
     """The Lebesgue-weighted log-eigenvalue-bound series, summed to ~1e-9.
 
@@ -484,22 +536,28 @@ def series_bound(n_cut: int = 2000, m_cut: int = 4096, k_cut: int = 200_000) -> 
     terms, written into buffers allocated once and summed by numpy.  Every
     factor of a term is an integer below 2**53, exact in float64, so the
     result has the bits of summing each family as one whole numpy array.
+
+    Above 128 terms numpy splits a strip at h = m_cut//2 - (m_cut//2) % 8
+    and adds the sums of its two parts, and the first h terms at cutoff
+    m_cut are the whole strip at cutoff h.  Whole-strip sums are kept per
+    cutoff for the life of the process (`_strip_sums`, a functools cache),
+    so a strip already summed at cutoff h costs only its upper m_cut - h
+    terms: the doubled cutoffs (m_cut 8192) reuse the default's 4096-term
+    strips.  A strip already summed at m_cut itself costs nothing.  Every
+    call order gives the same bits.
     """
     total = _log_ratio_sum(3, k_cut)  # u = 2k + 1
     total += _odd_tail(k_cut)
-    # the term of Even(n, m) is log(a_m) / (b_m * b_{m+1}) with b_m = 2nm + 1
-    # and a_m = b_m + 1; both advance by 2m from one n to the next, exactly,
-    # as integers below 2**53
-    step = np.arange(2, 2 * m_cut + 3, 2, dtype=np.float64)  # 2m, m <= m_cut + 1
-    b, a = np.ones(m_cut + 1), np.full(m_cut, 2.0)
-    den, t = np.empty(m_cut), np.empty(m_cut)
-    for n in range(1, n_cut + 1):
-        b += step
-        a += step[:-1]
-        np.multiply(b[:-1], b[1:], out=den)
-        np.log(a, out=t)
-        t /= den
-        total += float(t.sum())
+    strips = _strip_sums(m_cut)
+    h = m_cut // 2 - m_cut // 2 % 8
+    lower = _strip_sums(h)[len(strips) : n_cut] if m_cut > 128 else []
+    if lower:
+        upper = _strip_block_sums(len(strips) + 1, len(strips) + len(lower), h, m_cut)
+        strips += [lo + up for lo, up in zip(lower, upper)]
+    if len(strips) < n_cut:
+        strips += _strip_block_sums(len(strips) + 1, n_cut, 0, m_cut)
+    for s in strips[:n_cut]:
+        total += s
     total += float(_even_m_tail(np.arange(1, n_cut + 1), np.full(n_cut, m_cut)).sum())
     total += _even_n_tail(n_cut)
     return total
@@ -598,8 +656,9 @@ def correlation_decay(
     out = np.empty(n_max + 1)
     gv = g.astype(np.float64)
     for n in range(n_max + 1):
+        if n:
+            gv = op.matrix @ gv
         out[n] = abs(float(pi @ (f * gv)) - ef * eg)
-        gv = op.matrix @ gv
     return out
 
 

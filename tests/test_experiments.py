@@ -46,7 +46,7 @@ def test_emit_asks_git_only_when_needed(monkeypatch, tmp_path):
         calls.append(args)
         return subprocess.CompletedProcess(args, 0, stdout="abc1234\n", stderr="")
 
-    records, _ = _records()  # before the patch: its to_meta may ask git
+    records, _ = _records()
     monkeypatch.setattr(subprocess, "run", fake_run)
     tool_version.cache_clear()
     try:
@@ -60,14 +60,20 @@ def test_emit_asks_git_only_when_needed(monkeypatch, tmp_path):
         tool_version.cache_clear()
 
 
-def test_config_meta():
+def test_config_meta(tmp_path):
     cfg = ExperimentConfig(seed=3, depth=40)
     meta = cfg.to_meta()
     assert meta["seed"] == 3 and meta["depth"] == 40
     assert "theta_spec" not in meta  # None fields stay out of the echo
-    assert meta["version"] == tool_version()
+    assert "version" not in meta  # the config only; emit stamps the version
     meta2 = ExperimentConfig(theta_spec=SILVER).to_meta()
     assert meta2["theta_spec"] == SILVER
+    records, _ = _records()
+    emit(records, "csv", tmp_path / "a.csv", meta=meta)
+    assert f"# version: {tool_version()}\n" in (tmp_path / "a.csv").read_text()
+    emit(records, "json", tmp_path / "a.json", meta=meta)
+    payload = json.loads((tmp_path / "a.json").read_text())
+    assert payload["meta"]["version"] == tool_version()
 
 
 @pytest.mark.parametrize("fields", [{"depth": "x"}, {"samples": 2.5},

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import math
 import random
@@ -208,6 +209,41 @@ def test_build_ulam_matches_branch_by_branch(bins):
 @given(st.integers(1, 128).map(lambda half: 2 * half))
 def test_build_ulam_matches_branch_by_branch_sweep(bins):
     assert build_ulam(bins).matrix.tobytes() == _build_ulam_by_branch(bins).tobytes()
+
+
+def _scatter_by_masks(P, bins, j, branch):
+    """Oracle: `_scatter_increasing` as three masked np.add.at calls."""
+    a, b, c, d = branch
+    num, den, cols = a * j + b * bins, c * j + d * bins, j[:-1]
+    x = num / den
+    ib = (num * bins) // den
+    i0, i1 = ib[:-1], ib[1:]
+    left, right = x[:-1], x[1:]
+    same = i1 == i0
+    np.add.at(P, (i0[same], cols[same]), (right[same] - left[same]) * bins)
+    split = ~same
+    edge = i1[split] / bins
+    np.add.at(P, (i0[split], cols[split]), (edge - left[split]) * bins)
+    np.add.at(P, (i1[split], cols[split]), (right[split] - edge) * bins)
+
+
+@pytest.mark.parametrize("bins", [2, 6, 64, 512, 2048])
+def test_scatter_increasing_matches_masked_add_at(bins):
+    # every branch that build_ulam enumerates, scattered into a matrix of
+    # random values so that each addition shows in the bits
+    L = max(bins, 256)
+    j_half = np.arange(bins // 2, bins + 1, dtype=np.int64)
+    j_full = np.arange(bins + 1, dtype=np.int64)
+    branches = [(j_half, cf.branch_matrix(2 * k + 1)) for k in range(1, L + 1)]
+    for n in range(1, L + 1):
+        M, _ = measure._even_fit_m(bins, n)
+        branches += [(j_full, cf.branch_matrix(2 * n, m)) for m in range(1, M + 1)]
+    P = np.random.default_rng(bins).random((bins, bins))
+    Q = P.copy()
+    for j, branch in branches:
+        measure._scatter_increasing(P, bins, j, branch)
+        _scatter_by_masks(Q, bins, j, branch)
+    assert P.tobytes() == Q.tobytes()
 
 
 def test_g_constants_match_their_sums():
@@ -461,6 +497,57 @@ def test_series_bound_matches_whole_array_sums(cutoffs):
     assert series_bound(*cutoffs).hex() == _series_bound_whole_array(*cutoffs).hex()
 
 
+DEFAULT_CUTS, BETWEEN_CUTS = (2000, 4096, 200_000), (2500, 5000, 250_000)
+DOUBLED_CUTS = (4000, 8192, 400_000)
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_array_hex(cutoffs):
+    return _series_bound_whole_array(*cutoffs).hex()
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        (DEFAULT_CUTS, DOUBLED_CUTS),
+        (DOUBLED_CUTS, DEFAULT_CUTS),
+        (DEFAULT_CUTS, BETWEEN_CUTS, DOUBLED_CUTS),
+        (DEFAULT_CUTS, "cache_clear", DOUBLED_CUTS),
+    ],
+    ids=["default-doubled", "doubled-default", "between", "cleared"],
+)
+def test_series_bound_bits_do_not_depend_on_call_order(calls):
+    # the strip-sum memo lives as long as the process; each call must still
+    # give the whole-array bits whatever the memo holds
+    measure._strip_sums.cache_clear()
+    for cutoffs in calls:
+        if cutoffs == "cache_clear":
+            measure._strip_sums.cache_clear()
+        else:
+            assert series_bound(*cutoffs).hex() == _whole_array_hex(cutoffs)
+
+
+def test_doubled_series_bound_sums_only_the_upper_strip_halves(monkeypatch):
+    # after the default call, the doubled cutoffs take strips 1-2000 from the
+    # memo at m_cut 4096 and sum only their terms m = 4097..8192; strips
+    # 2001-4000 are summed whole.  A repeat call sums nothing
+    measure._strip_sums.cache_clear()
+    series_bound(*DEFAULT_CUTS)
+    blocks = []
+    block_sums = measure._strip_block_sums
+
+    def counting(n_lo, n_hi, m_lo, m_cut):
+        blocks.append((n_lo, n_hi, m_lo, m_cut))
+        return block_sums(n_lo, n_hi, m_lo, m_cut)
+
+    monkeypatch.setattr(measure, "_strip_block_sums", counting)
+    first = series_bound(*DOUBLED_CUTS)
+    assert blocks == [(1, 2000, 4096, 8192), (2001, 4000, 0, 8192)]
+    blocks.clear()
+    assert series_bound(*DOUBLED_CUTS).hex() == first.hex()
+    assert blocks == []
+
+
 @pytest.mark.parametrize("bins", [6, 256, 512, 2048])
 def test_integral_log_norm_matches_scalar_loop(bins):
     dens = _density(bins)
@@ -526,6 +613,26 @@ def test_correlation_decay():
     const = np.ones(128, dtype=bool)
     cov_c = correlation_decay(const, f, op, 5, density=dens)
     assert np.all(cov_c < 10 * dens.residual + 1e-12)
+
+
+def test_correlation_decay_runs_one_product_per_step():
+    # n_max steps take n_max matrix-vector products, none after the last
+    class CountingMatrix(np.ndarray):
+        products = 0
+
+        def __matmul__(self, other):
+            CountingMatrix.products += 1
+            return np.asarray(self) @ other
+
+    op = build_ulam(16)
+    dens = stationary_density(op, tol=1e-10)
+    counted = dataclasses.replace(op, matrix=op.matrix.view(CountingMatrix))
+    f = np.arange(16) >= 8
+    for n_max in (0, 1, 7):
+        CountingMatrix.products = 0
+        cov = correlation_decay(f, f, counted, n_max, density=dens)
+        assert CountingMatrix.products == n_max
+        assert cov.tobytes() == correlation_decay(f, f, op, n_max, density=dens).tobytes()
 
 
 # ---------------------------------------------------------------------------
