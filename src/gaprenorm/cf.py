@@ -71,7 +71,8 @@ class CFExpansion:
     not empty, and a finite expansion neither [1] nor ending in 1.  Raw input
     is validated once, by `cf_normalize` (`parse_theta_spec`, `sample_theta`);
     `rational_to_cf` takes Euclid's quotients, which are canonical, and
-    `gap_map` derives valid expansions from valid ones; neither checks again.
+    `_level_expansion` derives valid expansions from valid ones; neither
+    checks again.
     """
 
     preperiod: tuple[int, ...]
@@ -80,11 +81,6 @@ class CFExpansion:
     @property
     def is_finite(self) -> bool:
         return not self.period
-
-    def __len__(self) -> int:
-        if not self.is_finite:
-            raise ValueError("infinite expansion has no length")
-        return len(self.preperiod)
 
     def available(self, count: int) -> bool:
         """Whether at least `count` quotients exist."""
@@ -276,15 +272,6 @@ def _gap_exhausted(head: int) -> ExpansionExhaustedError:
     return ExpansionExhaustedError(f"gap map exhausted the expansion ({branch})")
 
 
-def gap_map(cf: CFExpansion) -> CFExpansion:
-    """One renormalization step of the first-return (gap) dynamics."""
-    a1 = cf.head
-    need = _gap_need(a1)
-    if not cf.available(need):
-        raise _gap_exhausted(a1)
-    return _level_expansion(cf, *_gap_step(cf.quotients(need), a1, 1))
-
-
 def _level_expansion(theta: CFExpansion, head: int, i: int) -> CFExpansion:
     """[head, q[i], q[i + 1], ...] over the 0-based quotients q of theta.
 
@@ -337,17 +324,14 @@ def _walk(q: Sequence[int], n: int, base: int = 0,
     return heads, offsets
 
 
-def leading_quotients(quotients: Sequence[int], n: Optional[int] = None) -> list[int]:
+def leading_quotients(quotients: Sequence[int], n: int) -> list[int]:
     """Leading quotient a1 at levels 0 .. n of the gap orbit of a finite expansion.
 
     Walks the quotient sequence with the trajectory's kernel `_walk`, without
-    copying it or building an expansion per level, to level n or, when n is
-    None, as far as it goes.  Stops once fewer than three quotients remain,
-    since the even branch consumes two and the remainder must stay a
-    meaningful expansion.
+    copying it or building an expansion per level, to level n.  Stops once
+    fewer than three quotients remain, since the even branch consumes two
+    and the remainder must stay a meaningful expansion.
     """
-    if n is None:
-        n = 2 * len(quotients)  # two levels consume at least one quotient
     heads, offsets = _walk(quotients, n)
     # offsets never decrease, so the levels with two quotients after the head
     # come first
@@ -427,10 +411,6 @@ class PartitionCell:
         ends = [Fraction(a * u + 2 * b, c * u + 2 * d) for u in target]
         return tuple(ends) if a * d > b * c else tuple(ends[::-1])
 
-    def contains(self, x: ExactReal) -> bool:
-        lo, hi = self.endpoints
-        return lo < x < hi
-
     def __str__(self):
         if self.a1 == 1:
             return "Half"
@@ -457,15 +437,6 @@ def classify_cell(cf: CFExpansion | TrajectoryStep) -> PartitionCell:
         value = Fraction(a2, a1 * a2 + 1) if a2 else Fraction(1, a1)
         raise CellBoundaryError(f"{value} sits on the boundary of {cell}")
     return cell
-
-
-def gap_derivative(theta: ExactReal, cell: PartitionCell) -> ExactReal:
-    """|g'(theta)| = 1/(a - c*theta)^2 on the given cell, exactly."""
-    if not cell.contains(theta):
-        raise CellBoundaryError(f"{theta} is not interior to {cell}")
-    a, _, c, _ = cell.matrix
-    den = a - c * theta
-    return 1 / (den * den)
 
 
 class TrajectoryStep:
@@ -507,7 +478,7 @@ class TrajectoryStep:
 
     @property
     def cf(self) -> CFExpansion:
-        """The level's expansion, in the form the gap_map chain gives it."""
+        """The level's expansion, in the canonical form `cf_normalize` writes."""
         return _level_expansion(self.traj.theta0, self.a1, self.offset)
 
     @property

@@ -224,6 +224,9 @@ def run_growth_experiment(
     """
     if cfg.depth < 1:
         raise ValueError("need depth >= 1")
+    if cfg.depth > GROWTH_DEPTH_MAX:
+        raise ValueError(f"depth {cfg.depth} exceeds the budget of "
+                         f"GROWTH_DEPTH_MAX = {GROWTH_DEPTH_MAX}")
     rng = random.Random(cfg.seed)
     theta = _theta_for(cfg, rng, min_quotients=2 * cfg.depth + 8)
     # the growth and limsup drivers call gap_trajectory, stats_by_level and
@@ -303,6 +306,9 @@ class BoundedPQRecord(NamedTuple):
 
 # largest decade mark encoded: at 10**7 symbols the run peaks near 0.5 GB
 ORBIT_LENGTH_MAX = 10**7
+# deepest growth run: its len_omega column holds about 0.6 n digits at level
+# n, so the file grows with depth^2 (31 MB at 10,000 levels, 122 MB at 20,000)
+GROWTH_DEPTH_MAX = 10_000
 
 
 def run_bounded_pq_check(

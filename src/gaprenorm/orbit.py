@@ -199,9 +199,6 @@ class DiscrepancyProfile:
     sums: np.ndarray
     rho: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.sums)
-
     def rho_at(self, n: int) -> int:
         """Spread of the first n symbols (1-indexed prefix)."""
         if not 1 <= n <= len(self.sums):
@@ -231,22 +228,23 @@ ENCODING_WORD_MAX = 100_000  # longest level word the grid search expands
 # length, up to about 300,000 points at ENCODING_WORD_MAX; the cap keeps
 # grid * (ENCODING_WORD_MAX + 3) < 2^64, as `_Orbits.mismatches` needs.
 GRID_MAX = 1 << 20
+ENCODING_MISMATCH_MAX = 2  # boundary mismatches a matching grid point may have
 
 
-def verify_encoding(theta: CFExpansion, n: int, budget: int = 2) -> EncodingMatch:
+def verify_encoding(theta: CFExpansion, n: int) -> EncodingMatch:
     """Find the first point of a fine grid whose direct orbit encoding
     matches the level-n substitution word with the fewest mismatches, at
-    most `budget`.
+    most ENCODING_MISMATCH_MAX.
 
     The grid step is finer than half the level-n interval length, so the
     true base point cannot be skipped.  Every grid point's mismatches are
     counted exactly in one pass over the word (`_Orbits.mismatches`);
     failure to find any candidate raises rather than passing silently.
     """
-    return verify_levels_encoding(level_walk(theta, n), n, budget)
+    return verify_levels_encoding(level_walk(theta, n), n)
 
 
-def verify_levels_encoding(lv: Levels, n: int, budget: int = 2) -> EncodingMatch:
+def verify_levels_encoding(lv: Levels, n: int) -> EncodingMatch:
     """`verify_encoding` at level n of levels already walked to n or beyond."""
     theta_val = lv.traj.theta_value
     if not theta_val < Fraction(1, 2):
@@ -260,11 +258,11 @@ def verify_levels_encoding(lv: Levels, n: int, budget: int = 2) -> EncodingMatch
         )
     orbits = _Orbits(Fraction(0), theta_val, grid)
     bad = orbits.mismatches(np.frombuffer(word.encode("ascii"), dtype=np.uint8))
-    scores = np.minimum(bad, budget + 1)
+    scores = np.minimum(bad, ENCODING_MISMATCH_MAX + 1)
     t = int(np.argmin(scores))  # the first grid point with the fewest mismatches
-    if scores[t] > budget:
+    if scores[t] > ENCODING_MISMATCH_MAX:
         raise EncodingSearchError(
-            f"no grid point within {budget} mismatches at level {n} "
+            f"no grid point within {ENCODING_MISMATCH_MAX} mismatches at level {n} "
             f"(grid {grid}, word length {len(word)})"
         )
     return EncodingMatch(

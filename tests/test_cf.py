@@ -17,8 +17,6 @@ from gaprenorm.cf import (
     cf_value,
     classify_cell,
     format_theta_spec,
-    gap_derivative,
-    gap_map,
     gap_map_value,
     gap_trajectory,
     parse_theta_spec,
@@ -28,6 +26,7 @@ from gaprenorm.cf import (
 from gaprenorm.exact import ExactReal, Surd, exact_floor, mobius
 from gaprenorm.measure import _denominator_bits
 
+from oracles import contains, gap_derivative, gap_map
 from surds import make_surd
 
 
@@ -55,7 +54,7 @@ def classify_value(x: ExactReal) -> PartitionCell:
     if 1 / y == m:
         raise CellBoundaryError(f"{x} is an even-cell endpoint")
     cell = PartitionCell(a1, m)
-    if not cell.contains(x):
+    if not contains(cell, x):
         raise CellBoundaryError(f"{x} sits on the boundary of {cell}")
     return cell
 
@@ -509,7 +508,7 @@ def _every_step(theta):
     chain = [theta]
     while chain[-1].available(2 if chain[-1].head % 2 else 3):
         chain.append(gap_map(chain[-1]))
-    if len(chain[-1]) == 1 and chain[-1].head % 2 == 0:
+    if len(chain[-1].preperiod) == 1 and chain[-1].head % 2 == 0:
         chain.pop()  # [2k] is a cell endpoint: the trajectory stops before it
     return gap_trajectory(theta, len(chain) - 1).steps if chain else ()
 
@@ -535,7 +534,7 @@ def test_classify_cell_matches_the_value_oracle_at_every_level():
 
 def test_classify_cell_reads_no_value(monkeypatch):
     # the cell comes from the quotients alone: with the exact value and the
-    # endpoint comparison both failing, every outcome is unchanged
+    # cell endpoints both failing, every outcome is unchanged
     import gaprenorm.cf as cf_module
 
     rng = random.Random(19)
@@ -551,7 +550,7 @@ def test_classify_cell_reads_no_value(monkeypatch):
         raise AssertionError("classify_cell read a value")
 
     monkeypatch.setattr(cf_module, "cf_value", fail)
-    monkeypatch.setattr(PartitionCell, "contains", fail)
+    monkeypatch.setattr(PartitionCell, "endpoints", property(fail))
     assert [_cell_or_error(cf) for cf in steps + thetas] == expected
     assert {type(got) is tuple and got[0] for got in expected} == {
         False, CellBoundaryError, ExpansionExhaustedError}
@@ -594,7 +593,7 @@ def test_trajectory_views_match_gap_map_chain():
             except ExpansionExhaustedError:
                 break
         last = chain[-1]
-        if last.is_finite and len(last) == 1 and last.head % 2 == 0:
+        if last.is_finite and len(last.preperiod) == 1 and last.head % 2 == 0:
             chain.pop()  # [2k] is a cell endpoint: the trajectory stops before it
         if not chain:
             continue
@@ -746,7 +745,7 @@ def test_classify_partitions_interval():
         except CellBoundaryError:
             boundaries += 1
             continue
-        assert cell.contains(x)
+        assert contains(cell, x)
     # 2nm + 1 = 10007 factors as (n, m) = (1, 5003) and (5003, 1), so exactly
     # the grid points 1/10007 and 5003/10007 are genuine cell endpoints
     assert boundaries == 2

@@ -290,6 +290,7 @@ BAD_RUNS = [
     ("growth", "--depth", "0"),
     ("growth", "--depth", "5", "--epsilon", "nan"),
     ("growth", "--depth", "5", "--epsilon", "inf"),
+    ("growth", "--depth", "10001"),
     ("limsup", "--samples", "0"),
     ("khinchin", "--samples", "0"),
     ("ulam", "--tol", "-1", "--bins", "64"),
@@ -497,6 +498,29 @@ def test_level_verbs_reach_log_spaced_sizes(verb, spec, n):
     # float conversion, say) fails here
     args = build_parser().parse_args(
         [verb, "--theta", spec, "--depth" if verb == "traj" else "--level", str(n)])
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert args.fn(args) == 0
+    except (ValueError, ArithmeticError, GaprenormError) as exc:
+        assert type(exc).__module__.startswith("gaprenorm."), repr(exc)
+
+
+# sizes up to each experiment verb's budget; the runs past a budget are in
+# BAD_RUNS
+EXPERIMENT_SWEEP = [
+    *(("growth", "--depth", str(n)) for n in (10, 100, 1000)),
+    *(("trimmed", "--theta", "cfper:[][2]", "--samples", "1", "--depth", str(n))
+      for n in (200, 2000, 20000)),
+    *(("limsup", "--samples", "1", "--depth", str(n)) for n in (10, 100, 1000, 10000)),
+    *(("boundedpq", "--orbit-length", str(n)) for n in (10**3, 10**5, 10**6)),
+    *(("ulam", "--bins", str(n)) for n in (2, 64, 512, 2048)),
+]
+
+
+@pytest.mark.parametrize("argv", EXPERIMENT_SWEEP, ids=" ".join)
+def test_experiment_verbs_reach_log_spaced_sizes(argv):
+    # as for the level verbs: exit 0, or an error class of the package
+    args = build_parser().parse_args(list(argv))
     try:
         with redirect_stdout(io.StringIO()):
             assert args.fn(args) == 0

@@ -235,6 +235,21 @@ def test_growth_sampled_theta_deterministic():
     assert len(a) == 15
 
 
+def test_growth_refuses_depth_over_budget(monkeypatch):
+    # refused before theta is parsed or drawn; the length column of a run
+    # grows with depth^2 (31 MB of file at the budget)
+    assert experiments.GROWTH_DEPTH_MAX == 10_000
+
+    def no_draw(*args):
+        raise AssertionError("drew a theta")
+
+    monkeypatch.setattr(experiments, "_theta_for", no_draw)
+    for spec in (None, SILVER):
+        cfg = ExperimentConfig(theta_spec=spec, depth=experiments.GROWTH_DEPTH_MAX + 1)
+        with pytest.raises(ValueError, match="GROWTH_DEPTH_MAX = 10000"):
+            run_growth_experiment(cfg, IteratedLogFamily(2))
+
+
 def test_trimmed_validation():
     with pytest.raises(ValueError):
         run_trimmed_sums(ExperimentConfig(samples=10, depth=200))

@@ -89,13 +89,15 @@ def test_word_weights_and_profile():
 def test_profile_of_encoding():
     enc = encode_orbit(Fraction(0), SILVER, 500)
     prof = discrepancy_profile(enc.symbols)
-    assert len(prof) == 500
+    assert len(prof.sums) == 500
     # the spread of a rotation word over {A} vs {B, C} grows without bound
     # but very slowly; at 500 symbols it is still in single digits
     assert 1 <= prof.rho_at(500) <= 9
 
 
 def test_verify_encoding_rational():
+    # the README's acceptance gate: at most 2 boundary mismatches
+    assert orbit.ENCODING_MISMATCH_MAX == 2
     rng = random.Random(32)
     theta = sample_theta(rng, bits=160, lower_half=True, min_quotients=40)
     match = verify_encoding(theta, 6)
@@ -104,10 +106,11 @@ def test_verify_encoding_rational():
     assert 0 <= match.y < 1
 
 
-def test_verify_encoding_error_path():
+def test_verify_encoding_error_path(monkeypatch):
     theta = parse_theta_spec("cfper:[][2]")
+    monkeypatch.setattr(orbit, "ENCODING_MISMATCH_MAX", -1)  # impossible budget
     with pytest.raises(EncodingSearchError):
-        verify_encoding(theta, 3, budget=-1)  # impossible budget
+        verify_encoding(theta, 3)
 
 
 def test_word_matches_direct_orbit_at_base_point():
@@ -384,7 +387,9 @@ def test_verify_encoding_matches_reference_scan(seed, periodic, budget, data):
     n = data.draw(st.sampled_from([v for v in range(1, 13) if lv.lengths[v][0] <= 400] or [1]))
     y, bad, grid, word_length = _reference_scan(lv, n, budget)
     try:
-        match = verify_encoding(theta, n, budget=budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbit, "ENCODING_MISMATCH_MAX", budget)
+            match = verify_encoding(theta, n)
     except EncodingSearchError:
         assert y is None
         return
@@ -392,11 +397,12 @@ def test_verify_encoding_matches_reference_scan(seed, periodic, budget, data):
         y, bad, grid, word_length)
 
 
-def test_verify_encoding_error_message():
+def test_verify_encoding_error_message(monkeypatch):
     theta = parse_theta_spec("cfper:[][2]")
     _, _, grid, word_length = _reference_scan(levels(theta, 3), 3, -1)
+    monkeypatch.setattr(orbit, "ENCODING_MISMATCH_MAX", -1)
     with pytest.raises(EncodingSearchError) as err:
-        verify_encoding(theta, 3, budget=-1)
+        verify_encoding(theta, 3)
     assert str(err.value) == (f"no grid point within -1 mismatches at level 3 "
                               f"(grid {grid}, word length {word_length})")
 
