@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 # The level verbs need only these numpy-free modules; every other verb
-# imports its modules itself, so traj/word/rho/matrix never load numpy.
+# imports its modules itself: traj/word/rho/matrix/trimmed/limsup load no numpy.
 from . import GaprenormError
 from .cf import (
     CellBoundaryError,
@@ -171,8 +171,7 @@ def cmd_traj(args) -> int:
 
 def cmd_word(args) -> int:
     theta = _parse_theta(args)
-    word = expand_word(levels(theta, args.level).rules, args.letter,
-                       max_len=args.max_len)
+    word = expand_word(levels(theta, args.level).rules, args.letter)
     print(word)
     return 0
 
@@ -181,14 +180,14 @@ def cmd_rho(args) -> int:
     lv, exhausted = _reached(levels, _parse_theta(args), args.level)
     rows = []
     for n in range(1, len(lv.rules) + 1):
-        rho, half = lv.stats[n][A].rho, lv.halfsums[n]
+        word, half = lv.stats[n][A], lv.halfsums[n]
         rows.append(
             {
                 "n": n,
-                "rho": rho,
+                "rho": word.rho,
                 "halfsum": half,
-                "xi": rho - half,
-                "length": lv.lengths[n][0],
+                "xi": word.rho - half,
+                "length": word.length,
             }
         )
     return _print_levels(
@@ -236,7 +235,7 @@ def cmd_matrix(args) -> int:
                 "n": n,
                 "step": [[p, q], [r, s]],
                 "product": [[a, b], [c, d]],
-                "lengths": lv.lengths[n],
+                "lengths": (a + b, c + d),  # the product applied to (1, 1)
                 "top_eigenvalue": top,
             }
         )
@@ -475,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_theta(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--letter", choices=("A", "B", "C"), default=A)
-    p.add_argument("--max-len", type=int, default=100_000)
     p.set_defaults(fn=cmd_word)
 
     p = sub.add_parser("rho", help="level spreads against their half-sums")

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import random
+import statistics
 import subprocess
 from dataclasses import dataclass, field
 from functools import cache
@@ -21,8 +22,6 @@ from itertools import accumulate
 from operator import sub
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from . import GaprenormError, __version__
 from .cf import (
@@ -33,7 +32,6 @@ from .cf import (
     parse_theta_spec,
     sample_theta,
 )
-from .orbit import discrepancy_profile, encode_orbit
 from .substitution import A, Levels, lengths_by_level, stats_by_level
 
 __all__ = [
@@ -288,7 +286,7 @@ def run_trimmed_sums(
             records.append(TrimmedRecord(sid, i, half, halfmax,
                                          (half - halfmax) / (i * math.log(i))))
     medians = {
-        n: float(np.median([r.ratio for r in records if r.n == n])) for n in marks
+        n: statistics.median([r.ratio for r in records if r.n == n]) for n in marks
     }
     return records, {"median_ratio": medians}
 
@@ -304,11 +302,12 @@ class BoundedPQRecord(NamedTuple):
     ratio: float
 
 
-# largest decade mark encoded: at 10**7 symbols the run peaks near 0.5 GB
-ORBIT_LENGTH_MAX = 10**7
 # deepest growth run: its len_omega column holds about 0.6 n digits at level
 # n, so the file grows with depth^2 (31 MB at 10,000 levels, 122 MB at 20,000)
 GROWTH_DEPTH_MAX = 10_000
+# deepest limsup run: it keeps every level's stats, whose integers grow with
+# the level, so memory grows with depth^2 (220 MB at 30,000, 2.2 GB at 100,000)
+LIMSUP_DEPTH_MAX = 30_000
 
 
 def run_bounded_pq_check(
@@ -319,6 +318,8 @@ def run_bounded_pq_check(
     Defaults to the all-twos expansion when cfg carries no theta.  Checkpoints
     run through the decades up to cfg.orbit_length.
     """
+    from .orbit import discrepancy_profile, encode_orbit
+
     spec = cfg.theta_spec if cfg.theta_spec is not None else "cfper:[][2]"
     theta = parse_theta_spec(spec)
     if theta.is_finite:
@@ -328,10 +329,6 @@ def run_bounded_pq_check(
         raise ValueError("orbit driver needs theta < 1/2")
     # 10**3, 10**4, ... up to the largest power of ten <= max(1000, length)
     marks = [10**e for e in range(3, len(str(max(1000, cfg.orbit_length))))]
-    if marks[-1] > ORBIT_LENGTH_MAX:
-        raise ValueError(
-            f"orbit length {marks[-1]} exceeds the budget of {ORBIT_LENGTH_MAX}"
-        )
     enc = encode_orbit(x0, value, marks[-1])
     prof = discrepancy_profile(enc.symbols)
     records = [
@@ -347,9 +344,7 @@ def run_bounded_pq_check(
     return records, {
         "theta_spec": format_theta_spec(theta),
         "ratio_band": (min(ratios), max(ratios)),
-        "monotone": bool(
-            np.all(np.diff([prof.rho_at(N) for N in marks]) >= 0)
-        ),
+        "monotone": all(a.rho <= b.rho for a, b in zip(records, records[1:])),
     }
 
 
@@ -373,6 +368,9 @@ def run_limsup_probe(cfg: ExperimentConfig) -> tuple[list[LimsupRecord], dict]:
     """
     if cfg.samples < 1:
         raise ValueError("need samples >= 1")
+    if cfg.depth > LIMSUP_DEPTH_MAX:
+        raise ValueError(f"depth {cfg.depth} exceeds the budget of "
+                         f"LIMSUP_DEPTH_MAX = {LIMSUP_DEPTH_MAX}")
     records = []
     for sid in range(cfg.samples):
         rng = random.Random(cfg.seed ^ sid)

@@ -57,6 +57,8 @@ _ONE = 1 << 64  # the circle in 64-bit fixed point
 _HALF = np.uint64(1 << 63)
 _ABC = np.frombuffer((A + B + C).encode("ascii"), dtype=np.uint8)
 _HIT_NAMES = ("0", "1/2", "1-theta")
+# longest orbit `encode_orbit` decides; at 10**7 symbols boundedpq peaks near 0.5 GB
+ORBIT_LENGTH_MAX = 10**7
 
 
 class _Orbits:
@@ -164,13 +166,17 @@ class _Orbits:
 def encode_orbit(x0: ExactReal, theta: ExactReal, length: int) -> OrbitEncoding:
     """Letter sequence of x0, x0 + theta, ... (length symbols), exactly.
 
-    Requires 0 < theta < 1/2 and 0 <= x0 < 1.  The orbit of a rational
-    theta = p/q repeats every q steps, so only its first min(length, q)
-    symbols are decided; the rest, endpoint hits included, are copies of
-    them, and `period_wrapped` flags a request longer than q.
+    Requires 0 < theta < 1/2, 0 <= x0 < 1 and length <= ORBIT_LENGTH_MAX.
+    The orbit of a rational theta = p/q repeats every q steps, so only its
+    first min(length, q) symbols are decided; the rest, endpoint hits
+    included, are copies of them, and `period_wrapped` flags a request
+    longer than q.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
+    if length > ORBIT_LENGTH_MAX:
+        raise ValueError(
+            f"orbit length {length} exceeds the budget of {ORBIT_LENGTH_MAX}")
     if not (0 < theta and theta < Fraction(1, 2)):
         raise ValueError("rotation number must lie in (0, 1/2)")
     if not (0 <= x0 and x0 < 1):
@@ -223,10 +229,9 @@ class EncodingMatch:
     level: int
 
 
-ENCODING_WORD_MAX = 100_000  # longest level word the grid search expands
 # most grid points the search counts.  A grid runs 2-3 times its word's
-# length, up to about 300,000 points at ENCODING_WORD_MAX; the cap keeps
-# grid * (ENCODING_WORD_MAX + 3) < 2^64, as `_Orbits.mismatches` needs.
+# length, up to about 300,000 points at WORD_LEN_MAX; the cap keeps
+# grid * (WORD_LEN_MAX + 3) < 2^64, as `_Orbits.mismatches` needs.
 GRID_MAX = 1 << 20
 ENCODING_MISMATCH_MAX = 2  # boundary mismatches a matching grid point may have
 
@@ -241,15 +246,11 @@ def verify_encoding(theta: CFExpansion, n: int) -> EncodingMatch:
     counted exactly in one pass over the word (`_Orbits.mismatches`);
     failure to find any candidate raises rather than passing silently.
     """
-    return verify_levels_encoding(level_walk(theta, n), n)
-
-
-def verify_levels_encoding(lv: Levels, n: int) -> EncodingMatch:
-    """`verify_encoding` at level n of levels already walked to n or beyond."""
+    lv = level_walk(theta, n)
     theta_val = lv.traj.theta_value
     if not theta_val < Fraction(1, 2):
         raise ValueError("rotation number must lie below 1/2 for direct encoding")
-    word = expand_word(lv.rules[:n], A, max_len=ENCODING_WORD_MAX)
+    word = expand_word(lv.rules, A)
     grid = exact_floor(2 / lv.traj.delta_product(n)) + 1
     if grid > GRID_MAX:
         raise EncodingSearchError(

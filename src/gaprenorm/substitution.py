@@ -52,10 +52,11 @@ from .cf import (
 A, B, C = "A", "B", "C"
 LETTERS = (A, B, C)
 WEIGHT = {A: 1, B: -1, C: -1}
+WORD_LEN_MAX = 100_000  # longest word `expand_word` materializes
 
 
 class WordBudgetError(ValueError):
-    """A word expansion would exceed the caller's length budget."""
+    """A word expansion would exceed WORD_LEN_MAX letters."""
 
 
 class WordStats(NamedTuple):
@@ -225,9 +226,8 @@ def stats_by_level(rules: Sequence[SubstitutionRule]) -> list[dict[str, WordStat
     return out
 
 
-def expand_word(rules: Sequence[SubstitutionRule], letter: str = A,
-                max_len: int = 100_000) -> str:
-    """Materialize the composed image of `letter`, refusing budget overruns.
+def expand_word(rules: Sequence[SubstitutionRule], letter: str = A) -> str:
+    """Materialize the composed image of `letter`, at most WORD_LEN_MAX letters.
 
     The length comes from the matrix cocycle beforehand: the A- and B-words
     share the first return length and the C-word has the second.
@@ -235,9 +235,9 @@ def expand_word(rules: Sequence[SubstitutionRule], letter: str = A,
     if letter not in LETTERS:
         raise ValueError(f"unknown letter {letter!r}")
     predicted = lengths_by_level(rules)[-1][1 if letter == C else 0]
-    if predicted > max_len:
+    if predicted > WORD_LEN_MAX:
         raise WordBudgetError(
-            f"expansion would have {predicted} letters (budget {max_len})"
+            f"expansion would have {predicted} letters (budget {WORD_LEN_MAX})"
         )
     word = letter
     for rule in reversed(rules):

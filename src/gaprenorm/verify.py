@@ -29,12 +29,13 @@ from .orbit import (
     SANDWICH_SLACK,
     EncodingSearchError,
     sandwich_levels_sweep,
-    verify_levels_encoding,
+    verify_encoding,
 )
 from .substitution import (
     A,
     B,
     C,
+    WORD_LEN_MAX,
     WordStats,
     expand_word,
     levels,
@@ -99,10 +100,10 @@ def check_stats_oracle() -> tuple[bool, str]:
     largest = 0
     for theta in thetas:
         lv = levels(theta, 30)
-        n = max((v for v in range(31) if lv.lengths[v][0] <= 100_000), default=0)
+        n = max((v for v in range(31) if lv.lengths[v][0] <= WORD_LEN_MAX), default=0)
         if n == 0:
             continue
-        word = expand_word(lv.rules[:n], A, max_len=100_000)
+        word = expand_word(lv.rules[:n], A)
         if WordStats.of_word(word) != lv.stats[n][A]:
             return False, f"stats mismatch at level {n} (length {len(word)})"
         checked += 1
@@ -115,10 +116,10 @@ def check_encoding() -> tuple[bool, str]:
     thetas = _sample_thetas(404, 20, bits=256, min_quotients=65, lower_half=True)
     worst = 0
     for theta in thetas:
-        lv = levels(theta, 30)
-        n = max(v for v in range(1, 31) if lv.lengths[v][0] <= 10_000)
+        lens = levels(theta, 30).lengths
+        n = max(v for v in range(1, 31) if lens[v][0] <= 10_000)
         try:
-            match = verify_levels_encoding(lv, n)
+            match = verify_encoding(theta, n)
         except EncodingSearchError as exc:
             return False, f"no grid match at level {n}: {exc}"
         worst = max(worst, match.mismatches)

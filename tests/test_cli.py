@@ -292,6 +292,7 @@ BAD_RUNS = [
     ("growth", "--depth", "5", "--epsilon", "inf"),
     ("growth", "--depth", "10001"),
     ("limsup", "--samples", "0"),
+    ("limsup", "--depth", "30001"),
     ("khinchin", "--samples", "0"),
     ("ulam", "--tol", "-1", "--bins", "64"),
     ("ulam", "--bins", "64", "--tol", "inf"),
@@ -307,12 +308,20 @@ BAD_RUNS = [
     ("verify", "--only", "x"),
     ("boundedpq", "--x0", "1/0"),
     ("boundedpq", "--x0", "abc"),
+    ("word", "--theta", "cfper:[][2]", "--level", "9"),
 ]
-# the message of a bad flag value names the flag and the value
+# the message of a bad flag value names the flag and the value; that of a
+# size past a budget names the size and the budget
 BAD_VALUE_MESSAGES = {
     ("verify", "--only", "x"): "error: --only wants comma-separated integers, got 'x'",
     ("boundedpq", "--x0", "1/0"): "error: --x0 wants a fraction p/q, got '1/0'",
     ("boundedpq", "--x0", "abc"): "error: --x0 wants a fraction p/q, got 'abc'",
+    ("limsup", "--depth", "30001"):
+        "error: depth 30001 exceeds the budget of LIMSUP_DEPTH_MAX = 30000",
+    ("word", "--theta", "cfper:[][2]", "--level", "9"):
+        "error: expansion would have 6625109 letters (budget 100000)",
+    ("boundedpq", "--orbit-length", "100000000"):
+        "error: orbit length 100000000 exceeds the budget of 10000000",
 }
 
 
@@ -354,6 +363,33 @@ def test_emit_error_exits_1_in_a_fresh_process(tmp_path):
         capture_output=True, text=True, env=env)
     assert done.returncode == 1 and "Traceback" not in done.stderr
     assert done.stderr.startswith("error: cannot write")
+
+
+# the README's trimmed and limsup lines run with neither numpy nor scipy loaded
+NUMPY_FREE = """
+import sys
+from gaprenorm import cli
+for line in sys.argv[1:]:
+    assert cli.main(line.split()) == 0, line
+loaded = [name for name in ("numpy", "scipy") if name in sys.modules]
+assert not loaded, loaded
+"""
+
+
+def test_trimmed_and_limsup_load_no_numpy(tmp_path):
+    lines = [" ".join(argv) for argv in _readme_lines({"trimmed", "limsup"})]
+    assert sorted(line.split()[0] for line in lines) == ["limsup", "trimmed"]
+    env = {**os.environ, "PYTHONPATH": str(Path(measure.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", NUMPY_FREE, *lines], check=True, env=env,
+                   cwd=tmp_path, stdout=subprocess.DEVNULL)
+
+
+def test_word_takes_no_length_flag(capsys):
+    # the word budget is expand_word's WORD_LEN_MAX; no flag raises it
+    with pytest.raises(SystemExit) as exc:
+        main(["word", "--theta", "cfper:[][2]", "--level", "2", "--max-len", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-len 5" in capsys.readouterr().err
 
 
 def test_zero_sizes_still_run(capsys):

@@ -250,6 +250,21 @@ def test_growth_refuses_depth_over_budget(monkeypatch):
             run_growth_experiment(cfg, IteratedLogFamily(2))
 
 
+def test_limsup_refuses_depth_over_budget(monkeypatch):
+    # refused before theta is parsed or drawn; the run keeps every level's
+    # stats, so its memory grows with depth^2 (about 220 MB at the budget)
+    assert experiments.LIMSUP_DEPTH_MAX == 30_000
+
+    def no_draw(*args):
+        raise AssertionError("drew a theta")
+
+    monkeypatch.setattr(experiments, "_theta_for", no_draw)
+    for spec in (None, SILVER):
+        cfg = ExperimentConfig(theta_spec=spec, depth=experiments.LIMSUP_DEPTH_MAX + 1)
+        with pytest.raises(ValueError, match="LIMSUP_DEPTH_MAX = 30000"):
+            run_limsup_probe(cfg)
+
+
 def test_trimmed_validation():
     with pytest.raises(ValueError):
         run_trimmed_sums(ExperimentConfig(samples=10, depth=200))

@@ -117,7 +117,7 @@ def test_word_matches_direct_orbit_at_base_point():
     """The level word read off the substitutions is the orbit encoding of 0."""
     theta = parse_theta_spec("cfper:[][2]")
     rules = rules_along(theta, 6)
-    word = expand_word(rules, A, max_len=100_000)
+    word = expand_word(rules, A)
     enc = encode_orbit(Fraction(0), SILVER, len(word))
     mism = sum(1 for a, b in zip(word, enc.symbols) if a != b)
     assert mism <= 2
@@ -357,7 +357,7 @@ def _reference_scan(lv, n, budget):
     """The grid scan verify_encoding answers: the first grid point with the
     fewest mismatches, stopping at the first exact match."""
     theta = lv.traj.steps[0].value
-    word = expand_word(lv.rules[:n], A, max_len=100_000)
+    word = expand_word(lv.rules[:n], A)
     grid = exact_floor(2 / lv.traj.delta_product(n)) + 1
     best_bad, best_y = budget + 1, None
     for t in range(grid):
@@ -492,3 +492,20 @@ def test_grid_budget_is_checked_before_the_search(monkeypatch):
     assert str(err.value) == (
         f"grid of {match.grid_points} points at level 3 exceeds the search "
         f"budget of {match.grid_points - 1} points")
+
+
+def test_orbit_budget_is_checked_before_a_symbol(monkeypatch):
+    # read the budget first: without it the calls below would try to
+    # allocate gigabytes
+    assert orbit.ORBIT_LENGTH_MAX == 10**7
+    monkeypatch.setattr(orbit, "_Orbits", None)  # no symbol is decided
+    with pytest.raises(ValueError) as err:
+        encode_orbit(Fraction(0), SILVER, orbit.ORBIT_LENGTH_MAX + 1)
+    assert str(err.value) == "orbit length 10000001 exceeds the budget of 10000000"
+    # the sandwich sweep asks for 2 * max return length symbols at level 12
+    theta = parse_theta_spec("cfper:[][2]")
+    need = 2 * max(levels(theta, 12).lengths[12])
+    assert need > 3 * 10**9
+    with pytest.raises(ValueError) as err:
+        sandwich_sweep(Fraction(1, 7), theta, 12)
+    assert str(err.value) == f"orbit length {need} exceeds the budget of 10000000"

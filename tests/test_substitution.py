@@ -379,14 +379,16 @@ def test_build_rule_cache_is_bounded_and_clears():
     assert build_rule(parse_theta_spec("cf:[2,2,2,2]")) == kept
 
 
-def test_compose_matches_expansion():
+def test_compose_matches_expansion(monkeypatch):
+    # a budget above the default keeps the words this test was written for
+    monkeypatch.setattr(substitution, "WORD_LEN_MAX", 1_000_000)
     rng = random.Random(23)
     checked = 0
     while checked < 20:
         theta = sample_theta(rng, bits=128, min_quotients=30)
         rules = rules_along(theta, 6)
         try:
-            word = expand_word(rules, A, max_len=1_000_000)
+            word = expand_word(rules, A)
         except WordBudgetError:  # a level with huge quotients; skip it
             continue
         assert stats_by_level(rules)[-1][A] == WordStats.of_word(word)
@@ -409,9 +411,11 @@ def test_stats_by_level_match_expanded_words(quotients, n):
 
 
 def test_expand_word_budget():
+    # the level-20 silver word has far more than WORD_LEN_MAX letters
+    assert substitution.WORD_LEN_MAX == 100_000
     rules = rules_along(parse_theta_spec("cfper:[][2]"), 20)
-    with pytest.raises(WordBudgetError):
-        expand_word(rules, A, max_len=100)
+    with pytest.raises(WordBudgetError, match=r"letters \(budget 100000\)"):
+        expand_word(rules, A)
 
 
 # ---------------------------------------------------------------------------
