@@ -278,7 +278,7 @@ def cmd_ulam(args) -> int:
 
 
 def cmd_khinchin(args) -> int:
-    from .measure import khinchin_experiment
+    from .experiments import khinchin_experiment
 
     cfg = _build_config(args)
     window = None
@@ -446,7 +446,7 @@ class _VersionAction(argparse.Action):
 
 
 def _threshold_family(name: str) -> str:
-    from .measure import THRESHOLD_FAMILIES
+    from .experiments import THRESHOLD_FAMILIES
 
     if name not in THRESHOLD_FAMILIES:
         choices = ", ".join(map(repr, sorted(THRESHOLD_FAMILIES)))

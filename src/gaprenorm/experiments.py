@@ -1,7 +1,9 @@
 """Seeded experiment drivers and file emission.
 
-Every driver is a pure function of (config, seed): per-sample RNG streams are
-derived as seed xor sample index, so batching or parallel fan-out cannot
+The growth, trimmed, bounded-quotient and limsup drivers probe level spreads,
+and the exceedance Monte Carlo counts large quotients on the continued-fraction
+walk.  Every driver is a pure function of (config, seed): per-sample RNG
+streams are seed xor sample index, so batching or parallel fan-out cannot
 change the output.  The growth and limsup drivers are qualitative by design;
 the asymptotic statements they probe are about almost-every theta and desk
 scale can only show majority-of-samples behavior.
@@ -15,6 +17,7 @@ import math
 import random
 import statistics
 import subprocess
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
@@ -25,30 +28,15 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import GaprenormError, __version__
 from .cf import (
-    CFExpansion,
     cf_value,
     format_theta_spec,
     gap_trajectory,
+    leading_quotients,
     parse_theta_spec,
+    rational_to_cf,
     sample_theta,
 )
 from .substitution import A, Levels, lengths_by_level, stats_by_level
-
-__all__ = [
-    "EmitError",
-    "ExperimentConfig",
-    "IteratedLogFamily",
-    "GrowthRecord",
-    "TrimmedRecord",
-    "BoundedPQRecord",
-    "LimsupRecord",
-    "run_growth_experiment",
-    "run_trimmed_sums",
-    "run_bounded_pq_check",
-    "run_limsup_probe",
-    "emit",
-    "tool_version",
-]
 
 
 class EmitError(GaprenormError):
@@ -106,11 +94,19 @@ class ExperimentConfig:
         return {k: v for k, v in meta.items() if v is not None}
 
 
-def _theta_for(cfg: ExperimentConfig, rng: random.Random, min_quotients: int) -> CFExpansion:
+def _levels_for(cfg: ExperimentConfig, sid: int) -> Levels:
+    """Levels 0 .. depth of cfg.theta_spec, or of a theta of 2 depth + 8
+    quotients drawn from Random(cfg.seed ^ sid).  This walk and the drivers'
+    stats_by_level and lengths_by_level calls go through this module's
+    bindings, where the benchmark captures them; lv.stats would bypass them."""
     if cfg.theta_spec is not None:
-        return parse_theta_spec(cfg.theta_spec)
-    bits = max(192, int(min_quotients * 1.72) + 64)
-    return sample_theta(rng, bits=bits, min_quotients=min_quotients)
+        theta = parse_theta_spec(cfg.theta_spec)
+    else:
+        min_quotients = 2 * cfg.depth + 8
+        bits = max(192, int(min_quotients * 1.72) + 64)
+        theta = sample_theta(random.Random(cfg.seed ^ sid), bits=bits,
+                             min_quotients=min_quotients)
+    return Levels(gap_trajectory(theta, cfg.depth))
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +221,7 @@ def run_growth_experiment(
     if cfg.depth > GROWTH_DEPTH_MAX:
         raise ValueError(f"depth {cfg.depth} exceeds the budget of "
                          f"GROWTH_DEPTH_MAX = {GROWTH_DEPTH_MAX}")
-    rng = random.Random(cfg.seed)
-    theta = _theta_for(cfg, rng, min_quotients=2 * cfg.depth + 8)
-    # the growth and limsup drivers call gap_trajectory, stats_by_level and
-    # lengths_by_level once per sample through this module's bindings, where
-    # the benchmark captures the results to check the records; lv.stats and
-    # lv.lengths would bypass them
-    lv = Levels(gap_trajectory(theta, cfg.depth))
+    lv = _levels_for(cfg, 0)
     levels = stats_by_level(lv.rules)
     lens = lengths_by_level(lv.rules)
     records = []
@@ -276,9 +266,7 @@ def run_trimmed_sums(
     marks = sorted(set(checkpoints))
     records = []
     for sid in range(cfg.samples):
-        rng = random.Random(cfg.seed ^ sid)
-        theta = _theta_for(cfg, rng, min_quotients=2 * cfg.depth + 8)
-        halfsums = Levels(gap_trajectory(theta, cfg.depth)).halfsums
+        halfsums = _levels_for(cfg, sid).halfsums
         # halfmaxes[i - 1]: the largest term E/2 over levels 0 .. i-1
         halfmaxes = list(accumulate(map(sub, halfsums[1:], halfsums), max))
         for i in marks:
@@ -373,9 +361,7 @@ def run_limsup_probe(cfg: ExperimentConfig) -> tuple[list[LimsupRecord], dict]:
                          f"LIMSUP_DEPTH_MAX = {LIMSUP_DEPTH_MAX}")
     records = []
     for sid in range(cfg.samples):
-        rng = random.Random(cfg.seed ^ sid)
-        theta = _theta_for(cfg, rng, min_quotients=2 * cfg.depth + 8)
-        levels = stats_by_level(Levels(gap_trajectory(theta, cfg.depth)).rules)
+        levels = stats_by_level(_levels_for(cfg, sid).rules)
         best = -math.inf
         best_n = 0
         for n in range(2, cfg.depth + 1):
@@ -392,6 +378,149 @@ def run_limsup_probe(cfg: ExperimentConfig) -> tuple[list[LimsupRecord], dict]:
         )
     frac = sum(r.increased_final_third for r in records) / len(records)
     return records, {"fraction_still_climbing": frac}
+
+
+# ---------------------------------------------------------------------------
+# quotient exceedance Monte Carlo
+
+THRESHOLD_FAMILIES: dict[str, Callable[[int], float]] = {
+    "linear": lambda n: float(n),
+    "iterated_log_squared": lambda n: n * math.log(n + 2) ** 2,
+    "none": lambda n: math.inf,
+}
+
+
+class ExceedanceRecord(NamedTuple):
+    sample_id: int
+    count: int
+    last_index: int
+
+
+@dataclass(frozen=True)
+class KhinchinResult:
+    family: str
+    samples: int
+    n_max: int
+    seed: int
+    window: tuple[int, int]
+    records: list[ExceedanceRecord]
+    half_counts: list[int]
+    resamples: int
+
+    @property
+    def counts(self) -> list[int]:
+        return [r.count for r in self.records]
+
+    @property
+    def median_count(self) -> float:
+        return float(statistics.median(self.counts))
+
+    @property
+    def total_count(self) -> int:
+        return int(sum(self.counts))
+
+    @property
+    def total_half_count(self) -> int:
+        return int(sum(self.half_counts))
+
+
+# one float threshold per window index and family, and a draw of about
+# 2.1 n_max bits per sample whose expansion costs time quadratic in n_max:
+# at the budget, 210,875 bits take 0.2-0.4 s with Lehmer's algorithm
+# (`rational_to_cf`) and 2.2-2.8 s with plain divmod Euclid on a 2-core host
+MAX_KHINCHIN_N = 100_000
+
+
+def _denominator_bits(n_max: int) -> int:
+    # each step consumes at most two quotients and a random b-bit rational
+    # carries about 0.58 b of them; the 1.75 factor leaves slack so that
+    # resampling stays rare
+    return max(256, int((1.2 * n_max + 500) * 1.75))
+
+
+def khinchin_experiments(
+    families: Sequence[str],
+    samples: int,
+    n_max: int,
+    rng_seed: int,
+    window: tuple[int, int] | None = None,
+) -> list[KhinchinResult]:
+    """Count window exceedances of the leading quotient over random starts.
+
+    Each sample draws a uniform big-denominator rational and walks its
+    quotient list once.  Every family then counts the indices n in the window
+    with leading quotient above its threshold b_n; one result per family
+    comes back, in the order given.  Per-sample generators are seeded with
+    seed xor index, so results are independent of any batching.  half_counts
+    restrict the same counts to the lower half of the window, which defaults
+    to (100, n_max).
+    """
+    if not families or any(f not in THRESHOLD_FAMILIES for f in families):
+        raise ValueError(
+            f"need families from {sorted(THRESHOLD_FAMILIES)}, got {list(families)}"
+        )
+    if samples < 1:
+        raise ValueError("need samples >= 1")
+    if n_max > MAX_KHINCHIN_N:
+        raise ValueError(f"n_max {n_max} exceeds the budget of {MAX_KHINCHIN_N}")
+    if window is None and n_max < 100:
+        raise ValueError(f"the default window (100, {n_max}) needs n_max >= 100; "
+                         "pass --window")
+    w0, w1 = window if window is not None else (100, n_max)
+    if not 0 <= w0 <= w1 <= n_max:
+        raise ValueError("window must satisfy 0 <= lo <= hi <= n_max")
+    half = (w0 + w1) // 2
+    bits = _denominator_bits(n_max)
+    # per family: its thresholds over the window, records and half counts
+    tallies = [
+        ([THRESHOLD_FAMILIES[family](n) for n in range(w0, w1 + 1)], [], [])
+        for family in families
+    ]
+    # a quotient at or below every family's smallest threshold counts for none
+    floor = min(min(thresholds) for thresholds, _, _ in tallies)
+    resamples = 0
+    for sample_id in range(samples):
+        rng = random.Random(rng_seed ^ sample_id)
+        while True:
+            p = rng.getrandbits(bits)  # below 2**bits, so theta < 1
+            if p == 0:
+                continue
+            quotients = rational_to_cf(Fraction(p, 1 << bits)).preperiod
+            walk = leading_quotients(quotients, w1)
+            # a draw is kept once its walk reaches the end of the window
+            if len(walk) > w1:
+                break
+            resamples += 1
+        candidates = [(n, a1) for n, a1 in enumerate(walk[w0:], w0) if a1 > floor]
+        for thresholds, records, half_counts in tallies:
+            hits = [n for n, a1 in candidates if a1 > thresholds[n - w0]]
+            last = hits[-1] if hits else -1
+            records.append(ExceedanceRecord(sample_id, len(hits), last))
+            half_counts.append(bisect_right(hits, half))
+    return [
+        KhinchinResult(
+            family=family,
+            samples=samples,
+            n_max=n_max,
+            seed=rng_seed,
+            window=(w0, w1),
+            records=records,
+            half_counts=half_counts,
+            resamples=resamples,
+        )
+        for family, (_, records, half_counts) in zip(families, tallies)
+    ]
+
+
+def khinchin_experiment(
+    threshold_family: str,
+    samples: int,
+    n_max: int,
+    rng_seed: int,
+    window: tuple[int, int] | None = None,
+) -> KhinchinResult:
+    """`khinchin_experiments` for a single threshold family."""
+    return khinchin_experiments((threshold_family,), samples, n_max, rng_seed, window)[0]
 
 
 # ---------------------------------------------------------------------------

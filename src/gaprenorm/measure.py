@@ -9,8 +9,9 @@ form (digamma and Hurwitz-zeta tails), which keeps each row's mass defect
 near machine epsilon instead of at the truncation scale.
 
 Also here: the stationary-density power iteration, the log-norm
-integrability estimate with its Lebesgue-measure series bound, an empirical
-correlation-decay probe, and the quotient-exceedance Monte Carlo.
+integrability estimate with its Lebesgue-measure series bound, and an
+empirical correlation-decay probe.  The quotient-exceedance Monte Carlo,
+a seeded driver on the continued-fraction walk, lives in `experiments`.
 
 Masses of rational intervals under the step density (`DensityEstimate.mass`
 and the cells of `integral_log_norm`) are computed in integers: each bin
@@ -32,34 +33,17 @@ bound reuse the default's strips bit for bit.
 from __future__ import annotations
 
 import math
-import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import GaprenormError
-from .cf import PartitionCell, branch_matrix, leading_quotients, rational_to_cf
-
-__all__ = [
-    "UlamAssemblyError",
-    "ConvergenceError",
-    "UlamOperator",
-    "DensityEstimate",
-    "build_ulam",
-    "stationary_density",
-    "integral_log_norm",
-    "series_bound",
-    "correlation_decay",
-    "THRESHOLD_FAMILIES",
-    "ExceedanceRecord",
-    "KhinchinResult",
-    "khinchin_experiments",
-    "khinchin_experiment",
-]
+from .cf import PartitionCell, branch_matrix
+# the benchmark traces the exceedance Monte Carlo under this module's name
+from .experiments import khinchin_experiment  # noqa: F401
 
 
 class UlamAssemblyError(GaprenormError):
@@ -660,142 +644,3 @@ def correlation_decay(
             gv = op.matrix @ gv
         out[n] = abs(float(pi @ (f * gv)) - ef * eg)
     return out
-
-
-# ---------------------------------------------------------------------------
-# quotient exceedance Monte Carlo
-
-THRESHOLD_FAMILIES: dict[str, Callable[[int], float]] = {
-    "linear": lambda n: float(n),
-    "iterated_log_squared": lambda n: n * math.log(n + 2) ** 2,
-    "none": lambda n: math.inf,
-}
-
-
-class ExceedanceRecord(NamedTuple):
-    sample_id: int
-    count: int
-    last_index: int
-
-
-@dataclass(frozen=True)
-class KhinchinResult:
-    family: str
-    samples: int
-    n_max: int
-    seed: int
-    window: tuple[int, int]
-    records: list[ExceedanceRecord]
-    half_counts: list[int]
-    resamples: int
-
-    @property
-    def counts(self) -> list[int]:
-        return [r.count for r in self.records]
-
-    @property
-    def median_count(self) -> float:
-        return float(np.median(self.counts))
-
-    @property
-    def total_count(self) -> int:
-        return int(sum(self.counts))
-
-    @property
-    def total_half_count(self) -> int:
-        return int(sum(self.half_counts))
-
-
-# one float threshold per window index and family, and a draw of about
-# 2.1 n_max bits per sample whose expansion costs time quadratic in n_max:
-# at the budget, 210,875 bits take 0.2-0.4 s with Lehmer's algorithm
-# (`rational_to_cf`) and 2.2-2.8 s with plain divmod Euclid on a 2-core host
-MAX_KHINCHIN_N = 100_000
-
-
-def _denominator_bits(n_max: int) -> int:
-    # each step consumes at most two quotients and a random b-bit rational
-    # carries about 0.58 b of them; the 1.75 factor leaves slack so that
-    # resampling stays rare
-    return max(256, int((1.2 * n_max + 500) * 1.75))
-
-
-def khinchin_experiments(
-    families: Sequence[str],
-    samples: int,
-    n_max: int,
-    rng_seed: int,
-    window: tuple[int, int] | None = None,
-) -> list[KhinchinResult]:
-    """Count window exceedances of the leading quotient over random starts.
-
-    Each sample draws a uniform big-denominator rational and walks its
-    quotient list once.  Every family then counts the indices n in the window
-    with leading quotient above its threshold b_n; one result per family
-    comes back, in the order given.  Per-sample generators are seeded with
-    seed xor index, so results are independent of any batching.  half_counts
-    restrict the same counts to the lower half of the window.
-    """
-    if not families or any(f not in THRESHOLD_FAMILIES for f in families):
-        raise ValueError(
-            f"need families from {sorted(THRESHOLD_FAMILIES)}, got {list(families)}"
-        )
-    if samples < 1:
-        raise ValueError("need samples >= 1")
-    if n_max > MAX_KHINCHIN_N:
-        raise ValueError(f"n_max {n_max} exceeds the budget of {MAX_KHINCHIN_N}")
-    w0, w1 = window if window is not None else (100, n_max)
-    if not 0 <= w0 <= w1 <= n_max:
-        raise ValueError("window must satisfy 0 <= lo <= hi <= n_max")
-    half = (w0 + w1) // 2
-    bits = _denominator_bits(n_max)
-    # per family: its thresholds over the window, records and half counts
-    tallies = [
-        ([THRESHOLD_FAMILIES[family](n) for n in range(w0, w1 + 1)], [], [])
-        for family in families
-    ]
-    # a quotient at or below every family's smallest threshold counts for none
-    floor = min(min(thresholds) for thresholds, _, _ in tallies)
-    resamples = 0
-    for sample_id in range(samples):
-        rng = random.Random(rng_seed ^ sample_id)
-        while True:
-            p = rng.getrandbits(bits)  # below 2**bits, so theta < 1
-            if p == 0:
-                continue
-            quotients = rational_to_cf(Fraction(p, 1 << bits)).preperiod
-            walk = leading_quotients(quotients, w1)
-            # a draw is kept once its walk reaches the end of the window
-            if len(walk) > w1:
-                break
-            resamples += 1
-        candidates = [(n, a1) for n, a1 in enumerate(walk[w0:], w0) if a1 > floor]
-        for thresholds, records, half_counts in tallies:
-            hits = [n for n, a1 in candidates if a1 > thresholds[n - w0]]
-            last = hits[-1] if hits else -1
-            records.append(ExceedanceRecord(sample_id, len(hits), last))
-            half_counts.append(bisect_right(hits, half))
-    return [
-        KhinchinResult(
-            family=family,
-            samples=samples,
-            n_max=n_max,
-            seed=rng_seed,
-            window=(w0, w1),
-            records=records,
-            half_counts=half_counts,
-            resamples=resamples,
-        )
-        for family, (_, records, half_counts) in zip(families, tallies)
-    ]
-
-
-def khinchin_experiment(
-    threshold_family: str,
-    samples: int,
-    n_max: int,
-    rng_seed: int,
-    window: tuple[int, int] | None = None,
-) -> KhinchinResult:
-    """`khinchin_experiments` for a single threshold family."""
-    return khinchin_experiments((threshold_family,), samples, n_max, rng_seed, window)[0]

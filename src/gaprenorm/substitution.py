@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .cf import (
     CFExpansion,
@@ -234,7 +234,9 @@ def expand_word(rules: Sequence[SubstitutionRule], letter: str = A) -> str:
     """
     if letter not in LETTERS:
         raise ValueError(f"unknown letter {letter!r}")
-    predicted = lengths_by_level(rules)[-1][1 if letter == C else 0]
+    for lengths in _lengths(rules):  # only the last level's pair is kept
+        pass
+    predicted = lengths[1 if letter == C else 0]
     if predicted > WORD_LEN_MAX:
         raise WordBudgetError(
             f"expansion would have {predicted} letters (budget {WORD_LEN_MAX})"
@@ -268,15 +270,18 @@ def return_matrix(rule: SubstitutionRule) -> tuple[int, int, int, int]:
     return base + a1, a2 + 1, base + 1, a2
 
 
-def lengths_by_level(rules: Sequence[SubstitutionRule]) -> list[tuple[int, int]]:
-    """(|A-word|, |C-word|) after 0, 1, ..., len(rules) levels."""
+def _lengths(rules: Sequence[SubstitutionRule]) -> Iterator[tuple[int, int]]:
     x = y = 1
-    out = [(x, y)]
+    yield x, y
     for rule in rules:
         a, b, c, d = return_matrix(rule)
         x, y = a * x + b * y, c * x + d * y
-        out.append((x, y))
-    return out
+        yield x, y
+
+
+def lengths_by_level(rules: Sequence[SubstitutionRule]) -> list[tuple[int, int]]:
+    """(|A-word|, |C-word|) after 0, 1, ..., len(rules) levels, by the matrix cocycle."""
+    return list(_lengths(rules))
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,8 @@ from typing import Callable, Sequence
 
 from .cf import CFExpansion, cf_normalize, gap_trajectory, sample_theta
 from .exact import ExactReal, exact_log
-from .measure import (
-    build_ulam,
-    integral_log_norm,
-    khinchin_experiments,
-    series_bound,
-    stationary_density,
-)
+from .experiments import khinchin_experiments
+from .measure import build_ulam, integral_log_norm, series_bound, stationary_density
 from .orbit import (
     SANDWICH_SLACK,
     EncodingSearchError,
@@ -40,8 +35,6 @@ from .substitution import (
     expand_word,
     levels,
 )
-
-__all__ = ["Verdict", "CHECKS", "run_all", "all_passed"]
 
 
 @dataclass(frozen=True)

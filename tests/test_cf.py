@@ -24,7 +24,7 @@ from gaprenorm.cf import (
     sample_theta,
 )
 from gaprenorm.exact import ExactReal, Surd, exact_floor, mobius
-from gaprenorm.measure import _denominator_bits
+from gaprenorm.experiments import _denominator_bits
 
 from oracles import contains, gap_derivative, gap_map
 from surds import make_surd

@@ -299,6 +299,7 @@ BAD_RUNS = [
     ("ulam", "--bins", "8194"),
     ("ulam", "--bins", "512", "--tol", "1e-300"),
     ("khinchin", "--n-max", "200000000", "--samples", "1"),
+    ("khinchin", "--n-max", "50"),
     ("boundedpq", "--orbit-length", "100000000"),
     ("limsup", "--samples", "2", "--depth", "20", "--fmt", "plot", "--out",
      "x.dat", "--plot-fields", "nope,rho"),
@@ -322,6 +323,8 @@ BAD_VALUE_MESSAGES = {
         "error: expansion would have 6625109 letters (budget 100000)",
     ("boundedpq", "--orbit-length", "100000000"):
         "error: orbit length 100000000 exceeds the budget of 10000000",
+    ("khinchin", "--n-max", "50"):
+        "error: the default window (100, 50) needs n_max >= 100; pass --window",
 }
 
 
@@ -376,12 +379,21 @@ assert not loaded, loaded
 """
 
 
+def _run_numpy_free(cwd, lines):
+    env = {**os.environ, "PYTHONPATH": str(Path(measure.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", NUMPY_FREE, *lines], check=True, env=env,
+                   cwd=cwd, stdout=subprocess.DEVNULL)
+
+
 def test_trimmed_and_limsup_load_no_numpy(tmp_path):
     lines = [" ".join(argv) for argv in _readme_lines({"trimmed", "limsup"})]
     assert sorted(line.split()[0] for line in lines) == ["limsup", "trimmed"]
-    env = {**os.environ, "PYTHONPATH": str(Path(measure.__file__).parents[1])}
-    subprocess.run([sys.executable, "-c", NUMPY_FREE, *lines], check=True, env=env,
-                   cwd=tmp_path, stdout=subprocess.DEVNULL)
+    _run_numpy_free(tmp_path, lines)
+
+
+def test_khinchin_loads_no_numpy(tmp_path):
+    # the exceedance Monte Carlo is an experiments driver: no numpy median
+    _run_numpy_free(tmp_path, ["khinchin --samples 2 --n-max 200"])
 
 
 def test_word_takes_no_length_flag(capsys):
@@ -564,10 +576,10 @@ def test_experiment_verbs_reach_log_spaced_sizes(argv):
         assert type(exc).__module__.startswith("gaprenorm."), repr(exc)
 
 
-@pytest.mark.parametrize("n_max", [10**3, 10**4, measure.MAX_KHINCHIN_N])
+@pytest.mark.parametrize("n_max", [10**3, 10**4, experiments.MAX_KHINCHIN_N])
 def test_khinchin_reaches_log_spaced_sizes(capsys, tmp_path, n_max):
     # one sample at each size up to the budget exits 0 and writes one row
-    assert measure.MAX_KHINCHIN_N == 10**5
+    assert experiments.MAX_KHINCHIN_N == 10**5
     target = tmp_path / "khinchin.csv"
     code, _, err = run(capsys, "khinchin", "--samples", "1", "--n-max", str(n_max),
                        "--out", str(target))

@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from gaprenorm import cf, experiments, measure
+from gaprenorm import cf, experiments
 from gaprenorm.experiments import (
     EmitError,
     ExperimentConfig,
@@ -243,7 +243,7 @@ def test_growth_refuses_depth_over_budget(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew a theta")
 
-    monkeypatch.setattr(experiments, "_theta_for", no_draw)
+    monkeypatch.setattr(experiments, "_levels_for", no_draw)
     for spec in (None, SILVER):
         cfg = ExperimentConfig(theta_spec=spec, depth=experiments.GROWTH_DEPTH_MAX + 1)
         with pytest.raises(ValueError, match="GROWTH_DEPTH_MAX = 10000"):
@@ -258,7 +258,7 @@ def test_limsup_refuses_depth_over_budget(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew a theta")
 
-    monkeypatch.setattr(experiments, "_theta_for", no_draw)
+    monkeypatch.setattr(experiments, "_levels_for", no_draw)
     for spec in (None, SILVER):
         cfg = ExperimentConfig(theta_spec=spec, depth=experiments.LIMSUP_DEPTH_MAX + 1)
         with pytest.raises(ValueError, match="LIMSUP_DEPTH_MAX = 30000"):
@@ -403,7 +403,7 @@ def _pinned_tables():
                                   checkpoints=(50, 200))
     yield "trimmed", trimmed, ("n", "ratio")
     yield "boundedpq", _records()[0], ("log_N", "rho")
-    khinchin = measure.khinchin_experiment("linear", samples=3, n_max=300, rng_seed=3)
+    khinchin = experiments.khinchin_experiment("linear", samples=3, n_max=300, rng_seed=3)
     yield "khinchin", khinchin.records, ("count", "last_index")
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaprenorm import cf, measure
+from gaprenorm import cf, experiments, measure
 from gaprenorm.cf import (
     PartitionCell,
     gap_map_value,
@@ -21,13 +21,15 @@ from gaprenorm.cf import (
     sample_theta,
 )
 from gaprenorm.exact import mobius
-from gaprenorm.measure import (
+from gaprenorm.experiments import (
     THRESHOLD_FAMILIES,
+    khinchin_experiment,
+    khinchin_experiments,
+)
+from gaprenorm.measure import (
     build_ulam,
     correlation_decay,
     integral_log_norm,
-    khinchin_experiment,
-    khinchin_experiments,
     series_bound,
     stationary_density,
 )
@@ -189,6 +191,41 @@ def test_walk_head_tail_matches_the_closed_form():
         p = head_tail(t)
         share = sum(a1 > t for a1 in heads) / len(heads)
         assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / len(heads)), t
+
+
+def half_after_one_step() -> float:
+    """P(theta_1 in Half) for a uniform theta_0, in closed form.
+
+    Half = (1/2, 1) maps into (0, 1/2) and each Odd cell onto (1/2, 1), so the
+    Odd cells give their mass ln 2 - 1/2.  Even(n, m)'s branch
+    psi(y) = (y + m)/(2n(y + m) + 1) sends (1/2, 1) onto an interval of length
+    1/(2 (2nm + 2n + 1)(2nm + n + 1)); summed over m >= 1 by digamma,
+    P = ln 2 - 1/2 + S/2 with S = sum_n (digamma(2 + 1/(2n)) -
+    digamma(3/2 + 1/(2n)))/(2n^2).  S is summed to N = 10^6, and the tail in
+    1/(2n) to first order, c0/(2n^2) + c1/(4n^3), in Hurwitz zetas.
+    """
+    from scipy.special import digamma, polygamma, zeta
+
+    N = 10**6
+    n = np.arange(1, N + 1, dtype=float)
+    head = np.sum((digamma(2 + 1 / (2 * n)) - digamma(1.5 + 1 / (2 * n))) / (2 * n * n))
+    c0 = digamma(2) - digamma(1.5)
+    c1 = polygamma(1, 2) - polygamma(1, 1.5)
+    S = head + c0 / 2 * zeta(2, N + 1) + c1 / 4 * zeta(3, N + 1)
+    P = math.log(2) - 0.5 + S / 2
+    # S and d_1 = P - ln 2/ln 6 from a 30-digit mpmath sum
+    assert abs(S - 0.2519939781468662) <= 1e-16
+    assert abs(P - math.log(2) / math.log(6) + 0.0677086376011632) <= 1e-16
+    return P
+
+
+@pytest.mark.parametrize("bins", [64, 256, 2048])
+def test_one_ulam_step_from_uniform_matches_d1(bins):
+    # one Ulam step from the uniform vector is exact up to the tails and the
+    # row renormalization: its mass on Half is within 1.8e-15 of the closed
+    # form at 64-2048 bins
+    pushed = np.full(bins, 1 / bins) @ build_ulam(bins).matrix
+    assert abs(pushed[bins // 2:].sum() - half_after_one_step()) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +780,7 @@ def test_khinchin_refuses_n_max_over_budget():
     # refused before the thresholds or the first draw exist; without the
     # check this call would walk a 210,000-bit rational
     with pytest.raises(ValueError, match="budget"):
-        khinchin_experiment("linear", samples=1, n_max=measure.MAX_KHINCHIN_N + 1,
+        khinchin_experiment("linear", samples=1, n_max=experiments.MAX_KHINCHIN_N + 1,
                             rng_seed=0)
 
 
@@ -779,7 +816,7 @@ def _reference_khinchin(family, samples, n_max, rng_seed, window, bits):
             if reached >= w1:
                 break
             resamples += 1
-        records.append(measure.ExceedanceRecord(sample_id, count, last))
+        records.append(experiments.ExceedanceRecord(sample_id, count, last))
         half_counts.append(count_half)
     return (w0, w1), records, half_counts, resamples
 
@@ -807,7 +844,7 @@ def test_khinchin_experiments_match_reference(run):
     families, samples, n_max, seed, window, short = run
     if short:
         bits = 40
-        draws = mock.patch.object(measure, "_denominator_bits", lambda _: bits)
+        draws = mock.patch.object(experiments, "_denominator_bits", lambda _: bits)
     else:
         bits = max(256, int((1.2 * n_max + 500) * 1.75))
         draws = contextlib.nullcontext()
@@ -821,7 +858,7 @@ def test_khinchin_experiments_match_reference(run):
 
 
 def test_check_exceedances_walks_each_theta_once(exceedance_run):
-    # the shared run of check 10 counts every rational_to_cf call in measure
+    # the shared run of check 10 counts every rational_to_cf call in experiments
     passed, details = exceedance_run.verdict.passed, exceedance_run.verdict.details
     expansions, results = exceedance_run.expansions, exceedance_run.results
     assert passed

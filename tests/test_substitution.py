@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import sys
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -416,6 +418,26 @@ def test_expand_word_budget():
     rules = rules_along(parse_theta_spec("cfper:[][2]"), 20)
     with pytest.raises(WordBudgetError, match=r"letters \(budget 100000\)"):
         expand_word(rules, A)
+
+
+def test_expand_word_refuses_in_small_memory():
+    # the refusal folds the cocycle to the last level and keeps no list of
+    # every level's lengths, whose integers grow with the level: such a list
+    # takes 138 MB under tracemalloc at level 20,000
+    rules = levels(parse_theta_spec("cfper:[][2]"), 20_000).rules
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as the CLI does: the length has 15,311 digits
+    try:
+        expected = f"expansion would have {lengths_by_level(rules)[-1][0]} letters"
+        tracemalloc.start()
+        with pytest.raises(WordBudgetError) as exc:
+            expand_word(rules, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.set_int_max_str_digits(limit)
+    assert str(exc.value).startswith(expected)
+    assert peak < 1_000_000, peak
 
 
 # ---------------------------------------------------------------------------
