@@ -28,6 +28,11 @@ Its even strips follow the same order: a strip's sum is the sum of its
 lower half, which is the whole strip at half the cutoff, plus the sum of
 its upper half, so a per-process memo of strip sums lets the doubled-cutoff
 bound reuse the default's strips bit for bit.
+
+The Half branch g(x) = 1 - x alone fills rows B/2 .. B-1 of the Ulam
+matrix, one exact 1.0 per row, so the power iteration's product
+(`UlamOperator.push`) and `build_ulam`'s row sums skip those rows with the
+bits kept.
 """
 
 from __future__ import annotations
@@ -160,12 +165,33 @@ def _even_fit_m(bins: int, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class UlamOperator:
-    """Row-stochastic discretization of the transfer operator on uniform bins."""
+    """Row-stochastic discretization of the transfer operator on uniform bins.
+
+    Row i >= B/2 holds one exact 1.0, at column B-1-i.  `push` runs BLAS
+    on the top k rows only, k the smallest multiple of 8 at or above B/2,
+    and adds the rest's terms itself.  OpenBLAS's gemv sums the rows in
+    order, in blocks of up to 8, so the top k rows are summed as in the
+    dense product, and each later row adds zeros and one exact term: the
+    same bits (a split at B/2 itself cuts a block and does not keep them).
+    Every output stays in the one call, so the threads share them out as
+    in the dense product, except where OpenBLAS threads only the larger
+    product (682 to 958 bins on the build measured): there push has the
+    one-thread bits.  `matrix @ g` gets no split: there the rows are the
+    outputs, and dropping some moves the thread boundaries and the bits.
+    """
 
     bins: int
     matrix: np.ndarray
     row_defect: float
     branch_limit: int
+
+    def push(self, p: np.ndarray) -> np.ndarray:
+        """`p @ matrix`, bit for bit: the image of a density (a row vector)."""
+        B = self.bins
+        k = min(B, -(-B // 16) * 8)
+        q = p[:k] @ self.matrix[:k]
+        q[: B - k] += p[k:][::-1]
+        return q
 
 
 ROW_DEFECT_LIMIT = 1e-6  # largest row mass defect accepted before renormalizing
@@ -245,13 +271,16 @@ def build_ulam(bins: int) -> UlamOperator:
     )
     P[0, :] += (vals[1:] - vals[:-1]) * B
 
-    rowsums = P.sum(axis=1)
+    # the Half rows sum to exactly 1.0, so their defect is 0 and their
+    # division by 1.0 a no-op: only the rows above them are summed
+    top = P[: B // 2]
+    rowsums = top.sum(axis=1)
     defect = float(np.abs(rowsums - 1.0).max())
     if defect > ROW_DEFECT_LIMIT:
         raise UlamAssemblyError(
             f"row mass defect {defect:.3e} exceeds {ROW_DEFECT_LIMIT:.3e}"
         )
-    P /= rowsums[:, None]
+    top /= rowsums[:, None]
     return UlamOperator(bins=B, matrix=P, row_defect=defect, branch_limit=L)
 
 
@@ -346,11 +375,10 @@ def stationary_density(op: UlamOperator, tol: float = 1e-10) -> DensityEstimate:
     if not 0 < tol < math.inf:
         need = "finite" if tol > 0 else "positive"
         raise ValueError(f"tol must be {need}, got {tol!r}")
-    M = op.matrix
     p = np.full(op.bins, 1.0 / op.bins)
     floor, floor_step = math.inf, 0
     for step in range(1, MAX_POWER_STEPS + 1):
-        q = p @ M
+        q = op.push(p)
         gap = float(np.abs(q - p).sum())
         p = q
         if gap <= tol:
@@ -367,7 +395,7 @@ def stationary_density(op: UlamOperator, tol: float = 1e-10) -> DensityEstimate:
             f"no fixed point to {tol:.1e} in {MAX_POWER_STEPS} steps"
         )
     p /= p.sum()
-    residual = float(np.abs(p @ M - p).sum())
+    residual = float(np.abs(op.push(p) - p).sum())
     return DensityEstimate(bins=op.bins, values=p * op.bins, residual=residual)
 
 

@@ -238,8 +238,12 @@ def expand_word(rules: Sequence[SubstitutionRule], letter: str = A) -> str:
         pass
     predicted = lengths[1 if letter == C else 0]
     if predicted > WORD_LEN_MAX:
+        # Decimal prints the same digits as str, and is not held to
+        # CPython's 4300-digit limit on int-to-str conversion
+        from decimal import Decimal
+
         raise WordBudgetError(
-            f"expansion would have {predicted} letters (budget {WORD_LEN_MAX})"
+            f"expansion would have {Decimal(predicted)} letters (budget {WORD_LEN_MAX})"
         )
     word = letter
     for rule in reversed(rules):

@@ -2,9 +2,13 @@ import contextlib
 import dataclasses
 import functools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -707,15 +711,22 @@ def test_correlation_decay():
     assert np.all(cov_c < 10 * dens.residual + 1e-12)
 
 
+class CountingMatrix(np.ndarray):
+    """A matrix view that counts the products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        CountingMatrix.products += 1
+        return other @ np.asarray(self)
+
+
 def test_correlation_decay_runs_one_product_per_step():
     # n_max steps take n_max matrix-vector products, none after the last
-    class CountingMatrix(np.ndarray):
-        products = 0
-
-        def __matmul__(self, other):
-            CountingMatrix.products += 1
-            return np.asarray(self) @ other
-
     op = build_ulam(16)
     dens = stationary_density(op, tol=1e-10)
     counted = dataclasses.replace(op, matrix=op.matrix.view(CountingMatrix))
@@ -725,6 +736,116 @@ def test_correlation_decay_runs_one_product_per_step():
         cov = correlation_decay(f, f, counted, n_max, density=dens)
         assert CountingMatrix.products == n_max
         assert cov.tobytes() == correlation_decay(f, f, op, n_max, density=dens).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the Half rows of the power iteration's products
+
+@pytest.mark.parametrize("bins", [2, 6, 64, 510, 1022, 2048])
+def test_half_rows_hold_one_exact_one(bins):
+    # row i >= B/2 is the Half branch alone: 1.0 at column B-1-i, zeros
+    # elsewhere.  `push` reads those rows as that copy and never looks at
+    # them, so a branch written there must fail here
+    half = build_ulam(bins).matrix[bins // 2 :]
+    rows = np.arange(bins // 2)
+    assert (half[rows, bins // 2 - 1 - rows] == 1.0).all()
+    assert np.count_nonzero(half) == bins // 2
+
+
+def test_push_is_the_dense_product():
+    # bit for bit, on vectors of every sign and scale, at every even bin
+    # count to 300 and around 512, 1024, 2048 and 4096: on both sides of
+    # the multiples of 8 that `push` splits at
+    rng = np.random.default_rng(35)
+    for bins in [*range(2, 301, 2), 510, 512, 514, 1022, 1024, 1026,
+                 2046, 2048, 2050, 4094, 4096]:
+        op = build_ulam(bins)
+        for p in (rng.random(bins),
+                  rng.standard_normal(bins) * 10.0 ** rng.integers(-8, 8, bins)):
+            assert op.push(p).tobytes() == (p @ op.matrix).tobytes(), bins
+
+
+# OpenBLAS threads a matrix-vector product only above a size threshold
+# (about B * B >= 460,800 on the build measured), so from about 682 to 958
+# bins it threads `p @ matrix` but not push's half-size product.  There push
+# has the bits of the dense product under one BLAS thread, which differ from
+# those under two at bin counts that are not multiples of 8
+THREADING_BAND_BINS = (682, 700, 702, 958)
+
+ONE_THREAD_PRODUCTS = """
+import numpy as np
+from gaprenorm.measure import build_ulam
+for bins in %r:
+    p = np.random.default_rng(bins).random(bins)
+    print((p @ build_ulam(bins).matrix).tobytes().hex())
+""" % (THREADING_BAND_BINS,)
+
+
+def test_push_in_the_threading_band_is_a_dense_product():
+    # push equals the dense product at this process's BLAS thread count, or
+    # at one thread where only the dense product would run threaded
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(measure.__file__).parents[1])}
+    one_thread = subprocess.run([sys.executable, "-c", ONE_THREAD_PRODUCTS], env=env,
+                                check=True, capture_output=True, text=True).stdout.split()
+    assert len(one_thread) == len(THREADING_BAND_BINS)
+    for bins, reference in zip(THREADING_BAND_BINS, one_thread):
+        op = build_ulam(bins)
+        p = np.random.default_rng(bins).random(bins)
+        here = (p @ op.matrix).tobytes().hex()
+        assert op.push(p).tobytes().hex() in (here, reference), bins
+
+
+def _dense_power_iteration(op, tol):
+    # `stationary_density` with dense products: the reference for its bits
+    M = op.matrix
+    p = np.full(op.bins, 1.0 / op.bins)
+    for step in range(1, measure.MAX_POWER_STEPS + 1):
+        q = p @ M
+        gap = float(np.abs(q - p).sum())
+        p = q
+        if gap <= tol:
+            break
+    p /= p.sum()
+    residual = float(np.abs(p @ M - p).sum())
+    return p * op.bins, residual, step
+
+
+def _dense_correlation(f, g, op, n_max, density):
+    # `correlation_decay` with the products written out
+    pi = density.values / op.bins
+    pi = pi / pi.sum()
+    ef, eg = float(pi @ f), float(pi @ g)
+    out, gv = [], g.astype(np.float64)
+    for n in range(n_max + 1):
+        if n:
+            gv = op.matrix @ gv
+        out.append(abs(float(pi @ (f * gv)) - ef * eg))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("bins", [64, 512, 1022, 2048])
+def test_power_iteration_matches_the_dense_loop(bins):
+    op = build_ulam(bins)
+    dens = stationary_density(op, tol=1e-10)
+    values, residual, _ = _dense_power_iteration(op, 1e-10)
+    assert dens.values.tobytes() == values.tobytes()
+    assert dens.residual.hex() == residual.hex()
+    f = (np.arange(bins) >= bins // 4) & (np.arange(bins) < 3 * bins // 4)
+    g = np.arange(bins) >= bins // 2
+    cov = correlation_decay(f, g, op, 30, density=dens)
+    assert cov.tobytes() == _dense_correlation(f, g, op, 30, dens).tobytes()
+
+
+def test_stationary_density_runs_one_product_per_step():
+    # each step takes one product, and the residual one more
+    for bins in (16, 64, 130):
+        op = build_ulam(bins)
+        counted = dataclasses.replace(op, matrix=op.matrix.view(CountingMatrix))
+        CountingMatrix.products = 0
+        dens = stationary_density(counted, tol=1e-10)
+        assert CountingMatrix.products == _dense_power_iteration(op, 1e-10)[2] + 1
+        assert dens.values.tobytes() == stationary_density(op, tol=1e-10).values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -440,6 +440,24 @@ def test_expand_word_refuses_in_small_memory():
     assert peak < 1_000_000, peak
 
 
+def test_expand_word_refusal_prints_past_the_digit_limit():
+    # a library caller keeps CPython's 4300-digit limit on int-to-str
+    # conversion, which the CLI lifts; the refusal must still print the
+    # length, all 15,311 digits of it
+    rules = levels(parse_theta_spec("cfper:[][2]"), 20_000).rules
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        length = str(lengths_by_level(rules)[-1][0])
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(WordBudgetError) as exc:
+            expand_word(rules, A)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(length) == 15_311
+    assert str(exc.value) == f"expansion would have {length} letters (budget 100000)"
+
+
 # ---------------------------------------------------------------------------
 # the length cocycle
 
