@@ -30,9 +30,9 @@ its upper half, so a per-process memo of strip sums lets the doubled-cutoff
 bound reuse the default's strips bit for bit.
 
 The Half branch g(x) = 1 - x alone fills rows B/2 .. B-1 of the Ulam
-matrix, one exact 1.0 per row, so the power iteration's product
-(`UlamOperator.push`) and `build_ulam`'s row sums skip those rows with the
-bits kept.
+matrix, one exact 1.0 per row, so `build_ulam`'s row sums and
+`UlamOperator.push` skip those rows with the bits kept.  Both the power
+iteration and the correlation probe take their products through `push`.
 """
 
 from __future__ import annotations
@@ -176,8 +176,7 @@ class UlamOperator:
     Every output stays in the one call, so the threads share them out as
     in the dense product, except where OpenBLAS threads only the larger
     product (682 to 958 bins on the build measured): there push has the
-    one-thread bits.  `matrix @ g` gets no split: there the rows are the
-    outputs, and dropping some moves the thread boundaries and the bits.
+    one-thread bits.
     """
 
     bins: int
@@ -645,12 +644,6 @@ def integral_log_norm(density: DensityEstimate) -> float:
 # correlation decay under the discretized dynamics
 
 
-def _observable(bins: int, spec) -> np.ndarray:
-    arr = np.zeros(bins)
-    arr[np.asarray(spec)] = 1.0
-    return arr
-
-
 def correlation_decay(
     f_bins,
     g_bins,
@@ -658,17 +651,22 @@ def correlation_decay(
     n_max: int,
     density: DensityEstimate,
 ) -> np.ndarray:
-    """|cov(f, g after n steps)| for indicator observables on bin sets."""
-    f = _observable(op.bins, f_bins)
-    g = _observable(op.bins, g_bins)
+    """|cov(f, g after n steps)| for indicator observables on bin sets.
+
+    The measure is pushed forward rather than g pulled back:
+    cov_n = <(pi 1_f) P^n, 1_g> - E f E g, with pi the stationary
+    probability vector, so each step is one `push` from pi on f's bins.
+    """
     pi = density.values / op.bins
     pi = pi / pi.sum()
-    ef = float(pi @ f)
-    eg = float(pi @ g)
+    q = np.zeros(op.bins)
+    q[f_bins] = pi[f_bins]
+    g = np.zeros(op.bins, dtype=bool)
+    g[g_bins] = True  # a bin listed twice is still one bin of the set
+    ef_eg = q.sum() * pi[g].sum()
     out = np.empty(n_max + 1)
-    gv = g.astype(np.float64)
     for n in range(n_max + 1):
         if n:
-            gv = op.matrix @ gv
-        out[n] = abs(float(pi @ (f * gv)) - ef * eg)
+            q = op.push(q)
+        out[n] = abs(q[g].sum() - ef_eg)
     return out
