@@ -163,17 +163,23 @@ def readme_lines(tree: Path) -> list[str]:
     return out.splitlines()
 
 
-def readme_run(tree: Path) -> dict:
-    times = {}
-    for name, code in (("python -c pass", "pass"),
-                       ("import gaprenorm", "import gaprenorm"),
-                       ("import gaprenorm.measure", "import gaprenorm.measure")):
-        times[name] = run(tree, [sys.executable, "-c", code])[0]
+def readme_figures(trees: list[Path], repeats: int, estimator: str) -> list[dict]:
+    """Each README command line, and interpreter start-up, end to end; the
+    trees alternate line by line, so that host drift reaches them alike."""
+    cmds = [{"python -c pass": ["-c", "pass"],
+             "import gaprenorm": ["-c", "import gaprenorm"],
+             "import gaprenorm.measure": ["-c", "import gaprenorm.measure"],
+             **{f"gaprenorm {line}": ["-m", "gaprenorm.cli", *line.split()]
+                for line in readme_lines(t)}} for t in trees]
+    out = [{} for _ in trees]
     with tempfile.TemporaryDirectory() as cwd:
-        for line in readme_lines(tree):
-            times[f"gaprenorm {line}"] = run(
-                tree, [sys.executable, "-m", "gaprenorm.cli", *line.split()], Path(cwd))[0]
-    return times
+        for name in dict.fromkeys(n for c in cmds for n in c):
+            have = [i for i, c in enumerate(cmds) if name in c]
+            runs = alternating([trees[i] for i in have], repeats, lambda t: run(
+                t, [sys.executable, *cmds[trees.index(t)][name]], Path(cwd))[0])
+            for i, r in zip(have, runs):
+                out[i][name] = figure(r, "s", estimator)
+    return out
 
 
 def slope(xs, ys) -> float:
@@ -216,7 +222,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", nargs="+", type=Path, required=True)
     parser.add_argument("--runs", type=int, default=10,
                         help="benchmark runs per tree, workload and seed")
-    parser.add_argument("--repeats", type=int, default=3,
+    parser.add_argument("--repeats", type=int, default=5,
                         help="runs per tree of every other figure")
     parser.add_argument("--seconds", type=float, default=8.0)
     args = parser.parse_args(argv)
@@ -249,8 +255,9 @@ def main(argv=None) -> int:
     for rec, r in zip(records, alternating(trees, args.repeats, lambda t: run(t, tier1))):
         rec["tests"] = {"tier1": figure([s for s, _ in r], "s", f"{' '.join(tier1[1:])}, {est}"),
                         "result": r[0][1].splitlines()[-1]}
-    for rec, r in zip(records, alternating(trees, args.repeats, readme_run)):
-        rec["readme"] = by_key(r, "s", f"end to end in a fresh process, {est}")
+    for rec, r in zip(records, readme_figures(trees, args.repeats,
+                                              f"end to end in a fresh process, {est}")):
+        rec["readme"] = r
     sweep = alternating(trees, args.repeats,
                         lambda t: json.loads(run(t, [sys.executable, "-c", SWEEP])[1]))
     for rec, r in zip(records, sweep):
