@@ -875,12 +875,13 @@ def test_correlation_decay_is_the_koopman_covariance(bins):
     assert np.abs(cov - koopman).max() <= 1e-15
 
 
-@pytest.mark.parametrize("bins", [6, 64, 510, 1022, 2048])
+@pytest.mark.parametrize("bins", [10, 64, 510, 1022, 2048])
 def test_no_product_reads_the_half_rows(bins):
     # NaN in every row `push` hands to its own copy (from k on) must reach
-    # neither the density, nor its residual, nor the correlations
+    # neither the density, nor its residual, nor the correlations; at 10
+    # bins, the smallest count with k < B, that is rows 8 and 9
     op = build_ulam(bins)
-    k = min(bins, -(-bins // 16) * 8)
+    k = -(-bins // 16) * 8
     planted = op.matrix.copy()
     planted[k:] = np.nan
     nan_op = dataclasses.replace(op, matrix=planted)

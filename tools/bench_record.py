@@ -1,17 +1,20 @@
-"""Record the performance figures of one or more checkouts as BENCH_<n>.json.
+"""Record the performance figures of a parent and a change as BENCH_1.json
+and BENCH_2.json, in the current directory.
 
-    python3 tools/bench_record.py PARENT CHANGE --out BENCH_1.json BENCH_2.json
+    python3 tools/bench_record.py PARENT CHANGE
 
 Each tree is a git clone of the repository (the benchmark stamps its
 version with `git describe`).  Give the trees at paths of equal length.
-Every figure is measured on all trees in turn, and the order alternates
+Every figure is measured on both trees in turn, and the order alternates
 from one repetition to the next, so host drift reaches each tree alike.
 Like `benchmarks/run.py`, the script pins itself, and so every process it
 starts, to one CPU, and runs BLAS on one thread.  Written per tree, with
 the same keys in each file:
 
-- `machine`: commit, nproc, and the Python, numpy and scipy versions;
-- `workloads`: `benchmarks/run.py --seconds S --trace 0` at seeds 1-3 of
+- `machine`: the machine facts of a benchmark run record (nproc, the
+  Python, numpy and scipy versions, `git describe`), the commit, and the
+  hash and line count of `src/gaprenorm`;
+- `workloads`: `benchmarks/run.py --seconds 8 --trace 0` at seeds 1-3 of
   each workload, every end-to-end metric scaled, the unscaled `wall_s` and
   `setup_s`, and the digest;
 - `layers`: the per-layer metrics of one `--trace 1` run per workload at
@@ -23,9 +26,10 @@ the same keys in each file:
   bins in one process, with the log-log slope of each.
 
 Each figure is {"value", "unit", "estimator", "runs"}: `value` is the
-median of `runs`, one per repetition.  With two trees, a summary of the
-second against the first is printed: the medians, the first tree's
-interquartile range, and how many alternating pairs the second won.
+median of `runs`, one per repetition: RUNS per workload and seed, REPEATS
+for every other figure.  A summary of the change against the parent is
+printed: the medians, the parent's interquartile range, and how many
+alternating pairs the change won.
 """
 
 from __future__ import annotations
@@ -33,22 +37,26 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
-from importlib.metadata import version
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "benchmarks"), str(ROOT / "src")]
+from sweeps import loglog_slope  # noqa: E402
 
 WORKLOADS = ("deep-rational", "periodic-orbit", "transfer-operator")
 SEEDS = (1, 2, 3)
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
             "MKL_NUM_THREADS": "1"}
 SWEEP_BINS = (256, 512, 1024, 2048, 4096)
+RUNS = 10  # benchmark runs per tree, workload and seed
+REPEATS = 5  # runs per tree of every other figure
+SECONDS = 8.0  # benchmarks/run.py --seconds
 
 SWEEP = """
 import json, time
@@ -88,19 +96,15 @@ def git(tree: Path, *args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def machine(tree: Path) -> dict:
+def machine(tree: Path, run_record: dict) -> dict:
+    """A benchmark run's record of the machine, with what it lacks: the
+    commit and the hash and line count of the package source."""
     src = sorted((tree / "src" / "gaprenorm").glob("*.py"))
     return {
+        **run_record,
         "commit": git(tree, "rev-parse", "HEAD"),
-        "describe": git(tree, "describe", "--always", "--dirty"),
         "src_sha256": hashlib.sha256(b"".join(p.read_bytes() for p in src)).hexdigest(),
         "src_lines": sum(p.read_text().count("\n") for p in src),
-        "nproc": os.cpu_count(),
-        "pinned_cpu": max(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "scipy": version("scipy"),
-        "blas": " ".join(f"{k}={v}" for k, v in BLAS_ENV.items()),
     }
 
 
@@ -120,9 +124,9 @@ def alternating(trees: list[Path], repeats: int, measure) -> list[list]:
     return results
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench_run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     _, out = run(tree, [sys.executable, "benchmarks/run.py", "--workload", workload,
-                        "--seed", str(seed), "--seconds", str(seconds),
+                        "--seed", str(seed), "--seconds", str(SECONDS),
                         "--trace", str(trace)])
     last = json.loads(out.splitlines()[-1])
     if last["failed"]:
@@ -134,7 +138,7 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     if not trace:
         metrics["raw_wall_s"] = (res["raw_wall_s"], "s")
         metrics["raw_setup_s"] = (statistics.median(record["setup_s"]["raw_s"]), "s")
-    return {"metrics": metrics, "digest": res["digest"],
+    return {"metrics": metrics, "digest": res["digest"], "record": record["record"],
             "attempted": last["attempted"], "failed": last["failed"]}
 
 
@@ -163,7 +167,7 @@ def readme_lines(tree: Path) -> list[str]:
     return out.splitlines()
 
 
-def readme_figures(trees: list[Path], repeats: int, estimator: str) -> list[dict]:
+def readme_figures(trees: list[Path], estimator: str) -> list[dict]:
     """Each README command line, and interpreter start-up, end to end; the
     trees alternate line by line, so that host drift reaches them alike."""
     cmds = [{"python -c pass": ["-c", "pass"],
@@ -175,18 +179,11 @@ def readme_figures(trees: list[Path], repeats: int, estimator: str) -> list[dict
     with tempfile.TemporaryDirectory() as cwd:
         for name in dict.fromkeys(n for c in cmds for n in c):
             have = [i for i, c in enumerate(cmds) if name in c]
-            runs = alternating([trees[i] for i in have], repeats, lambda t: run(
+            runs = alternating([trees[i] for i in have], REPEATS, lambda t: run(
                 t, [sys.executable, *cmds[trees.index(t)][name]], Path(cwd))[0])
             for i, r in zip(have, runs):
                 out[i][name] = figure(r, "s", estimator)
     return out
-
-
-def slope(xs, ys) -> float:
-    lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
-    mx, my = statistics.mean(lx), statistics.mean(ly)
-    return (sum((a - mx) * (b - my) for a, b in zip(lx, ly))
-            / sum((a - mx) ** 2 for a in lx))
 
 
 def by_key(runs: list[dict], unit: str, estimator: str) -> dict:
@@ -199,74 +196,65 @@ def sweep_figures(runs: list[dict]) -> dict:
         per_bins = {b: figure([r[str(b)][col] for r in runs], "s",
                               "one call in a fresh process, one CPU")
                     for b in SWEEP_BINS}
-        out[name] = {"bins": per_bins,
-                     "loglog_slope": slope(SWEEP_BINS, [f["value"] for f in per_bins.values()])}
+        out[name] = {"bins": per_bins, "loglog_slope": loglog_slope(
+            SWEEP_BINS, [f["value"] for f in per_bins.values()])}
     return out
 
 
-def summary(first: dict, other: dict, label: str) -> None:
-    for wl, seeds in first["workloads"].items():
+def summary(parent: dict, change: dict) -> None:
+    for wl, seeds in parent["workloads"].items():
         for seed, fig in seeds.items():
             for name, a in fig["metrics"].items():
-                b = other["workloads"][wl][seed]["metrics"][name]
-                q = statistics.quantiles(a["runs"], n=4) if len(a["runs"]) > 1 else [0, 0, 0]
+                b = change["workloads"][wl][seed]["metrics"][name]
+                q = statistics.quantiles(a["runs"], n=4)
                 wins = sum(y < x for x, y in zip(a["runs"], b["runs"]))
-                print(f"{label} {wl} seed {seed} {name}: {a['value']:.6g} -> "
+                print(f"{wl} seed {seed} {name}: {a['value']:.6g} -> "
                       f"{b['value']:.6g} ({b['value'] / a['value'] - 1:+.1%}), "
-                      f"first IQR {q[2] - q[0]:.3g}, lower {wins}/{len(a['runs'])}")
+                      f"parent IQR {q[2] - q[0]:.3g}, lower {wins}/{len(a['runs'])}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("trees", nargs="+", type=Path)
-    parser.add_argument("--out", nargs="+", type=Path, required=True)
-    parser.add_argument("--runs", type=int, default=10,
-                        help="benchmark runs per tree, workload and seed")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="runs per tree of every other figure")
-    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
-    trees = [t.resolve() for t in args.trees]
-    if len(args.out) != len(trees):
-        parser.error("give one --out file per tree")
-    if len({len(str(t)) for t in trees}) != 1:
+    trees = [args.parent.resolve(), args.change.resolve()]
+    if len(str(trees[0])) != len(str(trees[1])):
         parser.error("the trees' paths differ in length")
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     one_cpu = "one CPU, one BLAS thread"
 
-    records = [{"machine": machine(t), "load_before": os.getloadavg(),
-                "workloads": {}, "layers": {}} for t in trees]
+    records = [{"load_before": os.getloadavg(), "workloads": {}, "layers": {}}
+               for _ in trees]
     for wl in WORKLOADS:
         for seed in SEEDS:
-            runs = alternating(trees, args.runs,
-                               lambda t: bench_run(t, wl, seed, args.seconds, 0))
-            est = f"benchmarks/run.py --seconds {args.seconds:g}, alternating pairs"
-            for rec, r in zip(records, runs):
+            runs = alternating(trees, RUNS, lambda t: bench_run(t, wl, seed, 0))
+            est = f"benchmarks/run.py --seconds {SECONDS:g}, alternating pairs"
+            for tree, rec, r in zip(trees, records, runs):
+                rec.setdefault("machine", machine(tree, r[0]["record"]))
                 rec["workloads"].setdefault(wl, {})[str(seed)] = workload_figures(r, est)
-        runs = alternating(trees, 1, lambda t: bench_run(t, wl, 1, args.seconds, 1))
+        runs = alternating(trees, 1, lambda t: bench_run(t, wl, 1, 1))
         for rec, r in zip(records, runs):
             rec["layers"][wl] = {k: {"value": v, "unit": u, "estimator": "one --trace 1 run"}
                                  for k, (v, u) in r[0]["metrics"].items()}
     est = f"{one_cpu}, alternating trees"
-    for rec, r in zip(records, alternating(trees, args.repeats, verify_run)):
+    for rec, r in zip(records, alternating(trees, REPEATS, verify_run)):
         rec["verify"] = by_key(r, "s", f"verify --json in a fresh process, {est}")
     tier1 = [sys.executable, "-m", "pytest", "-q", "-W", "error::RuntimeWarning",
              "--continue-on-collection-errors", "-p", "no:cacheprovider"]
-    for rec, r in zip(records, alternating(trees, args.repeats, lambda t: run(t, tier1))):
+    for rec, r in zip(records, alternating(trees, REPEATS, lambda t: run(t, tier1))):
         rec["tests"] = {"tier1": figure([s for s, _ in r], "s", f"{' '.join(tier1[1:])}, {est}"),
                         "result": r[0][1].splitlines()[-1]}
-    for rec, r in zip(records, readme_figures(trees, args.repeats,
-                                              f"end to end in a fresh process, {est}")):
+    for rec, r in zip(records, readme_figures(trees, f"end to end in a fresh process, {est}")):
         rec["readme"] = r
-    sweep = alternating(trees, args.repeats,
+    sweep = alternating(trees, REPEATS,
                         lambda t: json.loads(run(t, [sys.executable, "-c", SWEEP])[1]))
     for rec, r in zip(records, sweep):
         rec["sweep"] = sweep_figures(r)
-    for rec, out in zip(records, args.out):
+    for n, rec in enumerate(records, 1):
         rec["load_after"] = os.getloadavg()
-        out.write_text(json.dumps(rec, indent=1) + "\n")
-    for i, rec in enumerate(records[1:], 1):
-        summary(records[0], rec, f"tree {i} vs tree 0:")
+        Path(f"BENCH_{n}.json").write_text(json.dumps(rec, indent=1) + "\n")
+    summary(*records)
     return 0
 
 
