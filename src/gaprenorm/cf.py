@@ -119,7 +119,7 @@ def cf_normalize(quotients: Iterable[int], period: Iterable[int] = ()) -> CFExpa
     pre = list(quotients)
     per = list(period)
     for a in pre + per:
-        if not isinstance(a, int) or a < 1:
+        if isinstance(a, bool) or not isinstance(a, int) or a < 1:
             raise ValueError(f"quotients must be integers >= 1, got {a!r}")
     if per:
         # reduce to the primitive repeating block
@@ -612,13 +612,16 @@ def parse_theta_spec(spec: str) -> CFExpansion:
     spec = spec.strip()
     m = _RAT_RE.match(spec)
     if m:
+        if int(m.group(2)) == 0:
+            raise ValueError(f"theta spec {spec!r} has a zero denominator")
         return rational_to_cf(Fraction(int(m.group(1)), int(m.group(2))))
-    m = _CF_RE.match(spec)
+    m = _CF_RE.match(spec) or _CFPER_RE.match(spec)
     if m:
-        return cf_normalize(_parse_ints(m.group(1)))
-    m = _CFPER_RE.match(spec)
-    if m:
-        return cf_normalize(_parse_ints(m.group(1)), _parse_ints(m.group(2)))
+        try:
+            parts = [_parse_ints(group) for group in m.groups()]
+        except ValueError:
+            raise ValueError(f"cannot read the quotients of theta spec {spec!r}") from None
+        return cf_normalize(*parts)
     if re.match(r"^(dec:)?[0-9]*\.[0-9]+", spec):
         raise ValueError(
             f"decimal theta {spec!r} is ambiguous; pass rat:p/q or use the CLI "

@@ -40,7 +40,7 @@ def _resolve_theta_spec(spec: str, den_bound: int | None) -> str:
         raise ValueError("--den-bound must be at least 2")
     try:
         value = Fraction(spec[4:])
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot read decimal {spec[4:]!r}") from exc
     if not 0 < value < 1:
         raise ValueError("decimal theta must lie strictly between 0 and 1")

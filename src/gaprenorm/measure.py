@@ -100,16 +100,9 @@ def _scatter_increasing(P: np.ndarray, bins: int, j: np.ndarray, branch) -> None
         np.add.at(P, (i1, c0 + split), (x[1:][split] - edge) * bins)
 
 
-# branches (or strip remainders) per block: blocks of 64 or 256 were no
-# faster, and they raised the peak memory of a 512-bin build by 0.9 or 3 MB
+# branches per block: blocks of 64 or 256 were no faster, and they raised
+# the peak memory of a 512-bin build by 0.9 or 3 MB
 RUN_MAX = 16
-
-
-def _add_rows(row: np.ndarray, block: np.ndarray) -> None:
-    # one addition per cell per block row, in row order; np.add.reduce would
-    # regroup the sum (pairwise) and change the bits
-    for v in block:
-        row += v
 
 
 def _scatter_branches(P: np.ndarray, bins: int, j: np.ndarray, mats: np.ndarray) -> None:
@@ -134,21 +127,12 @@ def _scatter_branches(P: np.ndarray, bins: int, j: np.ndarray, mats: np.ndarray)
         while e < len(mats) and e - s < RUN_MAX and r0[e] == r1[e] == r0[s]:
             e += 1
         x = (a[s:e] * j + b[s:e] * bins) / (c[s:e] * j + d[s:e] * bins)
-        _add_rows(P[r0[s], cols], (x[:, 1:] - x[:, :-1]) * bins)
+        row = P[r0[s], cols]
+        # one addition per cell per block row, in row order; np.add.reduce
+        # would regroup the sum (pairwise) and change the bits
+        for v in (x[:, 1:] - x[:, :-1]) * bins:
+            row += v
         s = e
-
-
-def _add_strip_tails(row: np.ndarray, bins: int, edges: np.ndarray, tails) -> None:
-    # the m > M remainders of the a1 = 2n strips in `tails` (pairs (n, M), in
-    # n order), all in this source row: per column (1/4n^2)[psi(M+1+d+e) -
-    # psi(M+1+c+e)] with e = 1/(2n); digamma is elementwise, so one 2-D call
-    # gives each row the bits of its own call
-    from scipy.special import digamma
-
-    shift = np.array([M + 1 + 1.0 / (2 * n) for n, M in tails])
-    scale = np.array([bins / (4.0 * n * n) for n, _ in tails])
-    psi = digamma(shift[:, None] + edges)
-    _add_rows(row, (psi[:, 1:] - psi[:, :-1]) * scale[:, None])
 
 
 def _even_fit_m(bins: int, n: int) -> tuple[int, int]:
@@ -205,20 +189,18 @@ def build_ulam(bins: int) -> UlamOperator:
     (the tail cells all land in a single known source bin).  Rows are checked
     against ROW_DEFECT_LIMIT before the final renormalization.
 
-    Most branches (and most strip remainders) land in a single source row,
-    and consecutive ones of one row are added as a block of at most RUN_MAX
-    rows (`_scatter_branches`, `_add_strip_tails`).  The block holds the
-    same elementwise values as the per-branch calls, and its rows are added
-    into the matrix row one at a time in enumeration order, so every cell
-    receives the same float additions in the same order and the matrix has
-    the bits of branch-by-branch assembly.  Summing a block with
-    np.add.reduce(axis=0) instead would not: numpy adds narrow rows
-    pairwise, which changes the bits (it does at 2 bins).  Only branches
+    Most branches land in a single source row, and consecutive ones of one
+    row are added as a block of at most RUN_MAX rows (`_scatter_branches`).
+    The block holds the same elementwise values as the per-branch calls, and
+    its rows are added into the matrix row one at a time in enumeration
+    order, so every cell receives the same float additions in the same order
+    and the matrix has the bits of branch-by-branch assembly.  Only branches
     whose image crosses a bin edge go through `_scatter_increasing` one by
     one; it adds each run of columns that land in one row as one slice of
     that row, and the parts of the split columns past the row edge by
     index.  No cell gets two additions from one branch, so this too keeps
-    the bits.
+    the bits.  Each strip's m > M remainder is added right after its
+    strip's branches.
     """
     if bins < 2 or bins % 2:
         raise ValueError("bins must be even and at least 2")
@@ -240,19 +222,15 @@ def build_ulam(bins: int) -> UlamOperator:
 
     j_full = np.arange(B + 1, dtype=np.int64)
     edges = j_full / B
-    tails, row = [], 0  # strip remainders not yet added, all in source row `row`
     for n in range(1, L + 1):
         M, i_star = _even_fit_m(B, n)
-        if tails and (M or i_star != row or len(tails) == RUN_MAX):
-            _add_strip_tails(P[row], B, edges, tails)
-            tails = []
         if M:
             even = [branch_matrix(2 * n, m) for m in range(1, M + 1)]
             _scatter_branches(P, B, j_full, np.array(even, dtype=np.int64))
-        # the m > M remainder follows its strip's branches, in n order
-        tails.append((n, M))
-        row = i_star
-    _add_strip_tails(P[row], B, edges, tails)
+        # the m > M remainder: (1/4n^2)[psi(M+1+e+d) - psi(M+1+e+c)] per
+        # column (c, d), e = 1/(2n), all in source row i_star
+        psi = digamma(M + 1 + 1.0 / (2 * n) + edges)
+        P[i_star] += (psi[1:] - psi[:-1]) * (B / (4.0 * n * n))
 
     # odd k > L: cells sit inside (0, 1/(2L+3)), i.e. in bin 0 since L >= B
     arg = L + 1 + B / (2.0 * j_half)

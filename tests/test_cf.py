@@ -71,7 +71,8 @@ def test_parse_grammar():
     assert cf.preperiod == (1,) and cf.period == (2, 3)
     assert parse_theta_spec("cfper:[][2]").period == (2,)
     for bad in ("cf:[0,2]", "rat:7/3", "rat:0/5", "cf:[2.5]", "dec:0.3",
-                "cf:[]", "rat:3/7 extra", "cfper:[2][]"):
+                "cf:[]", "rat:3/7 extra", "cfper:[2][]", "rat:1/0", "rat:0/0",
+                "cf:[2,,3]", "cfper:[2][3,x]"):
         with pytest.raises(ValueError):
             parse_theta_spec(bad)
 
@@ -118,6 +119,11 @@ def test_outside_input_is_validated_once():
         cf_normalize([], [0])
     with pytest.raises(ValueError):
         cf_normalize([2, 0, 3])
+    # a bool is not a quotient, as in ExperimentConfig: cf:[True,2] would
+    # not parse back
+    for pre, per in (([True, 2], []), ([2], [False])):
+        with pytest.raises(ValueError):
+            cf_normalize(pre, per)
     with pytest.raises(ValueError):
         rational_to_cf(Fraction(1))
 

@@ -310,6 +310,10 @@ BAD_RUNS = [
     ("boundedpq", "--x0", "1/0"),
     ("boundedpq", "--x0", "abc"),
     ("word", "--theta", "cfper:[][2]", "--level", "9"),
+    ("traj", "--theta", "rat:1/0"),
+    ("traj", "--theta", "rat:0/0"),
+    ("traj", "--theta", "dec:1/0", "--den-bound", "10"),
+    ("traj", "--theta", "cf:[2,,3]"),
 ]
 # the message of a bad flag value names the flag and the value; that of a
 # size past a budget names the size and the budget
@@ -325,6 +329,12 @@ BAD_VALUE_MESSAGES = {
         "error: orbit length 100000000 exceeds the budget of 10000000",
     ("khinchin", "--n-max", "50"):
         "error: the default window (100, 50) needs n_max >= 100; pass --window",
+    ("traj", "--theta", "rat:1/0"): "error: theta spec 'rat:1/0' has a zero denominator",
+    ("traj", "--theta", "rat:0/0"): "error: theta spec 'rat:0/0' has a zero denominator",
+    ("traj", "--theta", "dec:1/0", "--den-bound", "10"):
+        "error: cannot read decimal '1/0'",
+    ("traj", "--theta", "cf:[2,,3]"):
+        "error: cannot read the quotients of theta spec 'cf:[2,,3]'",
 }
 
 

@@ -261,8 +261,28 @@ def test_even_fit_m_matches_search():
             assert measure._even_fit_m(bins, n) == _even_fit_m_by_search(bins, n)
 
 
+def _scatter_by_masks(P, bins, j, branch):
+    """Oracle: `_scatter_increasing` as three masked np.add.at calls."""
+    a, b, c, d = branch
+    num, den, cols = a * j + b * bins, c * j + d * bins, j[:-1]
+    x = num / den
+    ib = (num * bins) // den
+    i0, i1 = ib[:-1], ib[1:]
+    left, right = x[:-1], x[1:]
+    same = i1 == i0
+    np.add.at(P, (i0[same], cols[same]), (right[same] - left[same]) * bins)
+    split = ~same
+    edge = i1[split] / bins
+    np.add.at(P, (i0[split], cols[split]), (edge - left[split]) * bins)
+    np.add.at(P, (i1[split], cols[split]), (right[split] - edge) * bins)
+
+
 def _build_ulam_by_branch(bins):
-    """Oracle: the Ulam matrix assembled one branch and one strip tail at a time."""
+    """Oracle: the Ulam matrix assembled one branch and one strip tail at a time.
+
+    Branches go through `_scatter_by_masks`, not `measure._scatter_increasing`,
+    so a fault in the run slices shows here too.
+    """
     from scipy.special import digamma, polygamma, zeta
 
     B = bins
@@ -271,13 +291,13 @@ def _build_ulam_by_branch(bins):
     P[np.arange(B - 1, B // 2 - 1, -1), np.arange(B // 2)] += 1.0
     j_half = np.arange(B // 2, B + 1, dtype=np.int64)
     for k in range(1, L + 1):
-        measure._scatter_increasing(P, B, j_half, cf.branch_matrix(2 * k + 1))
+        _scatter_by_masks(P, B, j_half, cf.branch_matrix(2 * k + 1))
     j_full = np.arange(B + 1, dtype=np.int64)
     edges = j_full / B
     for n in range(1, L + 1):
         M, i_star = measure._even_fit_m(B, n)
         for m in range(1, M + 1):
-            measure._scatter_increasing(P, B, j_full, cf.branch_matrix(2 * n, m))
+            _scatter_by_masks(P, B, j_full, cf.branch_matrix(2 * n, m))
         eps = 1.0 / (2 * n)
         psi = digamma(M + 1 + eps + edges)
         P[i_star, :] += (psi[1:] - psi[:-1]) * (B / (4.0 * n * n))
@@ -296,7 +316,7 @@ def _build_ulam_by_branch(bins):
     return P
 
 
-@pytest.mark.parametrize("bins", [2, 6, 64, 128, 512])
+@pytest.mark.parametrize("bins", [2, 6, 64, 128, 512, 1024, 2048])
 def test_build_ulam_matches_branch_by_branch(bins):
     assert build_ulam(bins).matrix.tobytes() == _build_ulam_by_branch(bins).tobytes()
 
@@ -305,22 +325,6 @@ def test_build_ulam_matches_branch_by_branch(bins):
 @given(st.integers(1, 128).map(lambda half: 2 * half))
 def test_build_ulam_matches_branch_by_branch_sweep(bins):
     assert build_ulam(bins).matrix.tobytes() == _build_ulam_by_branch(bins).tobytes()
-
-
-def _scatter_by_masks(P, bins, j, branch):
-    """Oracle: `_scatter_increasing` as three masked np.add.at calls."""
-    a, b, c, d = branch
-    num, den, cols = a * j + b * bins, c * j + d * bins, j[:-1]
-    x = num / den
-    ib = (num * bins) // den
-    i0, i1 = ib[:-1], ib[1:]
-    left, right = x[:-1], x[1:]
-    same = i1 == i0
-    np.add.at(P, (i0[same], cols[same]), (right[same] - left[same]) * bins)
-    split = ~same
-    edge = i1[split] / bins
-    np.add.at(P, (i0[split], cols[split]), (edge - left[split]) * bins)
-    np.add.at(P, (i1[split], cols[split]), (right[split] - edge) * bins)
 
 
 @pytest.mark.parametrize("bins", [2, 6, 64, 512, 2048])
