@@ -44,8 +44,11 @@ def _resolve_theta_spec(spec: str, den_bound: int | None) -> str:
         raise ValueError(f"cannot read decimal {spec[4:]!r}") from exc
     if not 0 < value < 1:
         raise ValueError("decimal theta must lie strictly between 0 and 1")
-    value = value.limit_denominator(den_bound)
-    return f"rat:{value.numerator}/{value.denominator}"
+    rounded = value.limit_denominator(den_bound)
+    if not 0 < rounded < 1:
+        raise ValueError(f"decimal {spec[4:]!r} rounds to {rounded} at "
+                         f"--den-bound {den_bound}; raise the bound")
+    return f"rat:{rounded.numerator}/{rounded.denominator}"
 
 
 def _add_theta(parser: argparse.ArgumentParser, required: bool = True) -> None:

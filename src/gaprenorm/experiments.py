@@ -12,11 +12,15 @@ scale can only show majority-of-samples behavior.
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import json
 import math
 import random
 import statistics
 import subprocess
+import sys
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache
@@ -154,11 +158,13 @@ class IteratedLogFamily:
     def F(self, t: float) -> float:
         """Cumulative integral of f from the cutoff, adaptive to 1e-8.
 
-        quad integrates `_integrand(k, epsilon)`, built once per (k, epsilon):
-        f without the cutoff test, with no loop and no power at k <= 2,
-        epsilon = 0, so it makes f's float operations in f's order.
-        Values are cached per process by (family, t), so a repeated t costs a
-        lookup; each value keeps the bits of its one quad call.
+        QUADPACK's qagse integrates `_integrand(k, epsilon)`, built once per
+        (k, epsilon): f without the cutoff test, with no loop and no power at
+        k <= 2, epsilon = 0, so it makes f's float operations in f's order.
+        It is called with the arguments `scipy.integrate.quad` would pass
+        it, so each value has quad's bits, without loading scipy.integrate
+        (see `_qagse`).  Values are cached per process by (family, t), so a
+        repeated t costs a lookup.
         """
         if t <= self.cutoff:
             return 0.0
@@ -186,12 +192,39 @@ def _integrand(k: int, epsilon: float) -> Callable[[float], float]:
 
 @cache
 def _integral(family: IteratedLogFamily, t: float) -> float:
-    """Adaptive quad of the family's integrand from just above its cutoff to t."""
-    from scipy.integrate import quad
-
+    """Adaptive qagse of the family's integrand from just above its cutoff
+    to t, as `quad(integrand, a, t, epsrel=1e-8, limit=200)` computes it:
+    quad's default epsabs, its flip of a reversed interval, and its warning
+    when QUADPACK reports an error code."""
     integrand = _integrand(family.k, family.epsilon)
-    val, _ = quad(integrand, family.cutoff * (1 + 1e-12), t, epsrel=1e-8, limit=200)
-    return val
+    a = family.cutoff * (1 + 1e-12)
+    lo, hi = min(a, t), max(a, t)
+    val, _, ier = _qagse()(integrand, lo, hi, (), 0, 1.49e-8, 1e-8, 200)
+    if ier:
+        warnings.warn(f"QUADPACK qagse error code {ier} integrating f "
+                      f"(k = {family.k}, epsilon = {family.epsilon}) to {t}",
+                      stacklevel=3)
+    return -val if t < a else val
+
+
+def _qagse() -> Callable:
+    """QUADPACK's qagse from scipy's compiled `scipy.integrate._quadpack`.
+
+    `import scipy.integrate` would also load scipy.optimize, .sparse and
+    .linalg; this loads the one extension from its file under its dotted
+    name, or takes the module a process has already imported, so both
+    import orders share one module.
+    """
+    name = "scipy.integrate._quadpack"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        spec = importlib.machinery.PathFinder.find_spec(
+            "_quadpack", [f"{d}/integrate" for d in scipy.submodule_search_locations])
+        spec.name = name
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]._qagse
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,8 @@ BAD_RUNS = [
     ("traj", "--theta", "rat:0/0"),
     ("traj", "--theta", "dec:1/0", "--den-bound", "10"),
     ("traj", "--theta", "cf:[2,,3]"),
+    ("traj", "--theta", "dec:1e-3", "--den-bound", "10"),
+    ("traj", "--theta", "dec:0.999", "--den-bound", "10"),
 ]
 # the message of a bad flag value names the flag and the value; that of a
 # size past a budget names the size and the budget
@@ -335,6 +337,10 @@ BAD_VALUE_MESSAGES = {
         "error: cannot read decimal '1/0'",
     ("traj", "--theta", "cf:[2,,3]"):
         "error: cannot read the quotients of theta spec 'cf:[2,,3]'",
+    ("traj", "--theta", "dec:1e-3", "--den-bound", "10"):
+        "error: decimal '1e-3' rounds to 0 at --den-bound 10; raise the bound",
+    ("traj", "--theta", "dec:0.999", "--den-bound", "10"):
+        "error: decimal '0.999' rounds to 1 at --den-bound 10; raise the bound",
 }
 
 
@@ -378,21 +384,24 @@ def test_emit_error_exits_1_in_a_fresh_process(tmp_path):
     assert done.stderr.startswith("error: cannot write")
 
 
-# the README's trimmed and limsup lines run with neither numpy nor scipy loaded
-NUMPY_FREE = """
+# CLI lines run in a fresh process that then must not hold the named modules
+# (comma-separated): the README's trimmed and limsup lines load neither
+# numpy nor scipy
+NOT_LOADED = """
 import sys
 from gaprenorm import cli
-for line in sys.argv[1:]:
+names, *lines = sys.argv[1:]
+for line in lines:
     assert cli.main(line.split()) == 0, line
-loaded = [name for name in ("numpy", "scipy") if name in sys.modules]
+loaded = [name for name in names.split(",") if name in sys.modules]
 assert not loaded, loaded
 """
 
 
-def _run_numpy_free(cwd, lines):
+def _run_numpy_free(cwd, lines, modules=("numpy", "scipy")):
     env = {**os.environ, "PYTHONPATH": str(Path(measure.__file__).parents[1])}
-    subprocess.run([sys.executable, "-c", NUMPY_FREE, *lines], check=True, env=env,
-                   cwd=cwd, stdout=subprocess.DEVNULL)
+    subprocess.run([sys.executable, "-c", NOT_LOADED, ",".join(modules), *lines],
+                   check=True, env=env, cwd=cwd, stdout=subprocess.DEVNULL)
 
 
 def test_trimmed_and_limsup_load_no_numpy(tmp_path):
@@ -404,6 +413,15 @@ def test_trimmed_and_limsup_load_no_numpy(tmp_path):
 def test_khinchin_loads_no_numpy(tmp_path):
     # the exceedance Monte Carlo is an experiments driver: no numpy median
     _run_numpy_free(tmp_path, ["khinchin --samples 2 --n-max 200"])
+
+
+def test_growth_loads_only_quadpacks_kernel(tmp_path):
+    # F calls QUADPACK's compiled qagse; the scipy.integrate package, which
+    # would load scipy.optimize, .sparse and .linalg, stays out
+    lines = [" ".join(argv) for argv in _readme_lines({"growth"})]
+    assert [line.split()[0] for line in lines] == ["growth"]
+    _run_numpy_free(tmp_path, lines, ("scipy.integrate", "scipy.optimize",
+                                      "scipy.sparse", "scipy.linalg"))
 
 
 def test_word_takes_no_length_flag(capsys):

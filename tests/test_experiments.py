@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +162,58 @@ def test_family_integral_cached_by_family_and_t():
     IteratedLogFamily(2, 0.0).F(50.0)  # an equal family shares the entry
     info = experiments._integral.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+
+# F's bits against scipy.integrate.quad, the reference: the families the
+# growth driver and the benchmark use, at log-spaced t up to the growth
+# budget, at 2 * cutoff (past n <= 10**4 for k = 4), and at one t in
+# (cutoff, a), where a = cutoff * (1 + 1e-12) and quad flips the interval
+ORACLE_FAMILIES = [(1, 0.0), (2, 0.0), (2, 0.5), (3, 0.0), (3, 0.5), (4, 0.0)]
+
+
+def oracle_ts(family):
+    top = experiments.GROWTH_DEPTH_MAX
+    return ([round(top ** (i / 16), 3) for i in range(17)]
+            + [2 * family.cutoff, family.cutoff * (1 + 5e-13)])
+
+
+# F in a fresh process: the kernel loaded first, or scipy.integrate imported
+# first; either way the process holds one _quadpack module
+FRESH_F = """
+import json, sys
+first = sys.argv[1]
+if first == "quad":
+    import scipy.integrate
+from gaprenorm import experiments
+sys.path[:0] = [sys.argv[2]]
+from test_experiments import ORACLE_FAMILIES, oracle_ts
+fams = [experiments.IteratedLogFamily(k, e) for k, e in ORACLE_FAMILIES]
+out = {repr(f): [f.F(t).hex() for t in oracle_ts(f)] for f in fams}
+assert ("scipy.integrate" in sys.modules) == (first == "quad"), first
+from scipy.integrate import _quadpack_py
+assert experiments._qagse() is _quadpack_py._quadpack._qagse
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("first", ["kernel", "quad"])
+def test_family_integral_has_quads_bits(first):
+    from scipy.integrate import quad
+
+    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", FRESH_F, first, str(Path(__file__).parent)],
+        check=True, capture_output=True, text=True, env=env)
+    got = json.loads(done.stdout)
+    for k, eps in ORACLE_FAMILIES:
+        family = IteratedLogFamily(k, eps)
+        integrand = experiments._integrand(k, eps)
+        want = [
+            quad(integrand, family.cutoff * (1 + 1e-12), t, epsrel=1e-8, limit=200)[0]
+            if t > family.cutoff else 0.0
+            for t in oracle_ts(family)
+        ]
+        assert got[repr(family)] == [v.hex() for v in want], (k, eps)
 
 
 def loop_f(family, x):

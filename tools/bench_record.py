@@ -21,7 +21,8 @@ the same keys in each file:
   seed 1;
 - `verify`: `gaprenorm verify --json`, end to end and per check;
 - `tests`: the Tier-1 test run, end to end;
-- `readme`: each README command line end to end, and interpreter start-up;
+- `readme`: each README command line end to end, and interpreter start-up,
+  each with its peak RSS (`ru_maxrss` of the child, from `os.wait4`);
 - `sweep`: `build_ulam` and a 30-step `correlation_decay` at 256 to 4096
   bins in one process, with the log-log slope of each.
 
@@ -83,12 +84,21 @@ def env_for(tree: Path) -> dict:
     return env
 
 
-def run(tree: Path, args: list[str], cwd: Path | None = None) -> tuple[float, str]:
-    """Run one command in a fresh process; return its wall time and stdout."""
-    t = time.perf_counter()
-    out = subprocess.run(args, cwd=cwd or tree, env=env_for(tree), check=True,
-                         capture_output=True, text=True).stdout
-    return time.perf_counter() - t, out
+def run(tree: Path, args: list[str], cwd: Path | None = None) -> tuple[float, str, float]:
+    """Run one command in a fresh process; return its wall time, its stdout
+    and its peak RSS in MB, read from os.wait4."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        t = time.perf_counter()
+        proc = subprocess.Popen(args, cwd=cwd or tree, env=env_for(tree),
+                                stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - t
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, args, out.read(), err.read())
+        return seconds, out.read().decode(), usage.ru_maxrss / 1024
 
 
 def git(tree: Path, *args: str) -> str:
@@ -125,7 +135,7 @@ def alternating(trees: list[Path], repeats: int, measure) -> list[list]:
 
 
 def bench_run(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    _, out = run(tree, [sys.executable, "benchmarks/run.py", "--workload", workload,
+    _, out, _ = run(tree, [sys.executable, "benchmarks/run.py", "--workload", workload,
                         "--seed", str(seed), "--seconds", str(SECONDS),
                         "--trace", str(trace)])
     last = json.loads(out.splitlines()[-1])
@@ -156,20 +166,21 @@ def workload_figures(runs: list[dict], estimator: str) -> dict:
 
 
 def verify_run(tree: Path) -> dict:
-    seconds, out = run(tree, [sys.executable, "-m", "gaprenorm.cli", "verify", "--json"])
+    seconds, out, _ = run(tree, [sys.executable, "-m", "gaprenorm.cli", "verify", "--json"])
     return {"end_to_end": seconds, **{c["name"]: c["seconds"] for c in json.loads(out)}}
 
 
 def readme_lines(tree: Path) -> list[str]:
-    _, out = run(tree, [sys.executable, "-c",
+    _, out, _ = run(tree, [sys.executable, "-c",
                         "import sys; sys.path[:0] = ['tests']; import test_readme; "
                         "print(*map(' '.join, test_readme.command_lines()), sep='\\n')"])
     return out.splitlines()
 
 
 def readme_figures(trees: list[Path], estimator: str) -> list[dict]:
-    """Each README command line, and interpreter start-up, end to end; the
-    trees alternate line by line, so that host drift reaches them alike."""
+    """Each README command line, and interpreter start-up, end to end, and
+    its peak RSS under `<name> peak_rss_mb`; the trees alternate line by
+    line, so that host drift reaches them alike."""
     cmds = [{"python -c pass": ["-c", "pass"],
              "import gaprenorm": ["-c", "import gaprenorm"],
              "import gaprenorm.measure": ["-c", "import gaprenorm.measure"],
@@ -180,9 +191,11 @@ def readme_figures(trees: list[Path], estimator: str) -> list[dict]:
         for name in dict.fromkeys(n for c in cmds for n in c):
             have = [i for i, c in enumerate(cmds) if name in c]
             runs = alternating([trees[i] for i in have], REPEATS, lambda t: run(
-                t, [sys.executable, *cmds[trees.index(t)][name]], Path(cwd))[0])
+                t, [sys.executable, *cmds[trees.index(t)][name]], Path(cwd)))
             for i, r in zip(have, runs):
-                out[i][name] = figure(r, "s", estimator)
+                out[i][name] = figure([s for s, _, _ in r], "s", estimator)
+                out[i][f"{name} peak_rss_mb"] = figure(
+                    [m for _, _, m in r], "MB", f"peak RSS from os.wait4, {estimator}")
     return out
 
 
@@ -243,7 +256,7 @@ def main(argv=None) -> int:
     tier1 = [sys.executable, "-m", "pytest", "-q", "-W", "error::RuntimeWarning",
              "--continue-on-collection-errors", "-p", "no:cacheprovider"]
     for rec, r in zip(records, alternating(trees, REPEATS, lambda t: run(t, tier1))):
-        rec["tests"] = {"tier1": figure([s for s, _ in r], "s", f"{' '.join(tier1[1:])}, {est}"),
+        rec["tests"] = {"tier1": figure([s for s, _, _ in r], "s", f"{' '.join(tier1[1:])}, {est}"),
                         "result": r[0][1].splitlines()[-1]}
     for rec, r in zip(records, readme_figures(trees, f"end to end in a fresh process, {est}")):
         rec["readme"] = r
