@@ -22,7 +22,8 @@ the same keys in each file:
 - `verify`: `gaprenorm verify --json`, end to end and per check;
 - `tests`: the Tier-1 test run, end to end;
 - `readme`: each README command line end to end, and interpreter start-up,
-  each with its peak RSS (`ru_maxrss` of the child, from `os.wait4`);
+  each with its peak RSS (`ru_maxrss` of the child, from `os.wait4`; see
+  LAUNCH);
 - `sweep`: `build_ulam` and a 30-step `correlation_decay` at 256 to 4096
   bins in one process, with the log-log slope of each.
 
@@ -78,6 +79,22 @@ print(json.dumps(out))
 """ % (SWEEP_BINS,)
 
 
+# A child's ru_maxrss counts the memory image it was forked from, so a child
+# of this script would read no less than this script's own peak (21.8 MB,
+# against 13.6 MB for `python -c pass`).  A bare interpreter starts each
+# command instead, waits for it with os.wait4 and prints its wall time, exit
+# code and peak RSS (KiB) as a line of its own at the end of stderr; the
+# floor is then its own, no higher than that of any Python command.
+LAUNCH = """
+import os, sys, time
+t = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+seconds = time.perf_counter() - t
+print(f"\\n{seconds} {os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}", file=sys.stderr)
+"""
+
+
 def env_for(tree: Path) -> dict:
     env = {**os.environ, **BLAS_ENV, "PYTHONPATH": str(tree / "src")}
     env["GIT_CEILING_DIRECTORIES"] = str(tree.parent)
@@ -86,19 +103,14 @@ def env_for(tree: Path) -> dict:
 
 def run(tree: Path, args: list[str], cwd: Path | None = None) -> tuple[float, str, float]:
     """Run one command in a fresh process; return its wall time, its stdout
-    and its peak RSS in MB, read from os.wait4."""
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        t = time.perf_counter()
-        proc = subprocess.Popen(args, cwd=cwd or tree, env=env_for(tree),
-                                stdout=out, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
-        seconds = time.perf_counter() - t
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        err.seek(0)
-        if proc.returncode:
-            raise subprocess.CalledProcessError(proc.returncode, args, out.read(), err.read())
-        return seconds, out.read().decode(), usage.ru_maxrss / 1024
+    and its peak RSS in MB, all three taken by LAUNCH."""
+    done = subprocess.run([sys.executable, "-c", LAUNCH, *args], cwd=cwd or tree,
+                          env=env_for(tree), check=True, capture_output=True, text=True)
+    err, _, last = done.stderr.rstrip("\n").rpartition("\n")  # see LAUNCH
+    seconds, code, kib = last.split()
+    if int(code):
+        raise subprocess.CalledProcessError(int(code), args, done.stdout, err)
+    return float(seconds), done.stdout, int(kib) / 1024
 
 
 def git(tree: Path, *args: str) -> str:
