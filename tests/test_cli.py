@@ -398,7 +398,7 @@ assert not loaded, loaded
 """
 
 
-def _run_numpy_free(cwd, lines, modules=("numpy", "scipy")):
+def _run_leaving_out(cwd, lines, modules=("numpy", "scipy")):
     env = {**os.environ, "PYTHONPATH": str(Path(measure.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", NOT_LOADED, ",".join(modules), *lines],
                    check=True, env=env, cwd=cwd, stdout=subprocess.DEVNULL)
@@ -407,12 +407,12 @@ def _run_numpy_free(cwd, lines, modules=("numpy", "scipy")):
 def test_trimmed_and_limsup_load_no_numpy(tmp_path):
     lines = [" ".join(argv) for argv in _readme_lines({"trimmed", "limsup"})]
     assert sorted(line.split()[0] for line in lines) == ["limsup", "trimmed"]
-    _run_numpy_free(tmp_path, lines)
+    _run_leaving_out(tmp_path, lines)
 
 
 def test_khinchin_loads_no_numpy(tmp_path):
     # the exceedance Monte Carlo is an experiments driver: no numpy median
-    _run_numpy_free(tmp_path, ["khinchin --samples 2 --n-max 200"])
+    _run_leaving_out(tmp_path, ["khinchin --samples 2 --n-max 200"])
 
 
 def test_growth_loads_only_quadpacks_kernel(tmp_path):
@@ -420,7 +420,7 @@ def test_growth_loads_only_quadpacks_kernel(tmp_path):
     # would load scipy.optimize, .sparse and .linalg, stays out
     lines = [" ".join(argv) for argv in _readme_lines({"growth"})]
     assert [line.split()[0] for line in lines] == ["growth"]
-    _run_numpy_free(tmp_path, lines, ("scipy.integrate", "scipy.optimize",
+    _run_leaving_out(tmp_path, lines, ("scipy.integrate", "scipy.optimize",
                                       "scipy.sparse", "scipy.linalg"))
 
 

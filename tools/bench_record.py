@@ -148,8 +148,8 @@ def alternating(trees: list[Path], repeats: int, measure) -> list[list]:
 
 def bench_run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     _, out, _ = run(tree, [sys.executable, "benchmarks/run.py", "--workload", workload,
-                        "--seed", str(seed), "--seconds", str(SECONDS),
-                        "--trace", str(trace)])
+                           "--seed", str(seed), "--seconds", str(SECONDS),
+                           "--trace", str(trace)])
     last = json.loads(out.splitlines()[-1])
     if last["failed"]:
         raise RuntimeError(f"{tree.name}: {workload} seed {seed}: {last['failed']} failed")
@@ -184,8 +184,8 @@ def verify_run(tree: Path) -> dict:
 
 def readme_lines(tree: Path) -> list[str]:
     _, out, _ = run(tree, [sys.executable, "-c",
-                        "import sys; sys.path[:0] = ['tests']; import test_readme; "
-                        "print(*map(' '.join, test_readme.command_lines()), sep='\\n')"])
+                           "import sys; sys.path[:0] = ['tests']; import test_readme; "
+                           "print(*map(' '.join, test_readme.command_lines()), sep='\\n')"])
     return out.splitlines()
 
 
